@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
@@ -82,7 +80,6 @@ class RunConfig:
     cutoff: Fraction = DEFAULT_SUITE_CUTOFF
     enumeration_budget: int = DEFAULT_NODE_BUDGET
     data_dir: Path | None = None
-    seed: int = 0
     output: str = "json"
 
     def __post_init__(self) -> None:
@@ -106,14 +103,11 @@ class _Context:
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
         self._cache: dict[Any, Any] = {}
-        # reentrant: builders call back into _get (sigma needs lattice)
-        self._lock = threading.RLock()
 
     def _get(self, key: Any, build: Callable[[], Any]) -> Any:
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def lattice(self):
         return self._get("lattice", lambda: load_leech(self.cfg.data_dir))
@@ -284,7 +278,9 @@ def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
 
 def _moonshine_expected(cfg: RunConfig) -> Any:
     return {"head": [1, 0, 196884], "matches_j_expansion": True,
-            "matches_involution_construction": True}
+            "j_expansion_depth": int(cfg.cutoff) - 1,
+            "matches_involution_construction": True,
+            "involution_depth": cfg.cutoff}
 
 
 def _moonshine_computed(cfg: RunConfig, ctx: _Context) -> Any:
@@ -295,14 +291,14 @@ def _moonshine_computed(cfg: RunConfig, ctx: _Context) -> Any:
                             budget=cfg.enumeration_budget)
     head = [ch.coefficient_at(w) for w in (0, 1, 2)]
     # the orbifold grading sits one power above the modular expansion
-    j_depth = min(Fraction(int(c) - 1), Fraction(4))
-    matches_j = ch.shift(-1).agrees_with(moonshine_j(int(c) - 1),
-                                         through=j_depth)
+    shifted = ch.shift(-1)
+    j = moonshine_j(int(c) - 1)
     z2 = orbifold_character(lat, ctx.negation(), 2, c, theta=theta,
                             budget=cfg.enumeration_budget)
-    matches_z2 = z2.agrees_with(ch, through=min(c, Fraction(5)))
-    return {"head": head, "matches_j_expansion": matches_j,
-            "matches_involution_construction": matches_z2}
+    return {"head": head, "matches_j_expansion": shifted.agrees_with(j),
+            "j_expansion_depth": min(shifted.weight_cutoff, j.weight_cutoff),
+            "matches_involution_construction": z2.agrees_with(ch),
+            "involution_depth": min(z2.weight_cutoff, ch.weight_cutoff)}
 
 
 def _split_expected(cfg: RunConfig) -> Any:
@@ -460,11 +456,8 @@ def run_verification_suite(cfg: RunConfig) -> Report:
     config = {"p": cfg.p, "cutoff": cfg.cutoff,
               "enumeration_budget": cfg.enumeration_budget,
               "data_dir": str(cfg.data_dir) if cfg.data_dir else None,
-              "seed": cfg.seed, "output": cfg.output}
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(_run_claim, spec, cfg, ctx)
-                   for spec in CLAIM_REGISTRY]
-        entries = [future.result() for future in futures]
+              "output": cfg.output}
+    entries = [_run_claim(spec, cfg, ctx) for spec in CLAIM_REGISTRY]
     return Report(config=config, entries=entries)
 
 
@@ -518,7 +511,6 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
         enumeration_budget=_resolve(args, config, "budget",
                                     DEFAULT_NODE_BUDGET, int),
         data_dir=_data_dir(args, config),
-        seed=_resolve(args, config, "seed", 0, int),
         output=_resolve(args, config, "format", "json", str),
     )
     report = run_verification_suite(cfg)
@@ -725,7 +717,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", type=int, default=None, choices=SUPPORTED_P)
     verify.add_argument("--cutoff", type=Fraction, default=None)
     verify.add_argument("--budget", type=int, default=None)
-    verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--format", dest="format", default=None,
                         choices=OUTPUT_FORMATS)
     _add_data_dir(verify)

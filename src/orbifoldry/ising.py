@@ -4,16 +4,17 @@ bookkeeping for a pair of commuting such subalgebras.
 
 ch_0 and ch_{1/2} are the even- and odd-fermion-number halves of the
 Neveu-Schwarz product prod_{n>=0}(1 + q^{n+1/2}); ch_{1/16} is
-q^{1/16} prod_{n>=1}(1 + q^n).
+q^{1/16} prod_{n>=1}(1 + q^n); both are expanded by qseries.euler_product.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .qseries import FracSeries, Rational
+from .qseries import FracSeries, Rational, euler_product
 
 __all__ = [
     "ALLOWED_WEIGHTS",
@@ -49,17 +50,18 @@ class MinimalModelChar:
                 raise ValueError("character coefficients must be counts")
 
 
-def _half_odd_product(cutoff: Fraction, sign: int) -> FracSeries:
-    """prod_{n>=0} (1 + sign * q^{n+1/2}) through the cutoff."""
-    grain = lcm(2, cutoff.denominator)
-    acc = FracSeries.one(cutoff, grain=grain)
-    exponent = Fraction(1, 2)
-    while exponent <= cutoff:
-        factor = FracSeries.from_terms({0: 1, exponent: sign},
-                                       cutoff=cutoff, grain=grain)
-        acc = acc * factor
-        exponent += 1
-    return acc
+def _fermion_product(first: Fraction, cutoff: Fraction, sign: int,
+                     grain: int) -> FracSeries:
+    """prod_{k>=0} (1 + sign * q^(first + k)) through the cutoff, sign = +-1:
+    1 - x^s is Euler multiplicity -1 at s, 1 + x^s = (1 - x^2s)/(1 - x^s)
+    is +1 at s and -1 at 2s (x = q^(1/grain))."""
+    n = int(cutoff * grain)
+    multiplicities: Counter[int] = Counter()
+    for s in range(int(first * grain), n + 1, grain):
+        multiplicities[s] += sign
+        if sign > 0:
+            multiplicities[2 * s] -= 1
+    return FracSeries(grain, dict(enumerate(euler_product(multiplicities, n))), n)
 
 
 def c12_character(h: Rational, cutoff: Rational) -> MinimalModelChar:
@@ -71,17 +73,12 @@ def c12_character(h: Rational, cutoff: Rational) -> MinimalModelChar:
     if c < hw:
         raise ValueError(f"cutoff {c} is below the leading weight {hw}")
     if hw == Fraction(1, 16):
-        grain = lcm(16, c.denominator)
-        acc = FracSeries.one(c - hw, grain=grain)
-        n = 1
-        while n <= c - hw:
-            acc = acc * FracSeries.from_terms({0: 1, n: 1}, cutoff=c - hw,
-                                              grain=grain)
-            n += 1
+        acc = _fermion_product(Fraction(1), c - hw, 1, lcm(16, c.denominator))
         return MinimalModelChar(hw, acc.shift(hw))
-    plus = _half_odd_product(c, 1)
-    minus = _half_odd_product(c, -1)
     half = Fraction(1, 2)
+    grain = lcm(2, c.denominator)
+    plus = _fermion_product(half, c, 1, grain)
+    minus = _fermion_product(half, c, -1, grain)
     series = (plus + minus) * half if hw == 0 else (plus - minus) * half
     return MinimalModelChar(hw, series)
 

@@ -8,13 +8,17 @@ raises BeyondCutoff rather than returning a silent zero.
 
 Finite Laurent tails (negative exponents) are allowed; infinite tails are not.
 All values are immutable: operations return new series.
+
+Infinite products prod_s (1 - q^(s/D))^(-m_s) are expanded by one integer
+kernel, euler_product; grading_product maps oscillator modes onto it.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -323,6 +327,29 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
+def euler_product(multiplicities: Mapping[int, int], n: int) -> list[int]:
+    """Coefficients b_0..b_n of prod_s (1 - x^s)^(-m_s) over s >= 1, m_s of either sign,
+    by the Euler transform on plain ints: j b_j = sum_{k<=j} c_k b_{j-k} with
+    c_k = sum_{s|k} s m_s.  A division by j that leaves a remainder raises
+    ArithmeticError (the integrality certificate) instead of being floored."""
+    if n < 0:
+        raise ValueError(f"length {n} must be nonnegative")
+    c = [0] * (n + 1)
+    for s, m in multiplicities.items():
+        if s < 1:
+            raise NonPositiveExponent(f"factor exponent {s} must be positive")
+        for k in range(s, n + 1, s):
+            c[k] += s * m
+    steps = [(k, ck) for k, ck in enumerate(c) if ck]
+    b = [1] + [0] * n
+    for j in range(1, n + 1):
+        total = sum(ck * b[j - k] for k, ck in steps if k <= j)
+        b[j], rem = divmod(total, j)
+        if rem:
+            raise ArithmeticError(f"Euler transform at x^{j}: {total} is not divisible by {j}")
+    return b
+
+
 def grading_product(modes: Iterable[tuple[Fraction | int, int]],
                     cutoff: Fraction | int,
                     grain: int | None = None) -> FracSeries:
@@ -330,33 +357,21 @@ def grading_product(modes: Iterable[tuple[Fraction | int, int]],
 
     Each mode contributes a free graded piece at exponents e, e+1, e+2, ...
     with the given multiplicity.  Only modes with e + k <= cutoff matter.
+    The towers become euler_product multiplicities in grain units.
 
     Raises NonPositiveExponent if some mode exponent e is <= 0.
     """
-    cut = _as_fraction(cutoff)
-    mode_list: list[tuple[Fraction, int]] = []
+    mode_list = [(_as_fraction(e), mult) for e, mult in modes]
     g = grain if grain is not None else 1
-    for e, mult in modes:
-        ef = _as_fraction(e)
-        if ef <= 0:
-            raise NonPositiveExponent(f"mode exponent {ef} must be positive")
+    for e, mult in mode_list:
+        if e <= 0:
+            raise NonPositiveExponent(f"mode exponent {e} must be positive")
         if mult < 0:
             raise ValueError(f"multiplicity {mult} must be nonnegative")
-        g = lcm(g, ef.denominator)
-        if mult:
-            mode_list.append((ef, mult))
-    result = FracSeries.one(cut, g)
-    n = _to_grain_units(cut, g)
+        g = lcm(g, e.denominator)
+    n = _to_grain_units(cutoff, g)
+    multiplicities: Counter[int] = Counter()
     for e, mult in mode_list:
-        k = 0
-        while e + k <= cut:
-            step = int((e + k) * g)
-            # (1 - q^step)^(-mult) = sum_t C(mult - 1 + t, t) q^(step t)
-            factor = {0: Fraction(1)}
-            t = 1
-            while step * t <= n:
-                factor[step * t] = Fraction(comb(mult - 1 + t, t))
-                t += 1
-            result = result * FracSeries(g, factor, n)
-            k += 1
-    return result
+        for s in range(int(e * g), n + 1, g):
+            multiplicities[s] += mult
+    return FracSeries(g, dict(enumerate(euler_product(multiplicities, n))), n)

@@ -5,6 +5,8 @@ the conformal weight of the twisted sector, the defect-module dimension
 sqrt|L/(1-g^i)L|, the twisted Fock character, twined traces on the
 untwisted space, and the exact discrete Fourier transform that splits
 the untwisted character into eigencomponents.
+
+Fock characters are eta products, expanded by qseries.grading_product.
 """
 
 from __future__ import annotations
@@ -134,12 +136,6 @@ def twisted_character(sector: SectorInvariants, cutoff: Rational) -> FracSeries:
     return FracSeries.from_terms(terms, cutoff=c, grain=grain)
 
 
-def _fock_product(cutoff: Fraction, rank: int) -> FracSeries:
-    """prod_{n>=1} (1-q^n)^{-rank} up to the given weight; the ladder over
-    n is grading_product's built-in k >= 0 tower above the base mode 1."""
-    return grading_product([(1, rank)], cutoff=cutoff, grain=1)
-
-
 def twined_untwisted_character(lattice: Lattice, g: Isometry, j: int,
                                cutoff: Rational,
                                theta: FracSeries | None = None,
@@ -161,7 +157,7 @@ def twined_untwisted_character(lattice: Lattice, g: Isometry, j: int,
     if gj.is_identity():
         if theta is None:
             theta = theta_series(lattice, c, budget=budget)
-        return theta * _fock_product(c, n_rank)
+        return theta * grading_product([(1, n_rank)], cutoff=c, grain=1)
     profile = cyclotomic_profile(gj)
     if profile.multiplicity(1):
         raise UnsupportedFixedSublattice(

@@ -1,14 +1,18 @@
 """Series ring: oracle checks against brute-force counting, then ring laws."""
+import inspect
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from direct_products import direct_grading_product, direct_product
+from orbifoldry import modular
 from orbifoldry.qseries import (
     BeyondCutoff,
     FracSeries,
     NonPositiveExponent,
     ZeroLeadingTerm,
+    euler_product,
     grading_product,
 )
 
@@ -113,6 +117,47 @@ def test_grading_product_rejects_nonpositive_modes():
         grading_product([(0, 3)], cutoff=2)
     with pytest.raises(NonPositiveExponent):
         grading_product([(F(-1, 2), 3)], cutoff=2)
+
+
+# ----- the Euler-product kernel against the direct product -----------------
+
+@pytest.mark.parametrize("grain", [1, 2, 13, 26])
+def test_euler_product_matches_direct_product(grain):
+    rng = random.Random(1000 + grain)
+    for _ in range(8):
+        n = rng.randint(0, 4) * grain
+        multiplicities = {}
+        for _ in range(rng.randint(1, 6)):
+            s = rng.randint(1, max(n, 1))
+            multiplicities[s] = multiplicities.get(s, 0) + rng.choice([-3, -2, -1, 1, 2, 5])
+        reference = direct_product(multiplicities, grain, n)
+        got = euler_product(multiplicities, n)
+        assert got == [reference.coefficient_at(F(k, grain)) for k in range(n + 1)]
+        assert all(type(b) is int for b in got)
+
+
+def test_grading_product_matches_direct_loop():
+    rng = random.Random(13)
+    for _ in range(10):
+        grain = rng.choice([1, 2, 13, 26])
+        modes = [(F(rng.randint(1, 2 * grain), grain), rng.randint(0, 4))
+                 for _ in range(rng.randint(1, 4))]
+        cutoff = F(rng.randint(0, 4 * grain), grain)
+        assert grading_product(modes, cutoff, grain) == direct_grading_product(modes, cutoff, grain)
+
+
+def test_euler_product_inexact_division_raises():
+    # (1 - x)^(-1/2) has coefficient 1/2 at x^1: no integral expansion
+    with pytest.raises(ArithmeticError):
+        euler_product({1: F(1, 2)}, 3)
+    with pytest.raises(NonPositiveExponent):
+        euler_product({0: 1}, 3)
+
+
+def test_modular_oracle_stays_disjoint_from_the_kernel():
+    source = inspect.getsource(modular)
+    assert "euler_product" not in source and "grading_product" not in source
+    assert not hasattr(modular, "euler_product")
 
 
 def test_geometric_inverse():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from direct_products import direct_grading_product
 from orbifoldry.datafiles import SUPPORTED_P, load_generators, load_leech, load_sigma
 from orbifoldry.isometry import OrderDoesNotDivide, negation_isometry
 from orbifoldry.lattice import quotient_invariants
@@ -189,6 +190,19 @@ def test_twisted_character_leading_terms(leech, sigmas, p):
     assert odd.leading_term() == (Fraction(2 * p - 1, 2 * p), 1)
     even = twisted_character(sector_invariants(leech, sigmas[p], 2), Fraction(2))
     assert even.leading_term() == (Fraction(p + 1, p), p ** (12 // (p - 1)))
+
+
+@pytest.mark.parametrize("p", SUPPORTED_P)
+def test_twisted_character_matches_direct_product(leech, sigmas, p):
+    """Every sector's character at cutoff 4 against the factor-by-factor
+    product; rho lies on the 1/m grid, so no flooring is involved."""
+    for i in range(1, 2 * p):
+        sector = sector_invariants(leech, sigmas[p], i)
+        m = sector.modulus
+        modes = [(Fraction(j, m), d) for j, d in enumerate(sector.eig_dims) if j and d]
+        fock = direct_grading_product(modes, 4 - sector.rho, grain=m)
+        expected = fock.shift(sector.rho) * sector.defect_dim
+        assert twisted_character(sector, Fraction(4)) == expected, i
 
 
 def test_twisted_character_below_leading_weight(leech):
