@@ -37,6 +37,7 @@ from .fusion import (
 from .ising import ALLOWED_WEIGHTS, c12_character, extension_weight_one_check
 from .isometry import (
     DEFAULT_SEARCH_BUDGET,
+    Isometry,
     cyclotomic_profile,
     eigenspace_dims,
     multiplicative_order,
@@ -46,6 +47,7 @@ from .isometry import (
 )
 from .lattice import (
     DEFAULT_NODE_BUDGET,
+    Lattice,
     enumerate_vectors_by_norm,
     load_lattice,
     parse_matrix,
@@ -264,16 +266,19 @@ def _weight_one_expected(cfg: RunConfig) -> Any:
     return {"total": 24, "per_sector": per}
 
 
-def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    lat, g = ctx.lattice(), ctx.sigma()
-    p = cfg.p
+def _weight_one_table(lat: Lattice, g: Isometry, p: int) -> dict[str, Any]:
+    """Weight-one dimension of the order-2p extension and the weight-one
+    coefficient of each odd sector other than p."""
     per = {}
-    for i in range(1, 2 * p):
-        if i % 2 == 0 or i == p:
-            continue
-        ch = twisted_character(sector_invariants(lat, g, i), Fraction(1))
-        per[str(i)] = ch.extract_weight_class(0).coefficient_at(1)
+    for i in range(1, 2 * p, 2):
+        if i != p:
+            ch = twisted_character(sector_invariants(lat, g, i), Fraction(1))
+            per[str(i)] = ch.extract_weight_class(0).coefficient_at(1)
     return {"total": weight_one_dimension_H2(lat, g, p), "per_sector": per}
+
+
+def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
+    return _weight_one_table(ctx.lattice(), ctx.sigma(), cfg.p)
 
 
 def _moonshine_expected(cfg: RunConfig) -> Any:
@@ -660,15 +665,7 @@ def _cmd_fusion_weight1(args: argparse.Namespace,
     data_dir = _data_dir(args, config)
     lat = load_leech(data_dir)
     sigma = load_sigma(args.p, data_dir, lattice=lat)
-    per = {}
-    for i in range(1, 2 * args.p):
-        if i % 2 == 0 or i == args.p:
-            continue
-        ch = twisted_character(sector_invariants(lat, sigma, i), Fraction(1))
-        per[str(i)] = ch.extract_weight_class(0).coefficient_at(1)
-    _emit({"p": args.p,
-           "total": weight_one_dimension_H2(lat, sigma, args.p),
-           "per_sector": per})
+    _emit({"p": args.p, **_weight_one_table(lat, sigma, args.p)})
     return 0
 
 

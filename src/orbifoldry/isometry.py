@@ -3,18 +3,28 @@
 Validation against the Gram matrix, exact cyclotomic factorization of
 characteristic polynomials, eigenspace dimensions of finite-order
 isometries, and a seeded random word search over a generator set.
+
+Each spectral fact is computed once per Isometry: the characteristic
+polynomial and its cyclotomic profile are cached on the instance, and
+every power g^k is built (and verified) once and cached on g, so that a
+power of a power is the same object as the matching power of g.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import comb, gcd, lcm
 from typing import Sequence
 
-from .lattice import IntMatrix, Lattice
+from .lattice import IntMatrix, Lattice, _det_int, _freeze, _identity
 
 DEFAULT_SEARCH_BUDGET = 4000
+
+# characteristic polynomials are computed modulo this prime and lifted;
+# see _charpoly for why one prime is exact for finite-order matrices
+CHARPOLY_PRIME = 2**61 - 1
 
 
 class NotGramPreserving(ValueError):
@@ -26,8 +36,9 @@ class NotUnimodular(ValueError):
 
 
 class NonCyclotomicFactor(ArithmeticError):
-    """The characteristic polynomial has a non-cyclotomic factor, so the
-    matrix is not of finite order.  Unreachable for verified isometries."""
+    """The matrix is not of finite order: its lifted characteristic
+    polynomial has a non-cyclotomic factor, or M^order != I for the order
+    the factorization predicts.  Unreachable for verified isometries."""
 
 
 class OrderDoesNotDivide(ValueError):
@@ -41,23 +52,14 @@ class NotFound(LookupError):
 # ----- integer matrix helpers ------------------------------------------
 
 
-def _freeze(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in matrix)
-
-
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def _mat_identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def _mat_power(matrix: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     n = len(matrix)
-    result = _mat_identity(n)
+    result = _identity(n)
     base = [list(row) for row in matrix]
     while k:
         if k & 1:
@@ -68,28 +70,6 @@ def _mat_power(matrix: Sequence[Sequence[int]], k: int) -> list[list[int]]:
     return result
 
 
-def _det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss elimination with row pivoting."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 # ----- isometry type ----------------------------------------------------
 
 
@@ -98,7 +78,12 @@ class Isometry:
     """A Gram-preserving unimodular integer matrix acting on a lattice.
 
     The action convention is on column vectors: matrix.T @ gram @ matrix
-    must equal gram.  Both invariants are checked at construction.
+    must equal gram.  Both invariants are checked at construction, for
+    every instance, powers included.
+
+    Every instance is the root of its own power cache, except the powers
+    that power() builds: those record the root and exponent they came
+    from and delegate to the root's cache.
     """
 
     lattice: Lattice
@@ -117,25 +102,69 @@ class Isometry:
             raise NotGramPreserving("matrix.T @ gram @ matrix != gram")
         if _det_int(matrix) not in (1, -1):
             raise NotUnimodular("determinant is not +1 or -1")
+        object.__setattr__(self, "_root", self)
+        object.__setattr__(self, "_exponent", 1)
+        object.__setattr__(self, "_powers", {})
 
     def __mul__(self, other: Isometry) -> Isometry:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise ValueError("isometries act on different lattices")
-        return Isometry(self.lattice, _freeze(_mat_mul(self.matrix, other.matrix)))
+        return Isometry(self.lattice, _mat_mul(self.matrix, other.matrix))
 
     def power(self, k: int) -> Isometry:
+        """g^k, negative k taken mod the order; built and verified once.
+
+        The powers of every power of a root g live in g's cache, so
+        g.power(i).power(j) is g.power(i * j).
+        """
         if k < 0:
-            n = multiplicative_order(self)
-            k = k % n
-        return Isometry(self.lattice, _freeze(_mat_power(self.matrix, k)))
+            k %= multiplicative_order(self)
+        root, e = self._root, self._exponent * k
+        if e == 1:
+            return root
+        cached = root._powers.get(e)
+        if cached is None:
+            if e == 0:
+                matrix = _identity(root.lattice.rank)
+            else:
+                half = root.power(e // 2).matrix
+                matrix = _mat_mul(half, half)
+                if e & 1:
+                    matrix = _mat_mul(matrix, root.matrix)
+            cached = Isometry(root.lattice, matrix)
+            object.__setattr__(cached, "_root", root)
+            object.__setattr__(cached, "_exponent", e)
+            root._powers[e] = cached
+        return cached
 
     def inverse(self) -> Isometry:
-        return self.power(multiplicative_order(self) - 1)
+        return self.power(-1)
 
     def is_identity(self) -> bool:
         return all(self.matrix[i][j] == int(i == j)
                    for i in range(self.lattice.rank)
                    for j in range(self.lattice.rank))
+
+    @cached_property
+    def _spectrum(self) -> tuple[tuple[int, ...], CycloProfile]:
+        # the lift is exact once g is shown to have finite order (_charpoly)
+        poly = tuple(_charpoly(self.matrix))
+        profile = _lifted_profile(poly)
+        if self._root is self:
+            finite = _mat_power(self.matrix, profile.order) == _identity(self.lattice.rank)
+        else:
+            # self = root^e and root^N = I with N the root's certified
+            # order, so self^order = I exactly when N divides e * order
+            finite = self._exponent * profile.order % multiplicative_order(self._root) == 0
+        if not finite:
+            raise NonCyclotomicFactor(
+                f"g^{profile.order} != I: the matrix is not of finite order")
+        return poly, profile
+
+    @property
+    def charpoly(self) -> tuple[int, ...]:
+        """Certified coefficients of det(xI - M), highest power first."""
+        return self._spectrum[0]
 
 
 def verify_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> Isometry:
@@ -144,35 +173,69 @@ def verify_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> Isomet
 
 
 def identity_isometry(lattice: Lattice) -> Isometry:
-    return Isometry(lattice, _freeze(_mat_identity(lattice.rank)))
+    return Isometry(lattice, _identity(lattice.rank))
 
 
 def negation_isometry(lattice: Lattice) -> Isometry:
     n = lattice.rank
-    return Isometry(lattice, _freeze([[-int(i == j) for j in range(n)] for i in range(n)]))
+    return Isometry(lattice, [[-int(i == j) for j in range(n)] for i in range(n)])
 
 
 # ----- characteristic polynomial and cyclotomic factorization -----------
 
 
 def _charpoly(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Coefficients of det(xI - M), highest power first, via the
-    Faddeev-LeVerrier recurrence (all divisions exact)."""
+    """Coefficients of det(xI - M) mod CHARPOLY_PRIME, highest power first,
+    lifted to the symmetric range (-P/2, P/2).
+
+    Hessenberg reduction by similarity over GF(P), then the recurrence on
+    the leading blocks (Cohen, GTM 138, Alg. 2.2.9): O(n^3) operations.
+    The lift is only a candidate.  It is exact when the lift factors into
+    cyclotomic polynomials and M^order = I for the order they give: then
+    M has finite order, so the true polynomial and the lift both have all
+    roots on the unit circle, every coefficient is at most C(n, k) in
+    absolute value, and two such polynomials that agree mod P are equal
+    because 2 C(n, n/2) < P.  Callers certify the lift that way.
+    """
+    p = CHARPOLY_PRIME
     n = len(matrix)
-    base = [list(row) for row in matrix]
-    work = [row[:] for row in base]
-    coeffs = [1]
-    for k in range(1, n + 1):
-        tr = sum(work[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError("Faddeev-LeVerrier trace division failed")
-        ck = -(tr // k)
-        coeffs.append(ck)
-        if k < n:
-            for i in range(n):
-                work[i][i] += ck
-            work = _mat_mul(base, work)
-    return coeffs
+    if 2 * comb(n, n // 2) >= p:
+        raise ValueError(f"rank {n} is too large for a charpoly mod 2^61 - 1")
+    h = [[x % p for x in row] for row in matrix]
+    for j in range(n - 2):
+        r = next((r for r in range(j + 1, n) if h[r][j]), None)
+        if r is None:
+            continue
+        if r != j + 1:
+            h[r], h[j + 1] = h[j + 1], h[r]
+            for row in h:
+                row[r], row[j + 1] = row[j + 1], row[r]
+        pivot_row = h[j + 1]
+        inv = pow(pivot_row[j], -1, p)
+        for i in range(j + 2, n):
+            u = h[i][j] * inv % p
+            if u:
+                # row_i -= u row_(j+1), then col_(j+1) += u col_i keeps
+                # the matrix similar to the input
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], pivot_row)]
+                for row in h:
+                    row[j + 1] = (row[j + 1] + u * row[i]) % p
+    # blocks[k] = charpoly of the leading k x k block, low-first
+    blocks = [[1]]
+    for k in range(n):
+        poly = [0] + blocks[k]
+        for t, c in enumerate(blocks[k]):
+            poly[t] = (poly[t] - h[k][k] * c) % p
+        sub = 1
+        for i in range(k - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            coeff = h[i][k] * sub % p
+            for t, c in enumerate(blocks[i]):
+                poly[t] = (poly[t] - coeff * c) % p
+        blocks.append(poly)
+    return [c - p if 2 * c > p else c for c in reversed(blocks[n])]
 
 
 def euler_phi(d: int) -> int:
@@ -226,6 +289,14 @@ def cyclotomic_polynomial(d: int, _cache: dict[int, list[int]] = {}) -> list[int
     return list(poly)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_orders(rank: int) -> tuple[int, ...]:
+    """Every d with phi(d) <= rank, ascending: the orders of the cyclotomic
+    factors a rank-n characteristic polynomial can have."""
+    # phi(d) >= sqrt(d/2), so phi(d) <= rank forces d <= 2 rank^2
+    return tuple(d for d in range(1, 2 * rank * rank + 1) if euler_phi(d) <= rank)
+
+
 @dataclass(frozen=True)
 class CycloProfile:
     """Multiset of cyclotomic factors of a characteristic polynomial,
@@ -252,19 +323,23 @@ class CycloProfile:
     def degree(self) -> int:
         return sum(e * euler_phi(d) for d, e in self.factors)
 
+    @property
+    def order(self) -> int:
+        """Order of a finite-order matrix with this profile: lcm of the d."""
+        return lcm(*(d for d, _ in self.factors))
+
 
 def cyclotomic_profile(g: Isometry) -> CycloProfile:
-    """Factor det(xI - g) into cyclotomic polynomials exactly."""
-    return _profile_of_matrix(g.matrix, g.lattice.rank)
+    """Factor det(xI - g) into cyclotomic polynomials exactly (cached on g)."""
+    return g._spectrum[1]
 
 
-def _profile_of_matrix(matrix: Sequence[Sequence[int]], rank: int) -> CycloProfile:
-    poly = list(reversed(_charpoly(matrix)))
+def _lifted_profile(charpoly: Sequence[int]) -> CycloProfile:
+    """Cyclotomic factorization of a lifted charpoly (highest power first);
+    NonCyclotomicFactor if it does not factor completely."""
+    poly = list(reversed(charpoly))
     factors: dict[int, int] = {}
-    # phi(d) >= sqrt(d/2), so phi(d) <= rank forces d <= 2 rank^2
-    for d in range(1, 2 * rank * rank + 1):
-        if euler_phi(d) > rank:
-            continue
+    for d in _cyclotomic_orders(len(charpoly) - 1):
         cd = cyclotomic_polynomial(d)
         while len(poly) > 1:
             quotient = _poly_try_div(poly, cd)
@@ -279,12 +354,18 @@ def _profile_of_matrix(matrix: Sequence[Sequence[int]], rank: int) -> CycloProfi
     return CycloProfile.of(factors)
 
 
+def _profile_of_matrix(matrix: Sequence[Sequence[int]], rank: int) -> CycloProfile:
+    """Certified cyclotomic profile of a bare integer matrix."""
+    profile = _lifted_profile(_charpoly(matrix))
+    if _mat_power(matrix, profile.order) != _identity(rank):
+        raise NonCyclotomicFactor(
+            f"M^{profile.order} != I: the matrix is not of finite order")
+    return profile
+
+
 def multiplicative_order(g: Isometry) -> int:
     """Least n >= 1 with g^n = identity, from the cyclotomic profile."""
-    order = 1
-    for d, _ in cyclotomic_profile(g).factors:
-        order = lcm(order, d)
-    return order
+    return cyclotomic_profile(g).order
 
 
 def power_profile(profile: CycloProfile, k: int) -> CycloProfile:
@@ -306,11 +387,8 @@ def eigenspace_dims(g: Isometry, modulus: int) -> tuple[int, ...]:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     profile = cyclotomic_profile(g)
-    order = 1
-    for d, _ in profile.factors:
-        order = lcm(order, d)
-    if modulus % order:
-        raise OrderDoesNotDivide(f"isometry order {order} does not divide {modulus}")
+    if modulus % profile.order:
+        raise OrderDoesNotDivide(f"isometry order {profile.order} does not divide {modulus}")
     table = profile.as_dict()
     return tuple(table.get(modulus // gcd(j, modulus), 0) for j in range(modulus))
 
@@ -328,7 +406,7 @@ class SearchResult:
 
 
 def _word_matrix(generators: Sequence[Isometry], word: Sequence[int]) -> list[list[int]]:
-    out = _mat_identity(generators[0].lattice.rank)
+    out = _identity(generators[0].lattice.rank)
     for idx in word:
         out = _mat_mul(out, generators[idx].matrix)
     return out
@@ -363,10 +441,7 @@ def search_isometry(generators: Sequence[Isometry], target: CycloProfile,
         tried += 1
         matrix = _word_matrix(generators, word)
         profile = _profile_of_matrix(matrix, rank)
-        order = 1
-        for d, _ in profile.factors:
-            order = lcm(order, d)
-        for k in range(1, order + 1):
+        for k in range(1, profile.order + 1):
             if power_profile(profile, k) == target:
                 found_word = word * k
                 result = verify_isometry(lattice, _mat_power(matrix, k))
@@ -379,16 +454,14 @@ def _check_found(result: Isometry, target: CycloProfile) -> None:
     profile = cyclotomic_profile(result)
     if profile != target:
         raise AssertionError("search result fails profile re-verification")
-    order = 1
-    for d, _ in profile.factors:
-        order = lcm(order, d)
+    order = profile.order
     fixed_free = all(power_profile(profile, i).multiplicity(1) == 0
                      for i in range(1, order))
     if fixed_free:
         # independent matrix-level confirmation: no proper power fixes a vector
         n = result.lattice.rank
         for i in range(1, order):
-            mi = _mat_power(result.matrix, i)
+            mi = [list(row) for row in result.power(i).matrix]
             for r in range(n):
                 mi[r][r] -= 1
             if _det_int(mi) == 0:

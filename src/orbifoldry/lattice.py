@@ -43,26 +43,48 @@ def _freeze(matrix: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in matrix)
 
 
-def _leading_minors(gram: Sequence[Sequence[int]]) -> list[int]:
-    """Leading principal minors via Bareiss fraction-free elimination.
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
-    Stops early on a zero pivot (the remaining minors are not needed to
-    refute positive definiteness).
+
+def _bareiss(matrix: Sequence[Sequence[int]],
+             pivoting: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination: the successive pivots and the
+    sign of the row swaps made.
+
+    The k-th pivot is the k-th leading principal minor of the row-swapped
+    matrix.  Without pivoting these are the leading minors of the input
+    (Sylvester's criterion); with pivoting, sign * last pivot is the
+    determinant.  Stops at the first zero pivot that no row swap (or,
+    without pivoting, nothing) replaces.
     """
-    n = len(gram)
-    work = [list(row) for row in gram]
-    minors: list[int] = []
+    work = [list(row) for row in matrix]
+    n = len(work)
+    pivots: list[int] = []
+    sign = 1
     prev = 1
     for k in range(n):
+        if pivoting and work[k][k] == 0:
+            for i in range(k + 1, n):
+                if work[i][k]:
+                    work[k], work[i] = work[i], work[k]
+                    sign = -sign
+                    break
         pivot = work[k][k]
-        minors.append(pivot)
+        pivots.append(pivot)
         if pivot == 0:
             break
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]) // prev
         prev = pivot
-    return minors
+    return pivots, sign
+
+
+def _det_int(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    pivots, sign = _bareiss(matrix, pivoting=True)
+    return sign * pivots[-1] if pivots else 1
 
 
 @dataclass(frozen=True)
@@ -90,7 +112,7 @@ class Lattice:
         for i in range(n):
             if gram[i][i] % 2:
                 raise NotEven(f"diagonal entry {gram[i][i]} at index {i} is odd")
-        minors = _leading_minors(gram)
+        minors, _ = _bareiss(gram)
         if len(minors) < n or any(m <= 0 for m in minors):
             raise NotPositiveDefinite("a leading principal minor is not positive")
 
@@ -99,8 +121,7 @@ class Lattice:
         return len(self.gram)
 
     def determinant(self) -> int:
-        minors = _leading_minors(self.gram)
-        return minors[-1] if minors else 1
+        return _det_int(self.gram)
 
     def norm(self, vector: Sequence[int]) -> int:
         """⟨v,v⟩ of an integer coordinate vector in the lattice basis."""
@@ -168,10 +189,6 @@ class SmithForm:
     invariants: tuple[int, ...]
     left: IntMatrix
     right: IntMatrix
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _smallest_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:

@@ -20,7 +20,6 @@ from typing import Sequence
 from .isometry import (
     Isometry,
     OrderDoesNotDivide,
-    _charpoly,
     cyclotomic_profile,
     eigenspace_dims,
     euler_phi,
@@ -148,29 +147,39 @@ def twined_untwisted_character(lattice: Lattice, g: Isometry, j: int,
     fixed-point-free g^j only the zero lattice vector contributes and the
     trace is prod_n det(I - (g^j) q^n)^{-1}, expanded through the integer
     coefficients of det(I - M x).
+
+    Both expansions run at the integral cutoff int(cutoff); only integral
+    weights occur, so a series exact through int(cutoff) is restated at
+    the requested cutoff.
     """
     c = Fraction(cutoff)
     if c < 0:
         raise ValueError("cutoff must be nonnegative")
+    top = int(c)
     gj = g.power(j)
     n_rank = lattice.rank
     if gj.is_identity():
         if theta is None:
-            theta = theta_series(lattice, c, budget=budget)
-        return theta * grading_product([(1, n_rank)], cutoff=c, grain=1)
-    profile = cyclotomic_profile(gj)
-    if profile.multiplicity(1):
-        raise UnsupportedFixedSublattice(
-            "the power has a nonzero fixed sublattice; its character is not "
-            "determined at this level")
-    # det(I - M x) has coefficient c_k at x^k when det(xI - M) = sum c_k x^{n-k}
-    det_coeffs = _charpoly(gj.matrix)
-    top = int(c)
-    acc = FracSeries.one(c, grain=1)
-    for n in range(1, top + 1):
-        factor = {n * k: det_coeffs[k] for k in range(min(n_rank, top // n) + 1)}
-        acc = acc * FracSeries.from_terms(factor, cutoff=c, grain=1)
-    return acc.inverse()
+            theta = theta_series(lattice, top, budget=budget)
+        series = theta * grading_product([(1, n_rank)], cutoff=top, grain=1)
+    else:
+        profile = cyclotomic_profile(gj)
+        if profile.multiplicity(1):
+            raise UnsupportedFixedSublattice(
+                "the power has a nonzero fixed sublattice; its character is "
+                "not determined at this level")
+        # det(I - M x) has coefficient c_k at x^k when det(xI - M) = sum c_k x^{n-k}
+        det_coeffs = gj.charpoly
+        acc = FracSeries.one(top, grain=1)
+        for n in range(1, top + 1):
+            factor = {n * k: det_coeffs[k] for k in range(min(n_rank, top // n) + 1)}
+            acc = acc * FracSeries.from_terms(factor, cutoff=top, grain=1)
+        series = acc.inverse()
+    # a supplied theta exact through less than top caps the series there
+    if c != top and series.weight_cutoff == top:
+        series = FracSeries.from_terms(dict(series.terms()), cutoff=c,
+                                       grain=c.denominator)
+    return series
 
 
 def moebius(n: int) -> int:

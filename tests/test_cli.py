@@ -200,6 +200,21 @@ def test_fusion_orbifold_z2_with_shift(capsys):
     assert series.coefficient_at(1) == 196884
 
 
+def test_fusion_orbifold_half_integral_cutoff(capsys):
+    assert main(["fusion", "orbifold", "--p", "3", "--cutoff", "5/2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    series = FracSeries.from_json(json.dumps(payload["series"]))
+    assert payload["cutoff"] == "5/2"
+    assert series.weight_cutoff == Fraction(5, 2)
+    assert [series.coefficient_at(w) for w in (0, 1, 2)] == [1, 0, 196884]
+
+
+def test_fusion_weight1_table(capsys):
+    assert main(["fusion", "weight1", "--p", "5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "p": 5, "total": 24, "per_sector": {"1": 6, "3": 6, "7": 6, "9": 6}}
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "orbifoldry", "verify", "--p", "3",

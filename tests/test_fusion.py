@@ -230,6 +230,14 @@ def test_orbifold_matches_modular_j(leech, sigmas):
     assert ch.shift(-1) == moonshine_j(4)
 
 
+def test_orbifold_character_at_a_half_integral_cutoff(leech, sigmas, theta3):
+    for g, n in ((sigmas[3].power(2), 3), (negation_isometry(leech), 2)):
+        ch = orbifold_character(leech, g, n, Fraction(5, 2), theta=theta3)
+        assert ch.weight_cutoff == Fraction(5, 2)
+        assert [ch.coefficient_at(Fraction(k, 2)) for k in range(6)] == \
+            [1, 0, 0, 0, 196884, 0]
+
+
 def test_z2_and_zp_constructions_agree(leech, sigmas):
     theta5 = unimodular_theta_rank24(5)
     z2 = orbifold_character(leech, negation_isometry(leech), 2, Fraction(5),

@@ -1,16 +1,25 @@
 """Isometry validation, cyclotomic spectra, eigenspace tables, word search."""
 
 import random
+from fractions import Fraction
+from functools import reduce
+from math import comb
+from operator import mul
 
 import pytest
 
+from faddeev_leverrier import charpoly as reference_charpoly
+from orbifoldry import isometry
 from orbifoldry.datafiles import load_generators, load_leech, load_sigma, sigma_profile
+from orbifoldry.fusion import orbifold_character
 from orbifoldry.isometry import (
+    CHARPOLY_PRIME,
     CycloProfile,
     NonCyclotomicFactor,
     NotFound,
     NotGramPreserving,
     OrderDoesNotDivide,
+    _charpoly,
     _profile_of_matrix,
     cyclotomic_polynomial,
     cyclotomic_profile,
@@ -24,6 +33,8 @@ from orbifoldry.isometry import (
     verify_isometry,
 )
 from orbifoldry.lattice import Lattice
+from orbifoldry.modular import unimodular_theta_rank24
+from orbifoldry.sectors import sector_invariants
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +103,67 @@ def test_non_cyclotomic_factor_detected():
     # golden-ratio companion matrix has eigenvalues off the unit circle
     with pytest.raises(NonCyclotomicFactor):
         _profile_of_matrix([[0, 1], [1, 1]], 2)
+
+
+def test_certificate_rejects_a_lift_that_only_looks_cyclotomic():
+    # companion matrix of x^2 - 2x + 1 + P: Phi_1^2 mod P, infinite order
+    companion = [[0, -(1 + CHARPOLY_PRIME)], [1, 2]]
+    assert _charpoly(companion) == [1, -2, 1]
+    with pytest.raises(NonCyclotomicFactor):
+        _profile_of_matrix(companion, 2)
+
+
+def test_charpoly_refuses_ranks_past_the_single_prime_bound():
+    assert 2 * comb(63, 31) < CHARPOLY_PRIME <= 2 * comb(64, 32)
+    with pytest.raises(ValueError):
+        _charpoly([[int(i == j) for j in range(64)] for i in range(64)])
+
+
+def test_charpoly_matches_reference_on_every_shipped_power(sigmas):
+    for p, sigma in sigmas.items():
+        for k in range(1, 2 * p):
+            power = sigma.power(k)
+            expected = reference_charpoly(power.matrix)
+            assert _charpoly(power.matrix) == expected
+            assert power.charpoly == tuple(expected)
+
+
+def test_charpoly_matches_reference_on_generator_words(leech):
+    gens = load_generators(lattice=leech)
+    rng = random.Random(4111)
+    words = [(0,), (1,)] + [tuple(rng.randrange(2) for _ in range(rng.randint(2, 9)))
+                            for _ in range(4)]
+    for word in words:
+        g = reduce(mul, (gens[i] for i in word))
+        assert _charpoly(g.matrix) == reference_charpoly(g.matrix), word
+    for g in (identity_isometry(leech), negation_isometry(leech)):
+        assert g.charpoly == tuple(reference_charpoly(g.matrix))
+
+
+def test_charpoly_matches_reference_on_random_integer_matrices():
+    rng = random.Random(8802)
+    for n in range(1, 8):
+        for _ in range(6):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            assert _charpoly(m) == reference_charpoly(m), m
+
+
+def test_each_spectral_fact_is_computed_once(leech, monkeypatch):
+    calls = []
+    kernel = isometry._charpoly
+    monkeypatch.setattr(isometry, "_charpoly",
+                        lambda matrix: calls.append(1) or kernel(matrix))
+    sigma = load_sigma(13, lattice=leech)
+    for i in range(1, 26):
+        sector_invariants(leech, sigma, i)
+    orbifold_character(leech, sigma.power(2), 13, Fraction(2),
+                       theta=unimodular_theta_rank24(2))
+    profiled = {id(g) for g in (sigma, *sigma._powers.values())
+                if "_spectrum" in vars(g)}
+    assert len(calls) <= len(profiled) <= 25
+    assert sigma.power(7) is sigma.power(7)
+    assert sigma.power(2).power(5) is sigma.power(10)
+    assert sigma.power(-1) is sigma.inverse() is sigma.power(25)
 
 
 def test_profile_of_negation(leech):

@@ -20,6 +20,8 @@ from orbifoldry.lattice import (
     NotPositiveDefinite,
     ParseError,
     SingularMatrix,
+    _bareiss,
+    _det_int,
     enumerate_vectors_by_norm,
     load_lattice,
     parse_matrix,
@@ -148,6 +150,25 @@ def test_norm_of_vector():
 
 
 # ----- Smith normal form ---------------------------------------------------
+
+
+def test_bareiss_determinant_and_leading_minors_match_oracle():
+    rng = random.Random(5150)
+    cases = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+             [[1, 2], [2, 4]], [[0, 3], [0, 5]]]
+    for n in range(1, 6):
+        for _ in range(8):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.3:
+                m[0][0] = 0  # forces a row swap
+            cases.append(m)
+    for m in cases:
+        assert _det_int(m) == det_oracle(m), m
+        minors, sign = _bareiss(m)
+        assert sign == 1
+        leading = [det_oracle([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+        stop = next((k for k, v in enumerate(leading) if v == 0), len(m) - 1)
+        assert minors == leading[:stop + 1], m
 
 
 def test_snf_examples():
