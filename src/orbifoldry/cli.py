@@ -51,7 +51,6 @@ from .lattice import (
     enumerate_vectors_by_norm,
     load_lattice,
     parse_matrix,
-    quotient_invariants,
 )
 from .modular import moonshine_j, unimodular_theta_rank24
 from .qseries import FracSeries
@@ -207,13 +206,9 @@ def _defects_computed(cfg: RunConfig, ctx: _Context) -> Any:
     lat, g = ctx.lattice(), ctx.sigma()
     out: dict[str, Any] = {str(i): defect_dimension(lat, g, i)
                            for i in range(1, 2 * cfg.p)}
-    tau = ctx.tau()
-    n = lat.rank
-    one_minus = tuple(tuple((r == c) - tau.matrix[r][c] for c in range(n))
-                      for r in range(n))
-    doubling = tuple(tuple(2 * (r == c) for c in range(n)) for r in range(n))
-    out["quotient_one_minus_tau"] = list(quotient_invariants(lat, one_minus))
-    out["quotient_doubling"] = list(quotient_invariants(lat, doubling))
+    # L/2L is the quotient by 1 - (-1) = 2
+    out["quotient_one_minus_tau"] = list(ctx.tau().coinvariant_divisors)
+    out["quotient_doubling"] = list(ctx.negation().coinvariant_divisors)
     return out
 
 
@@ -327,21 +322,26 @@ def _split_computed(cfg: RunConfig, ctx: _Context) -> Any:
 
 def _ground_truth_expected(cfg: RunConfig) -> Any:
     return {"rank": 24, "determinant": 1, "even": True,
-            "norm_counts": {"0": 1, "2": 0, "4": 196560},
+            "norm_counts": {"0": 1, "2": 0, "4": 196560, "6": 16773120},
+            "matches_modular_theta": True, "modular_theta_depth": 3,
             "weight1": 24, "weight2": 196884, "oscillator_weight2": 324}
 
 
 def _ground_truth_computed(cfg: RunConfig, ctx: _Context) -> Any:
     lat = ctx.lattice()
-    counts = enumerate_vectors_by_norm(lat, 4, budget=cfg.enumeration_budget)
+    counts = enumerate_vectors_by_norm(lat, 6, budget=cfg.enumeration_budget)
     theta_enum = FracSeries.from_terms(
-        {m // 2: c for m, c in counts.items()}, cutoff=2, grain=1)
+        {m // 2: c for m, c in counts.items()}, cutoff=3, grain=1)
+    modular = ctx.theta(3)
     untwisted = twined_untwisted_character(lat, ctx.negation(), 0,
                                            Fraction(2), theta=theta_enum)
     w2 = untwisted.coefficient_at(2)
     return {"rank": lat.rank, "determinant": lat.determinant(),
             "even": all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank)),
             "norm_counts": {str(m): c for m, c in sorted(counts.items())},
+            "matches_modular_theta": theta_enum.agrees_with(modular),
+            "modular_theta_depth": min(theta_enum.weight_cutoff,
+                                       modular.weight_cutoff),
             "weight1": untwisted.coefficient_at(1), "weight2": w2,
             "oscillator_weight2": w2 - counts[4]}
 
@@ -431,7 +431,9 @@ CLAIM_REGISTRY: tuple[ClaimSpec, ...] = (
               _split_expected, _split_computed),
     ClaimSpec("lattice-ground-truth",
               "The shipped lattice is even unimodular of rank 24 with "
-              "norm-4 count 196560; its untwisted character gives 24 and "
+              "norm-4 count 196560 and norm-6 count 16773120, so its "
+              "enumerated theta series equals E4^3 - 720 Delta through "
+              "weight 3; its untwisted character gives 24 and "
               "196884 = 196560 + 324.",
               _ground_truth_expected, _ground_truth_computed),
     ClaimSpec("ising-characters",

@@ -5,9 +5,10 @@ characteristic polynomials, eigenspace dimensions of finite-order
 isometries, and a seeded random word search over a generator set.
 
 Each spectral fact is computed once per Isometry: the characteristic
-polynomial and its cyclotomic profile are cached on the instance, and
-every power g^k is built (and verified) once and cached on g, so that a
-power of a power is the same object as the matching power of g.
+polynomial, its cyclotomic profile and the Smith invariants of 1 - g are
+cached on the instance, and every power g^k is built (and verified) once
+and cached on g, so that a power of a power is the same object as the
+matching power of g.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 from typing import Sequence
 
-from .lattice import IntMatrix, Lattice, _det_int, _freeze, _identity
+from .lattice import (
+    IntMatrix,
+    Lattice,
+    _det_int,
+    _freeze,
+    _identity,
+    quotient_invariants,
+)
 
 DEFAULT_SEARCH_BUDGET = 4000
 
@@ -165,6 +173,15 @@ class Isometry:
     def charpoly(self) -> tuple[int, ...]:
         """Certified coefficients of det(xI - M), highest power first."""
         return self._spectrum[0]
+
+    @cached_property
+    def coinvariant_divisors(self) -> tuple[int, ...]:
+        """Elementary divisors > 1 of L/(1 - g)L; raises SingularMatrix
+        when 1 - g is singular."""
+        n = self.lattice.rank
+        one_minus = [[int(r == c) - self.matrix[r][c] for c in range(n)]
+                     for r in range(n)]
+        return tuple(quotient_invariants(self.lattice, one_minus))
 
 
 def verify_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> Isometry:

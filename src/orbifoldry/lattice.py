@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .qseries import FracSeries
@@ -17,6 +17,12 @@ from .qseries import FracSeries
 IntMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_NODE_BUDGET = 10**9
+
+# Enumeration memoises a level k only while det L_k, the (k+1)-th leading
+# minor, is at most this: its table then holds at most that many entries
+# (one per coset of L_k in its dual), so the whole table stays below
+# rank * MEMO_MINOR_LIMIT entries whatever the lattice, budget or norm.
+MEMO_MINOR_LIMIT = 1 << 12
 
 
 class ParseError(ValueError):
@@ -36,7 +42,16 @@ class SingularMatrix(ArithmeticError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration hit its node budget; partial counts are discarded."""
+    """Enumeration hit its candidate budget; partial counts are discarded.
+
+    `nodes` is the number of candidates visited when the search stopped.
+    """
+
+    def __init__(self, budget: int, nodes: int) -> None:
+        super().__init__(f"enumeration exceeded its budget of {budget} "
+                         f"candidates ({nodes} visited when it stopped)")
+        self.budget = budget
+        self.nodes = nodes
 
 
 def _freeze(matrix: Sequence[Sequence[int]]) -> IntMatrix:
@@ -320,10 +335,14 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
     """Exact count of lattice vectors at each even norm 0..max_norm.
 
     Depth-first search over the square-completion of the form with all
-    bounds computed in scaled integer arithmetic.  Only the half-space
-    where the highest fixed coordinate is positive is visited; counts
-    for nonzero norms are doubled.  Raises BudgetExceeded (discarding
-    all partial counts) if more than `budget` candidates are visited.
+    bounds computed in scaled integer arithmetic.  An outer loop fixes
+    the highest nonzero coordinate x_k to a positive value (counts for
+    nonzero norms are doubled).  Below it the search runs over all of
+    Z^k, so each subtree is counted once per coset of the fixed prefix
+    modulo the sublattice spanned by the first basis vectors, on the
+    levels MEMO_MINOR_LIMIT admits.  Raises BudgetExceeded (discarding
+    all partial counts) if more than `budget` candidates are visited; a
+    memo hit visits none.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
@@ -336,70 +355,113 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
         return counts
 
     d, u = _squares_decomposition(lattice.gram)
-    row_den = []
-    row_num = []
+    den = []
     for i in range(n):
         bi = 1
         for j in range(i + 1, n):
             bi = lcm(bi, u[i][j].denominator)
-        row_den.append(bi)
-        row_num.append([int(u[i][j] * bi) for j in range(n)])
+        den.append(bi)
+    # level i costs amp[i] * (den[i] * x_i + centre_i)^2 scaled units, with
+    # centre_i = sum_{j>i} columns[j][i] * x_j; one unit of norm is `scale`
+    columns = [[int(u[i][j] * den[i]) for i in range(j)] for j in range(n)]
     scale = 1
     for i in range(n):
-        scale = lcm(scale, d[i].denominator * row_den[i] * row_den[i])
-    # amp[i] * (b_i x_i + a_i)^2 is the exact scaled cost of level i
-    amp = [scale // (d[i].denominator * row_den[i] * row_den[i]) * d[i].numerator
+        scale = lcm(scale, d[i].denominator * den[i] * den[i])
+    amp = [scale // (d[i].denominator * den[i] * den[i]) * d[i].numerator
            for i in range(n)]
+    common = gcd(scale, *amp)
+    scale //= common
+    amp = [a // common for a in amp]
+    memoised = [m <= MEMO_MINOR_LIMIT for m in _bareiss(lattice.gram)[0]]
 
     total = scale * max_norm
-    x = [0] * n
     nodes = 0
+    memo: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def descend(level: int, remaining: int, lead: bool) -> None:
+    # A histogram h counts the vectors of a subtree by projected scaled
+    # norm v: h[v // scale].  The lattice is integral, so every v in a
+    # subtree reached with radius rem is congruent to rem mod scale, and
+    # each index holds one value of v.
+
+    def expand(level: int, centres: list[int], rem: int,
+               positive: bool = False) -> list[int]:
+        """Histogram of the subtree at this level, through radius rem."""
         nonlocal nodes
-        wrow = row_num[level]
-        center = 0
-        for j in range(level + 1, n):
-            if x[j]:
-                center += wrow[j] * x[j]
-        bi = row_den[level]
-        reach = isqrt(remaining // amp[level])
-        lo = -((reach + center) // bi)
-        hi = (reach - center) // bi
-        if lead and lo < 0:
-            lo = 0
-        span = hi - lo + 1
-        if span <= 0:
-            return
-        nodes += span
+        hist = [0] * (rem // scale + 1)
+        b, a, centre = den[level], amp[level], centres[level]
+        reach = isqrt(rem // a)
+        lo = 1 if positive else -((reach + centre) // b)
+        hi = (reach - centre) // b
+        if hi < lo:
+            return hist
+        nodes += hi - lo + 1
         if nodes > budget:
-            raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+            raise BudgetExceeded(budget, nodes)
         if level == 0:
             for xi in range(lo, hi + 1):
-                if lead and xi == 0:
-                    continue
-                e = bi * xi + center
-                used = total - (remaining - amp[0] * e * e)
-                counts[used // scale] += 2
-        else:
-            for xi in range(lo, hi + 1):
-                e = bi * xi + center
-                x[level] = xi
-                descend(level - 1, remaining - amp[level] * e * e,
-                        lead and xi == 0)
-            x[level] = 0
+                e = b * xi + centre
+                hist[a * e * e // scale] += 1
+            return hist
+        column = columns[level]
+        for xi in range(lo, hi + 1):
+            e = b * xi + centre
+            cost = a * e * e
+            sub_rem = rem - cost
+            sub = search(level - 1, [c + wj * xi for c, wj in zip(centres, column)],
+                         sub_rem)
+            shift = (cost + sub_rem % scale) // scale
+            for m in range(sub_rem // scale + 1):
+                if sub[m]:
+                    hist[shift + m] += sub[m]
+        return hist
 
-    descend(n - 1, total, True)
+    def search(level: int, centres: list[int], rem: int) -> Sequence[int]:
+        """Histogram of the subtree at this level, valid through index
+        rem // scale; translates `centres` in place."""
+        if not memoised[level]:
+            return expand(level, centres, rem)
+        # shift x_level, ..., x_0 so that each centre lies in [0, den[i]):
+        # the reduced centres, read as one mixed-radix integer, name the
+        # coset of the fixed prefix
+        code = 0
+        for i in range(level, -1, -1):
+            t, centre = divmod(centres[i], den[i])
+            if t:
+                column = columns[i]
+                for j in range(i):
+                    centres[j] -= column[j] * t
+            centres[i] = centre
+            code = code * den[i] + centre
+        residue = rem % scale
+        key = code * scale + residue
+        hist = memo[level].get(key)
+        if hist is None:
+            # the largest radius <= total in this residue class serves
+            # every caller: one with a smaller radius reads a prefix
+            radius = total - scale + residue if residue else total
+            hist = tuple(expand(level, centres, radius))
+            hist = interned.setdefault(hist, hist)
+            memo[level][key] = hist
+        return hist
+
+    for top in range(n):
+        hist = expand(top, [0] * (top + 1), total, positive=True)
+        for norm in counts:
+            counts[norm] += 2 * hist[norm]
     return counts
 
 
 def theta_series(lattice: Lattice, cutoff: Fraction | int,
                  budget: int = DEFAULT_NODE_BUDGET) -> FracSeries:
-    """Theta series sum_v q^{norm(v)/2} truncated at the given weight."""
+    """Theta series sum_v q^{norm(v)/2} truncated at the given weight.
+
+    Norms are even, so the series enumerated through int(cutoff) is exact
+    through the requested cutoff and is stated there.
+    """
     c = Fraction(cutoff)
     if c < 0:
         raise ValueError("cutoff must be nonnegative")
-    top = int(c)
-    counts = enumerate_vectors_by_norm(lattice, 2 * top, budget=budget)
+    counts = enumerate_vectors_by_norm(lattice, 2 * int(c), budget=budget)
     return FracSeries.from_terms({m // 2: cnt for m, cnt in counts.items()},
-                                 cutoff=top, grain=1)
+                                 cutoff=c, grain=c.denominator)

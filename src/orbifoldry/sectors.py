@@ -29,7 +29,6 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     Lattice,
     SingularMatrix,
-    quotient_invariants,
     theta_series,
 )
 from .qseries import FracSeries, Rational, grading_product
@@ -68,11 +67,10 @@ def conformal_weight(eig_dims: Sequence[int], m: int) -> Fraction:
 
 def defect_dimension(lattice: Lattice, g: Isometry, i: int) -> int:
     """sqrt of |L/(1-g^i)L|, an integer for the lattices treated here."""
-    mi = g.power(i).matrix
-    n = lattice.rank
-    one_minus = [[int(r == c) - mi[r][c] for c in range(n)] for r in range(n)]
+    if lattice.rank != g.lattice.rank:
+        raise ValueError("isometry rank does not match lattice rank")
     try:
-        divisors = quotient_invariants(lattice, one_minus)
+        divisors = g.power(i).coinvariant_divisors
     except SingularMatrix as exc:
         raise SingularOneMinusG(f"1 - g^{i} is singular") from exc
     order = 1

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from orbifoldry import lattice
 from orbifoldry.cli import (
     CLAIM_REGISTRY,
     DEFAULT_SUITE_CUTOFF,
@@ -111,6 +112,30 @@ def test_corrupted_isometry_becomes_failed_entries(corrupted_data):
     assert by_slug["isotropic-subgroups"].passed
     assert by_slug["ising-characters"].passed
     assert by_slug["lattice-ground-truth"].passed
+
+
+def test_enumeration_budget_failure_says_how_far_it_got():
+    report = run_verification_suite(
+        RunConfig(p=3, cutoff=Fraction(2), enumeration_budget=5000))
+    by_slug = {e.claim: e for e in report.entries}
+    error = by_slug["lattice-ground-truth"].computed["error"]
+    assert error.startswith(
+        "BudgetExceeded: enumeration exceeded its budget of 5000 candidates (")
+    assert int(error.split("(")[1].split()[0]) > 5000
+    # every other claim takes theta from the modular form
+    assert all(entry.passed for slug, entry in by_slug.items()
+               if slug != "lattice-ground-truth")
+
+
+def test_each_smith_form_is_computed_once(monkeypatch):
+    calls = []
+    kernel = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        lambda matrix: calls.append(1) or kernel(matrix))
+    report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(2)))
+    assert report.all_passed
+    # 1 - sigma^i for i = 1..25 (1 - tau among them), and 1 - (-1) = 2
+    assert len(calls) <= 26
 
 
 def test_verify_exit_codes(corrupted_data, tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Independent oracles, written before the implementations they check:
   - Smith invariants via the gcd-of-k-minors characterization.
-  - Vector counts via naive box enumeration with exact dual bounds.
+  - Vector counts via naive box enumeration with exact dual bounds, and
+    via the one-candidate-at-a-time search in reference_enumeration.
 """
 
 import random
@@ -11,9 +12,12 @@ from itertools import combinations, product
 from math import gcd, isqrt
 
 import pytest
+from reference_enumeration import enumerate_vectors_by_norm as reference_counts
 
+from orbifoldry import lattice as lattice_module
 from orbifoldry.datafiles import load_leech
 from orbifoldry.lattice import (
+    MEMO_MINOR_LIMIT,
     BudgetExceeded,
     Lattice,
     NotEven,
@@ -248,10 +252,65 @@ def test_enumerate_matches_naive_boxes():
         assert all(c % 2 == 0 for norm, c in got.items() if norm > 0)
 
 
+def random_dense_lattice(rng, rank):
+    """A random even Gram matrix with small entries: many short vectors,
+    leading minors mostly below MEMO_MINOR_LIMIT."""
+    while True:
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = rng.choice((2, 4, 4, 6))
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.choice((-2, -1, 0, 0, 1, 2))
+        try:
+            return Lattice(gram=gram)
+        except NotPositiveDefinite:
+            continue
+
+
+def random_sparse_lattice(rng, rank):
+    """2 B B^T for a random nonsingular B with entries in [-2, 2]: few
+    short vectors, leading minors far above MEMO_MINOR_LIMIT from rank 5
+    on."""
+    while True:
+        b = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)]
+        if det_oracle(b):
+            return Lattice(gram=tuple(
+                tuple(2 * sum(x * y for x, y in zip(bi, bj)) for bj in b)
+                for bi in b))
+
+
+def test_enumerate_matches_reference_kernel():
+    rng = random.Random(20261018)
+    unmemoised = 0
+    for trial in range(64):
+        build = random_dense_lattice if trial % 3 else random_sparse_lattice
+        lat = build(rng, 1 + trial % 8)
+        max_norm = rng.choice((4, 6, 8, 10))
+        assert enumerate_vectors_by_norm(lat, max_norm) == \
+            reference_counts(lat, max_norm), lat.gram
+        minors, _ = _bareiss(lat.gram)
+        unmemoised += any(m > MEMO_MINOR_LIMIT for m in minors)
+    assert unmemoised >= 10
+
+
+@pytest.mark.parametrize("limit", [0, 12])
+def test_enumerate_with_fewer_memoised_levels(monkeypatch, limit):
+    # limit 0 memoises nothing; 12 memoises only the lowest levels
+    monkeypatch.setattr(lattice_module, "MEMO_MINOR_LIMIT", limit)
+    rng = random.Random(77 + limit)
+    for trial in range(16):
+        lat = random_dense_lattice(rng, 1 + trial % 8)
+        assert enumerate_vectors_by_norm(lat, 10) == reference_counts(lat, 10)
+
+
 def test_enumerate_budget_is_enforced():
     lat = Lattice(gram=((2,),))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         enumerate_vectors_by_norm(lat, 8, budget=1)
+    # the top loop over x = 1, 2 is visited before the budget check
+    assert info.value.nodes == 2
+    assert "(2 visited" in str(info.value)
+    assert enumerate_vectors_by_norm(lat, 8, budget=2)[8] == 2
 
 
 def test_enumerate_rejects_bad_norm():
@@ -271,6 +330,14 @@ def test_theta_one_dimensional():
     assert series.coefficient_at(1) == 2
     assert series.coefficient_at(2) == 0
     assert series.coefficient_at(4) == 2
+
+
+def test_theta_keeps_a_fractional_cutoff():
+    series = theta_series(Lattice(gram=((2,),)), Fraction(5, 2))
+    assert series.weight_cutoff == Fraction(5, 2)
+    assert series.coefficient_at(Fraction(5, 2)) == 0
+    assert series.coefficient_at(Fraction(1, 2)) == 0
+    assert series.coefficient_at(1) == 2
 
 
 def test_theta_rank_zero_is_one():
@@ -302,8 +369,8 @@ def test_leech_kissing_number(leech):
     assert counts == {0: 1, 2: 0, 4: 196560}
 
 
-@pytest.mark.slow
 def test_leech_norm_six_count(leech):
-    counts = enumerate_vectors_by_norm(leech, 6)
+    # counting by coset visits about 60k candidates; one by one, millions
+    counts = enumerate_vectors_by_norm(leech, 6, budget=200_000)
     assert counts[4] == 196560
     assert counts[6] == 16773120

@@ -1,7 +1,6 @@
 """Modular form expansions against classical coefficient tables and the
 lattice enumeration cross-check."""
 
-import pytest
 
 from orbifoldry.datafiles import load_leech
 from orbifoldry.lattice import theta_series
@@ -65,7 +64,6 @@ def test_theta24_agrees_with_enumeration_at_kissing_number():
     assert theta.agrees_with(enumerated, through=2)
 
 
-@pytest.mark.slow
 def test_theta24_agrees_with_enumeration_at_norm_six():
     theta = unimodular_theta_rank24(3)
     enumerated = theta_series(load_leech(), 3)
