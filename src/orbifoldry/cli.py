@@ -24,7 +24,6 @@ from .datafiles import (
     load_generators,
     load_leech,
     load_sigma,
-    resolve_data_dir,
     sigma_profile,
 )
 from .fusion import (
@@ -72,6 +71,9 @@ DEFAULT_SUITE_CUTOFF = Fraction(4)
 
 OUTPUT_FORMATS = ("json", "markdown")
 
+# every key a config file may set; anything else is a mistyped key
+CONFIG_KEYS = ("p", "cutoff", "budget", "seed", "format", "data_dir")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -98,11 +100,13 @@ class RunConfig:
 
 
 class _Context:
-    """Lazy, cached access to the shipped data; loader errors surface
-    inside whichever claim first touches the object."""
+    """Lazy, cached access to the shipped data for one p; in the suite,
+    loader errors surface inside whichever claim first touches the
+    object."""
 
-    def __init__(self, cfg: RunConfig) -> None:
-        self.cfg = cfg
+    def __init__(self, p: int, data_dir: Path | None) -> None:
+        self.p = p
+        self.data_dir = data_dir
         self._cache: dict[Any, Any] = {}
 
     def _get(self, key: Any, build: Callable[[], Any]) -> Any:
@@ -111,11 +115,11 @@ class _Context:
         return self._cache[key]
 
     def lattice(self):
-        return self._get("lattice", lambda: load_leech(self.cfg.data_dir))
+        return self._get("lattice", lambda: load_leech(self.data_dir))
 
     def sigma(self):
         return self._get("sigma", lambda: load_sigma(
-            self.cfg.p, self.cfg.data_dir, lattice=self.lattice()))
+            self.p, self.data_dir, lattice=self.lattice()))
 
     def tau(self):
         return self._get("tau", lambda: self.sigma().power(2))
@@ -163,8 +167,8 @@ def _witness_expected(cfg: RunConfig) -> Any:
 
 
 def _witness_computed(cfg: RunConfig, ctx: _Context) -> Any:
+    # load_sigma verified the Gram preservation; a corrupt sigma raises there
     g = ctx.sigma()
-    verify_isometry(ctx.lattice(), g.matrix)
     profile = cyclotomic_profile(g)
     return {"order": multiplicative_order(g),
             "profile": {str(d): mult for d, mult in profile.factors},
@@ -287,14 +291,12 @@ def _moonshine_computed(cfg: RunConfig, ctx: _Context) -> Any:
     lat = ctx.lattice()
     c = cfg.cutoff
     theta = ctx.theta(ceil(c))
-    ch = orbifold_character(lat, ctx.tau(), cfg.p, c, theta=theta,
-                            budget=cfg.enumeration_budget)
+    ch = orbifold_character(lat, ctx.tau(), cfg.p, c, theta=theta)
     head = [ch.coefficient_at(w) for w in (0, 1, 2)]
     # the orbifold grading sits one power above the modular expansion
     shifted = ch.shift(-1)
     j = moonshine_j(int(c) - 1)
-    z2 = orbifold_character(lat, ctx.negation(), 2, c, theta=theta,
-                            budget=cfg.enumeration_budget)
+    z2 = orbifold_character(lat, ctx.negation(), 2, c, theta=theta)
     return {"head": head, "matches_j_expansion": shifted.agrees_with(j),
             "j_expansion_depth": min(shifted.weight_cutoff, j.weight_cutoff),
             "matches_involution_construction": z2.agrees_with(ch),
@@ -459,7 +461,7 @@ def _run_claim(spec: ClaimSpec, cfg: RunConfig, ctx: _Context) -> ClaimEntry:
 
 def run_verification_suite(cfg: RunConfig) -> Report:
     """Run every registered claim; entries appear in registry order."""
-    ctx = _Context(cfg)
+    ctx = _Context(cfg.p, cfg.data_dir)
     config = {"p": cfg.p, "cutoff": cfg.cutoff,
               "enumeration_budget": cfg.enumeration_budget,
               "data_dir": str(cfg.data_dir) if cfg.data_dir else None,
@@ -481,7 +483,11 @@ def load_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                             f"expected one of {', '.join(CONFIG_KEYS)}")
+        values[key] = value.strip()
     return values
 
 
@@ -590,9 +596,8 @@ def _cmd_isometry_search(args: argparse.Namespace,
 
 
 def _cmd_sectors_table(args: argparse.Namespace, config: dict[str, str]) -> int:
-    data_dir = _data_dir(args, config)
-    lat = load_leech(data_dir)
-    g = load_sigma(args.p, data_dir, lattice=lat)
+    ctx = _Context(args.p, _data_dir(args, config))
+    lat, g = ctx.lattice(), ctx.sigma()
     rows = []
     for i in range(1, 2 * args.p):
         inv = sector_invariants(lat, g, i)
@@ -618,11 +623,9 @@ def _cmd_sectors_table(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 def _cmd_sectors_character(args: argparse.Namespace,
                            config: dict[str, str]) -> int:
-    data_dir = _data_dir(args, config)
-    lat = load_leech(data_dir)
-    g = load_sigma(args.p, data_dir, lattice=lat)
+    ctx = _Context(args.p, _data_dir(args, config))
     cutoff = _resolve(args, config, "cutoff", Fraction(6), Fraction)
-    inv = sector_invariants(lat, g, args.i)
+    inv = sector_invariants(ctx.lattice(), ctx.sigma(), args.i)
     series = twisted_character(inv, cutoff)
     _emit({"p": args.p, "i": args.i, "conformal_weight": inv.rho,
            "defect_dim": inv.defect_dim,
@@ -642,18 +645,14 @@ def _cmd_fusion_isotropic(args: argparse.Namespace,
 
 def _cmd_fusion_orbifold(args: argparse.Namespace,
                          config: dict[str, str]) -> int:
-    data_dir = _data_dir(args, config)
-    lat = load_leech(data_dir)
-    sigma = load_sigma(args.p, data_dir, lattice=lat)
+    ctx = _Context(args.p, _data_dir(args, config))
     cutoff = _resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, Fraction)
-    budget = _resolve(args, config, "budget", DEFAULT_NODE_BUDGET, int)
-    theta = unimodular_theta_rank24(ceil(cutoff))
     if args.construction == "zp":
-        series = orbifold_character(lat, sigma.power(2), args.p, cutoff,
-                                    theta=theta, budget=budget)
+        g, n = ctx.tau(), args.p
     else:
-        series = orbifold_character(lat, sigma.power(args.p), 2, cutoff,
-                                    theta=theta, budget=budget)
+        g, n = ctx.sigma().power(args.p), 2
+    series = orbifold_character(ctx.lattice(), g, n, cutoff,
+                                theta=ctx.theta(ceil(cutoff)))
     if args.shift_c24:
         series = series.shift(-1)
     _emit({"p": args.p, "construction": args.construction,
@@ -664,10 +663,9 @@ def _cmd_fusion_orbifold(args: argparse.Namespace,
 
 def _cmd_fusion_weight1(args: argparse.Namespace,
                         config: dict[str, str]) -> int:
-    data_dir = _data_dir(args, config)
-    lat = load_leech(data_dir)
-    sigma = load_sigma(args.p, data_dir, lattice=lat)
-    _emit({"p": args.p, **_weight_one_table(lat, sigma, args.p)})
+    ctx = _Context(args.p, _data_dir(args, config))
+    _emit({"p": args.p, **_weight_one_table(ctx.lattice(), ctx.sigma(),
+                                            args.p)})
     return 0
 
 
@@ -776,7 +774,6 @@ def _build_parser() -> argparse.ArgumentParser:
     orbifold.add_argument("--construction", choices=("zp", "z2"),
                           default="zp")
     orbifold.add_argument("--cutoff", type=Fraction, default=None)
-    orbifold.add_argument("--budget", type=int, default=None)
     orbifold.add_argument("--shift-c24", dest="shift_c24",
                           action="store_true",
                           help="emit q^(-1) times the character, aligning "

@@ -94,9 +94,17 @@ class QuadSpace:
                 for i in range(self.n) for j in range(self.n)]
 
 
+def _q_numerator(a: FusionLabel) -> int:
+    return a.i * a.j % a.n
+
+
+def _pairing_numerator(a: FusionLabel, b: FusionLabel) -> int:
+    return (a.i * b.j + a.j * b.i) % a.n
+
+
 def q_delta(a: FusionLabel) -> Fraction:
     """ij/n reduced mod 1."""
-    return Fraction(a.i * a.j, a.n) % 1
+    return Fraction(_q_numerator(a), a.n)
 
 
 def fusion_product(a: FusionLabel, b: FusionLabel) -> FusionLabel:
@@ -107,8 +115,11 @@ def fusion_product(a: FusionLabel, b: FusionLabel) -> FusionLabel:
 
 
 def bilinear_form(a: FusionLabel, b: FusionLabel) -> Fraction:
-    """Polarization q(a + b) - q(a) - q(b) mod 1."""
-    return (q_delta(fusion_product(a, b)) - q_delta(a) - q_delta(b)) % 1
+    """Polarization q(a + b) - q(a) - q(b) mod 1, that is
+    (a.i b.j + a.j b.i)/n mod 1."""
+    if a.n != b.n:
+        raise MismatchedModulus(f"labels live in Z_{a.n} and Z_{b.n}")
+    return Fraction(_pairing_numerator(a, b), a.n)
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,7 @@ class IsotropicSubgroup:
         for a in self.elements:
             if a.n != n:
                 raise MismatchedModulus("mixed moduli in one subgroup")
-            if q_delta(a):
+            if _q_numerator(a):
                 raise ValueError(f"q(({a.i},{a.j})) = {q_delta(a)} != 0")
         for a in self.elements:
             for b in self.elements:
@@ -180,11 +191,11 @@ def maximal_isotropic_subgroups(space: QuadSpace) -> list[IsotropicSubgroup]:
     if n > MAX_ISOTROPIC_MODULUS:
         raise ModulusTooLarge(
             f"exhaustive enumeration is capped at n = {MAX_ISOTROPIC_MODULUS}")
-    null = [a for a in space.elements() if q_delta(a) == 0]
+    null = [a for a in space.elements() if _q_numerator(a) == 0]
     spans: set[frozenset[tuple[int, int]]] = set()
     for a in null:
         for b in null:
-            if bilinear_form(a, b) == 0:
+            if _pairing_numerator(a, b) == 0:
                 spans.add(_span((a, b), n))
     maximal = [h for h in spans if not any(h < k for k in spans)]
     out = []

@@ -1,6 +1,5 @@
 """Characters of the three simple modules of the central charge 1/2
-Virasoro algebra, realized by free-fermion products, and the sector-grid
-bookkeeping for a pair of commuting such subalgebras.
+Virasoro algebra, realized by free-fermion products.
 
 ch_0 and ch_{1/2} are the even- and odd-fermion-number halves of the
 Neveu-Schwarz product prod_{n>=0}(1 + q^{n+1/2}); ch_{1/16} is
@@ -22,7 +21,6 @@ __all__ = [
     "UnknownHighestWeight",
     "c12_character",
     "extension_weight_one_check",
-    "sector_grid_consistency",
 ]
 
 ALLOWED_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1, 16))
@@ -95,33 +93,3 @@ def extension_weight_one_check(cutoff: Rational = 2) -> Fraction:
     value = (ch0 * ch0 + ch_half * ch_half).coefficient_at(1)
     assert value > 0
     return value
-
-
-def sector_grid_consistency(chV: FracSeries,
-                            mult: dict[tuple[Rational, Rational],
-                                       FracSeries | int | Fraction],
-                            ) -> tuple[bool, FracSeries]:
-    """Does chV = sum over (h1, h2) of ch_{h1} * ch_{h2} * mult[h1, h2]?
-
-    mult must carry all nine (h1, h2) keys; zero entries are allowed.
-    Returns (verdict, residual) where the residual is chV minus the
-    assembled sum, compared through the common cutoff.
-    """
-    table: dict[tuple[Fraction, Fraction], FracSeries | int | Fraction] = {}
-    for (h1, h2), value in mult.items():
-        table[(Fraction(h1), Fraction(h2))] = value
-    wanted = {(a, b) for a in ALLOWED_WEIGHTS for b in ALLOWED_WEIGHTS}
-    if set(table) != wanted:
-        raise ValueError("multiplicity grid must cover exactly the nine "
-                         "(h1, h2) pairs")
-    c = chV.weight_cutoff
-    chars = {h: c12_character(h, c).series for h in ALLOWED_WEIGHTS}
-    total = FracSeries.zero(c, grain=c.denominator)
-    for (h1, h2), value in table.items():
-        if isinstance(value, FracSeries) and value.is_zero:
-            continue
-        if not isinstance(value, FracSeries) and value == 0:
-            continue
-        total = total + chars[h1] * chars[h2] * value
-    residual = chV - total
-    return residual.is_zero, residual

@@ -6,9 +6,10 @@ isometries, and a seeded random word search over a generator set.
 
 Each spectral fact is computed once per Isometry: the characteristic
 polynomial, its cyclotomic profile and the Smith invariants of 1 - g are
-cached on the instance, and every power g^k is built (and verified) once
-and cached on g, so that a power of a power is the same object as the
-matching power of g.
+cached on the instance, and every power g^k is built once and cached on
+g, so that a power of a power is the same object as the matching power
+of g.  Matrices from outside are verified when an Isometry is
+constructed; powers are products of a verified matrix and are trusted.
 """
 
 from __future__ import annotations
@@ -86,12 +87,13 @@ class Isometry:
     """A Gram-preserving unimodular integer matrix acting on a lattice.
 
     The action convention is on column vectors: matrix.T @ gram @ matrix
-    must equal gram.  Both invariants are checked at construction, for
-    every instance, powers included.
+    must equal gram.  Both invariants are checked at construction.
 
-    Every instance is the root of its own power cache, except the powers
-    that power() builds: those record the root and exponent they came
-    from and delegate to the root's cache.
+    Every constructed instance is the root of its own power cache.  The
+    powers that power() builds skip construction: a product of copies of
+    a verified isometry preserves the Gram and has determinant +-1, so
+    they are not checked again.  They record the root and exponent they
+    came from and delegate to the root's cache.
     """
 
     lattice: Lattice
@@ -120,7 +122,7 @@ class Isometry:
         return Isometry(self.lattice, _mat_mul(self.matrix, other.matrix))
 
     def power(self, k: int) -> Isometry:
-        """g^k, negative k taken mod the order; built and verified once.
+        """g^k, negative k taken mod the order; built once.
 
         The powers of every power of a root g live in g's cache, so
         g.power(i).power(j) is g.power(i * j).
@@ -139,9 +141,10 @@ class Isometry:
                 matrix = _mat_mul(half, half)
                 if e & 1:
                     matrix = _mat_mul(matrix, root.matrix)
-            cached = Isometry(root.lattice, matrix)
-            object.__setattr__(cached, "_root", root)
-            object.__setattr__(cached, "_exponent", e)
+            cached = object.__new__(Isometry)
+            for name, value in (("lattice", root.lattice), ("matrix", _freeze(matrix)),
+                                ("_root", root), ("_exponent", e)):
+                object.__setattr__(cached, name, value)
             root._powers[e] = cached
         return cached
 

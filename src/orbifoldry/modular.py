@@ -10,7 +10,6 @@ against direct lattice enumeration in the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .qseries import FracSeries

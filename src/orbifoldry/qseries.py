@@ -75,19 +75,6 @@ class FracSeries:
         return FracSeries(grain, {0: Fraction(1)}, _to_grain_units(cutoff, grain))
 
     @staticmethod
-    def monomial(exponent: Fraction | int, coeff: Fraction | int = 1,
-                 cutoff: Fraction | int = DEFAULT_CUTOFF, grain: int | None = None) -> FracSeries:
-        e = _as_fraction(exponent)
-        g = grain if grain is not None else e.denominator
-        if (e * g).denominator != 1:
-            g = lcm(g, e.denominator)
-        k = int(e * g)
-        n = _to_grain_units(cutoff, g)
-        if k > n:
-            raise ValueError(f"monomial exponent {e} past cutoff {Fraction(n, g)}")
-        return FracSeries(g, {k: _as_fraction(coeff)}, n)
-
-    @staticmethod
     def from_terms(terms: Mapping[Fraction | int, Fraction | int],
                    cutoff: Fraction | int = DEFAULT_CUTOFF, grain: int | None = None) -> FracSeries:
         exps = [_as_fraction(e) for e in terms]

@@ -20,6 +20,7 @@ from orbifoldry.cli import (
     run_verification_suite,
 )
 from orbifoldry.datafiles import resolve_data_dir
+from orbifoldry.isometry import Isometry
 from orbifoldry.qseries import FracSeries
 from orbifoldry.report import emit_report
 
@@ -127,15 +128,37 @@ def test_enumeration_budget_failure_says_how_far_it_got():
                if slug != "lattice-ground-truth")
 
 
-def test_each_smith_form_is_computed_once(monkeypatch):
-    calls = []
-    kernel = lattice.smith_normal_form
-    monkeypatch.setattr(lattice, "smith_normal_form",
-                        lambda matrix: calls.append(1) or kernel(matrix))
-    report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(2)))
+@pytest.fixture(scope="module")
+def counted_p13_report():
+    """A p=13 suite run that counts Smith forms and isometry checks."""
+    calls = {"snf": 0, "verify": 0}
+    kernel, check = lattice.smith_normal_form, Isometry.__post_init__
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "smith_normal_form", counted("snf", kernel))
+        patch.setattr(Isometry, "__post_init__", counted("verify", check))
+        report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(2)))
+    return report, calls
+
+
+def test_each_smith_form_is_computed_once(counted_p13_report):
+    report, calls = counted_p13_report
     assert report.all_passed
     # 1 - sigma^i for i = 1..25 (1 - tau among them), and 1 - (-1) = 2
-    assert len(calls) <= 26
+    assert calls["snf"] <= 26
+
+
+def test_suite_verifies_only_the_isometries_it_loads(counted_p13_report):
+    report, calls = counted_p13_report
+    assert report.all_passed
+    # sigma on load and the negation; the powers of sigma are trusted
+    assert calls["verify"] <= 2
 
 
 def test_verify_exit_codes(corrupted_data, tmp_path, capsys):
@@ -158,6 +181,17 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("just-a-token\n")
     with pytest.raises(ValueError):
         load_config_file(bad)
+
+
+def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("p = 3\ncutof = 3\n")
+    with pytest.raises(ValueError, match="cutof"):
+        load_config_file(cfg)
+    assert main(["--config", str(cfg), "verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown key 'cutof'" in captured.err
 
 
 def test_flag_beats_config_beats_default(tmp_path, capsys):
@@ -223,6 +257,15 @@ def test_fusion_orbifold_z2_with_shift(capsys):
     assert series.coefficient_at(-1) == 1
     assert series.coefficient_at(0) == 0
     assert series.coefficient_at(1) == 196884
+
+
+def test_fusion_orbifold_has_no_budget_flag(capsys):
+    # the character uses the modular theta, so no enumeration budget applies
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion", "orbifold", "--p", "3", "--cutoff", "3",
+              "--budget", "1"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_fusion_orbifold_half_integral_cutoff(capsys):

@@ -2,7 +2,8 @@
 
 Oracles: hand-enumerated subgroup lists for small n, the modular
 J-function expansion from orbifoldry.modular (an independent route to
-the same coefficients), and brute-force maximality witnesses.
+the same coefficients), brute-force maximality witnesses, and the
+Fraction-valued isotropic search kept in reference_isotropic.
 """
 
 import random
@@ -12,6 +13,7 @@ import pytest
 
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma
 from orbifoldry.fusion import (
+    MAX_ISOTROPIC_MODULUS,
     FusionLabel,
     IsotropicSubgroup,
     MismatchedModulus,
@@ -31,6 +33,7 @@ from orbifoldry.isometry import negation_isometry, verify_isometry
 from orbifoldry.lattice import Lattice
 from orbifoldry.modular import moonshine_j, unimodular_theta_rank24
 from orbifoldry.sectors import eigencomponent_character, twined_untwisted_character
+from reference_isotropic import maximal_isotropic_element_sets
 
 MOONSHINE_HEAD = (1, 0, 196884, 21493760, 864299970)
 
@@ -101,6 +104,10 @@ def test_bilinear_form_is_symmetric_and_bilinear():
         assert bilinear_form(a, b) == bilinear_form(b, a)
         assert bilinear_form(fusion_product(a, b), c) == \
             (bilinear_form(a, c) + bilinear_form(b, c)) % 1
+        assert bilinear_form(a, b) == \
+            (q_delta(fusion_product(a, b)) - q_delta(a) - q_delta(b)) % 1
+    with pytest.raises(MismatchedModulus):
+        bilinear_form(FusionLabel(1, 0, 6), FusionLabel(1, 0, 10))
 
 
 # ----- isotropic subgroups --------------------------------------------------
@@ -160,6 +167,14 @@ def test_maximality_witnessed():
                         grown.add(s)
                         frontier.append(s)
                 assert any(q_delta(FusionLabel(i, j, n)) for i, j in grown)
+
+
+def test_integer_search_matches_fraction_reference():
+    for n in range(1, MAX_ISOTROPIC_MODULUS + 1):
+        found = [frozenset(as_pair_set(g))
+                 for g in maximal_isotropic_subgroups(QuadSpace(n))]
+        assert len(set(found)) == len(found)
+        assert set(found) == maximal_isotropic_element_sets(n), n
 
 
 def test_enumeration_capped():

@@ -10,12 +10,10 @@ from fractions import Fraction
 import pytest
 
 from orbifoldry.ising import (
-    ALLOWED_WEIGHTS,
     MinimalModelChar,
     UnknownHighestWeight,
     c12_character,
     extension_weight_one_check,
-    sector_grid_consistency,
 )
 from orbifoldry.qseries import FracSeries
 
@@ -118,47 +116,3 @@ def test_extension_weight_one_check():
     assert combined.coefficient_at(Fraction(1, 2)) == 0
     with pytest.raises(ValueError):
         extension_weight_one_check(Fraction(1, 2))
-
-
-def zero_grid():
-    return {(a, b): 0 for a in ALLOWED_WEIGHTS for b in ALLOWED_WEIGHTS}
-
-
-def test_sector_grid_trivial_cases():
-    ch0 = c12_character(0, 4).series
-    mult = zero_grid()
-    mult[(Fraction(0), Fraction(0))] = 1
-    ok, residual = sector_grid_consistency(ch0 * ch0, mult)
-    assert ok and residual.is_zero
-    bumped = ch0 * ch0 + FracSeries.from_terms({1: 1}, cutoff=4)
-    ok, residual = sector_grid_consistency(bumped, mult)
-    assert not ok
-    assert residual.terms() == [(Fraction(1), Fraction(1))]
-
-
-def test_sector_grid_requires_all_keys():
-    mult = zero_grid()
-    del mult[(Fraction(1, 2), Fraction(1, 16))]
-    with pytest.raises(ValueError):
-        sector_grid_consistency(c12_character(0, 2).series, mult)
-
-
-def test_sector_grid_moonshine_candidate():
-    """The orbifold character splits across the grid with the untwisted
-    half on the integral rows and the twisted half on the sixteenth row —
-    a candidate consistent at this depth, not a derived decomposition."""
-    from orbifoldry.datafiles import load_leech
-    from orbifoldry.fusion import orbifold_character
-    from orbifoldry.isometry import negation_isometry
-    from orbifoldry.modular import unimodular_theta_rank24
-
-    leech = load_leech()
-    chV = orbifold_character(leech, negation_isometry(leech), 2, Fraction(2),
-                             theta=unimodular_theta_rank24(2))
-    mult = zero_grid()
-    mult[(Fraction(0), Fraction(0))] = FracSeries.from_terms(
-        {0: 1, 2: 98578}, cutoff=2)
-    mult[(Fraction(1, 16), Fraction(1, 16))] = FracSeries.from_terms(
-        {Fraction(15, 8): 98304}, cutoff=2)
-    ok, residual = sector_grid_consistency(chV, mult)
-    assert ok, residual.terms()
