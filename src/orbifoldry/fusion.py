@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .isometry import Isometry, multiplicative_order
@@ -170,7 +171,8 @@ def _generating_tuple(elements: tuple[FusionLabel, ...],
                       members: frozenset[tuple[int, int]],
                       n: int) -> tuple[FusionLabel, ...]:
     for a in elements:
-        if _span((a,), n) == members:
+        # a lies in members, so it generates them when its order is |members|
+        if n // gcd(n, a.i, a.j) == len(members):
             return (a,)
     for a in elements:
         for b in elements:
@@ -185,18 +187,28 @@ def maximal_isotropic_subgroups(space: QuadSpace) -> list[IsotropicSubgroup]:
     Every subgroup of Z_n x Z_n is generated by two elements, and the
     span of q-null elements a, b is q-null exactly when the pairing
     b(a, b) vanishes (q(sa + tb) = st*b(a, b) mod 1), so scanning null
-    pairs visits every isotropic subgroup.
+    pairs visits every isotropic subgroup.  A pair is skipped when one
+    span found already holds both elements: their span lies inside it,
+    so it is that span or not maximal.
     """
     n = space.n
     if n > MAX_ISOTROPIC_MODULUS:
         raise ModulusTooLarge(
             f"exhaustive enumeration is capped at n = {MAX_ISOTROPIC_MODULUS}")
     null = [a for a in space.elements() if _q_numerator(a) == 0]
-    spans: set[frozenset[tuple[int, int]]] = set()
-    for a in null:
-        for b in null:
+    spans: list[frozenset[tuple[int, int]]] = []
+    # bit s of inside[(i, j)] is set when the s-th span found holds (i, j)
+    inside: dict[tuple[int, int], int] = {}
+    for k, a in enumerate(null):
+        for b in null[k:]:
+            if inside.get((a.i, a.j), 0) & inside.get((b.i, b.j), 0):
+                continue
             if _pairing_numerator(a, b) == 0:
-                spans.add(_span((a, b), n))
+                span = _span((a, b), n)
+                bit = 1 << len(spans)
+                spans.append(span)
+                for member in span:
+                    inside[member] = inside.get(member, 0) | bit
     maximal = [h for h in spans if not any(h < k for k in spans)]
     out = []
     for members in sorted(maximal, key=sorted):

@@ -180,11 +180,15 @@ class Isometry:
     @cached_property
     def coinvariant_divisors(self) -> tuple[int, ...]:
         """Elementary divisors > 1 of L/(1 - g)L; raises SingularMatrix
-        when 1 - g is singular."""
-        n = self.lattice.rank
-        one_minus = [[int(r == c) - self.matrix[r][c] for c in range(n)]
-                     for r in range(n)]
-        return tuple(quotient_invariants(self.lattice, one_minus))
+        when 1 - g is singular.  Computed once per matrix and lattice:
+        the negation and a power equal to -1 share them."""
+        known = self.lattice._coinvariants
+        if self.matrix not in known:
+            n = self.lattice.rank
+            one_minus = [[int(r == c) - self.matrix[r][c] for c in range(n)]
+                         for r in range(n)]
+            known[self.matrix] = tuple(quotient_invariants(self.lattice, one_minus))
+        return known[self.matrix]
 
 
 def verify_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> Isometry:

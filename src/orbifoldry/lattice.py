@@ -7,10 +7,11 @@ theta series.  All arithmetic is exact (integers and Fractions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .qseries import FracSeries
 
@@ -63,15 +64,16 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def _bareiss(matrix: Sequence[Sequence[int]],
-             pivoting: bool = False) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) elimination: the successive pivots and the
-    sign of the row swaps made.
+             pivoting: bool = False) -> tuple[list[int], int, list[list[int]]]:
+    """Fraction-free (Bareiss) elimination: the successive pivots, the
+    sign of the row swaps made, and the eliminated rows.
 
     The k-th pivot is the k-th leading principal minor of the row-swapped
     matrix.  Without pivoting these are the leading minors of the input
     (Sylvester's criterion); with pivoting, sign * last pivot is the
-    determinant.  Stops at the first zero pivot that no row swap (or,
-    without pivoting, nothing) replaces.
+    determinant.  Entry (k, j), j >= k, of the eliminated rows is the
+    minor on rows 0..k and columns 0..k-1, j.  Stops at the first zero
+    pivot that no row swap (or, without pivoting, nothing) replaces.
     """
     work = [list(row) for row in matrix]
     n = len(work)
@@ -93,12 +95,12 @@ def _bareiss(matrix: Sequence[Sequence[int]],
             for j in range(k + 1, n):
                 work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]) // prev
         prev = pivot
-    return pivots, sign
+    return pivots, sign, work
 
 
 def _det_int(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix."""
-    pivots, sign = _bareiss(matrix, pivoting=True)
+    pivots, sign, _ = _bareiss(matrix, pivoting=True)
     return sign * pivots[-1] if pivots else 1
 
 
@@ -112,6 +114,10 @@ class Lattice:
 
     gram: IntMatrix
     label: str = ""
+    # divisors of L/(1 - g)L by the matrix of g, filled by
+    # Isometry.coinvariant_divisors
+    _coinvariants: dict[IntMatrix, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gram = _freeze(self.gram)
@@ -127,7 +133,7 @@ class Lattice:
         for i in range(n):
             if gram[i][i] % 2:
                 raise NotEven(f"diagonal entry {gram[i][i]} at index {i} is odd")
-        minors, _ = _bareiss(gram)
+        minors = _bareiss(gram)[0]
         if len(minors) < n or any(m <= 0 for m in minors):
             raise NotPositiveDefinite("a leading principal minor is not positive")
 
@@ -314,20 +320,71 @@ def quotient_invariants(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> li
 # ----- vector enumeration ---------------------------------------------
 
 
-def _squares_decomposition(gram: IntMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Write the form as sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 exactly."""
+# A coset key map: one (row, step, modulus) per Smith row with modulus > 1.
+_KeyMap = list[tuple[tuple[int, ...], int, int]]
+
+
+class _ScaledForm(NamedTuple):
+    """The form in scaled integers, with the coset key map of each level.
+
+    Level i costs amp[i] * (den[i] * x_i + centre_i)^2 scaled units, one
+    unit of norm being `scale`, with centre_i = sum_{j>i} columns[j][i] *
+    x_j.  keys[k] is None unless level k is memoised and lies below the
+    top; otherwise it names the coset of a fixed prefix x_{>k} in
+    L_k^#/L_k, L_k being spanned by the first k+1 basis vectors.  The
+    coset is y mod G_k Z^{k+1}, with y = G[0..k][>k] x_{>k} and G_k the
+    leading block; for a Smith form U G_k V = D it is (U y)_r mod D_r
+    over the rows with D_r > 1.  Each key row (t, step, m) has m = D_r,
+    (t . centres) // scale congruent to (U y)_r mod m, and step =
+    (U G[0..k][k+1])_r mod m, the change of (U y)_r as x_{k+1} grows by
+    one.
+    """
+
+    den: list[int]
+    columns: list[list[int]]
+    amp: list[int]
+    scale: int
+    keys: list[_KeyMap | None]
+
+
+def _scaled_form(gram: IntMatrix) -> _ScaledForm:
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / a[i][i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] -= a[r][i] * a[i][c] / a[i][i]
-    return d, u
+    # the square completion Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
+    # from fraction-free elimination: d_i = minors[i] / minors[i-1] and
+    # u_ij = rows[i][j] / minors[i]; den[i] is the denominator of row i
+    minors, _, rows = _bareiss(gram)
+    below = [1] + minors[:-1]
+    shrink = [gcd(minors[i], *rows[i][i + 1:]) for i in range(n)]
+    den = [minors[i] // shrink[i] for i in range(n)]
+    columns = [[rows[i][j] // shrink[i] for i in range(j)] for j in range(n)]
+    scale = lcm(*(below[i] // gcd(below[i], minors[i]) * den[i] ** 2
+                  for i in range(n)))
+    amp = [scale * minors[i] // (below[i] * den[i] ** 2) for i in range(n)]
+    common = gcd(scale, *amp)
+    scale //= common
+    amp = [a // common for a in amp]
+    # G = R^T diag(d) R for the unit upper triangular R[i][j] = u_ij, so
+    # scale * y = A . centres with A lower triangular: A[i][l] =
+    # columns[i][l] * amp[l] below the diagonal and amp[i] * den[i] on it
+    lower = [[columns[i][l] * amp[l] for l in range(i)] + [amp[i] * den[i]]
+             for i in range(n)]
+    keys: list[_KeyMap | None] = []
+    for k, minor in enumerate(minors[:-1]):
+        if minor > MEMO_MINOR_LIMIT:
+            keys.append(None)
+            continue
+        form = smith_normal_form(tuple(row[:k + 1] for row in gram[:k + 1]))
+        key_rows = []
+        for r, m in enumerate(form.invariants):
+            if m == 1:
+                continue
+            left = form.left[r]
+            t = tuple(sum(left[i] * lower[i][l] for i in range(l, k + 1))
+                      % (scale * m) for l in range(k + 1))
+            step = sum(left[i] * gram[i][k + 1] for i in range(k + 1)) % m
+            key_rows.append((t, step, m))
+        keys.append(key_rows)
+    return _ScaledForm(den, columns, amp, scale, keys)
 
 
 def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
@@ -354,26 +411,7 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
     if n == 0 or max_norm == 0:
         return counts
 
-    d, u = _squares_decomposition(lattice.gram)
-    den = []
-    for i in range(n):
-        bi = 1
-        for j in range(i + 1, n):
-            bi = lcm(bi, u[i][j].denominator)
-        den.append(bi)
-    # level i costs amp[i] * (den[i] * x_i + centre_i)^2 scaled units, with
-    # centre_i = sum_{j>i} columns[j][i] * x_j; one unit of norm is `scale`
-    columns = [[int(u[i][j] * den[i]) for i in range(j)] for j in range(n)]
-    scale = 1
-    for i in range(n):
-        scale = lcm(scale, d[i].denominator * den[i] * den[i])
-    amp = [scale // (d[i].denominator * den[i] * den[i]) * d[i].numerator
-           for i in range(n)]
-    common = gcd(scale, *amp)
-    scale //= common
-    amp = [a // common for a in amp]
-    memoised = [m <= MEMO_MINOR_LIMIT for m in _bareiss(lattice.gram)[0]]
-
+    den, columns, amp, scale, keys = _scaled_form(lattice.gram)
     total = scale * max_norm
     nodes = 0
     memo: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
@@ -404,45 +442,41 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
                 hist[a * e * e // scale] += 1
             return hist
         column = columns[level]
+        below = level - 1
+        key_map = keys[below]
+        if key_map is not None:
+            table = memo[below]
+            bases = [(sum(map(mul, t, centres)) // scale, step, mod)
+                     for t, step, mod in key_map]
         for xi in range(lo, hi + 1):
             e = b * xi + centre
             cost = a * e * e
             sub_rem = rem - cost
-            sub = search(level - 1, [c + wj * xi for c, wj in zip(centres, column)],
-                         sub_rem)
-            shift = (cost + sub_rem % scale) // scale
+            residue = sub_rem % scale
+            if key_map is None:
+                sub = expand(below, [c + w * xi for c, w in zip(centres, column)],
+                             sub_rem)
+            else:
+                code = 0
+                for base, step, mod in bases:
+                    code = code * mod + (base + step * xi) % mod
+                key = code * scale + residue
+                sub = table.get(key)
+                if sub is None:
+                    # the subtree depends only on the coset, so the centres
+                    # need no reduction; the largest radius <= total in
+                    # this residue class serves every caller, one with a
+                    # smaller radius reading a prefix
+                    radius = total - scale + residue if residue else total
+                    sub = tuple(expand(
+                        below, [c + w * xi for c, w in zip(centres, column)],
+                        radius))
+                    sub = interned.setdefault(sub, sub)
+                    table[key] = sub
+            shift = (cost + residue) // scale
             for m in range(sub_rem // scale + 1):
                 if sub[m]:
                     hist[shift + m] += sub[m]
-        return hist
-
-    def search(level: int, centres: list[int], rem: int) -> Sequence[int]:
-        """Histogram of the subtree at this level, valid through index
-        rem // scale; translates `centres` in place."""
-        if not memoised[level]:
-            return expand(level, centres, rem)
-        # shift x_level, ..., x_0 so that each centre lies in [0, den[i]):
-        # the reduced centres, read as one mixed-radix integer, name the
-        # coset of the fixed prefix
-        code = 0
-        for i in range(level, -1, -1):
-            t, centre = divmod(centres[i], den[i])
-            if t:
-                column = columns[i]
-                for j in range(i):
-                    centres[j] -= column[j] * t
-            centres[i] = centre
-            code = code * den[i] + centre
-        residue = rem % scale
-        key = code * scale + residue
-        hist = memo[level].get(key)
-        if hist is None:
-            # the largest radius <= total in this residue class serves
-            # every caller: one with a smaller radius reads a prefix
-            radius = total - scale + residue if residue else total
-            hist = tuple(expand(level, centres, radius))
-            hist = interned.setdefault(hist, hist)
-            memo[level][key] = hist
         return hist
 
     for top in range(n):

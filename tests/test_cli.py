@@ -19,7 +19,7 @@ from orbifoldry.cli import (
     main,
     run_verification_suite,
 )
-from orbifoldry.datafiles import resolve_data_dir
+from orbifoldry.datafiles import load_leech, resolve_data_dir
 from orbifoldry.isometry import Isometry
 from orbifoldry.qseries import FracSeries
 from orbifoldry.report import emit_report
@@ -130,19 +130,22 @@ def test_enumeration_budget_failure_says_how_far_it_got():
 
 @pytest.fixture(scope="module")
 def counted_p13_report():
-    """A p=13 suite run that counts Smith forms and isometry checks."""
-    calls = {"snf": 0, "verify": 0}
+    """A p=13 suite run that records each Smith form's matrix and counts
+    isometry checks."""
+    calls = {"snf": [], "verify": 0}
     kernel, check = lattice.smith_normal_form, Isometry.__post_init__
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted_snf(matrix):
+        calls["snf"].append(tuple(tuple(row) for row in matrix))
+        return kernel(matrix)
+
+    def counted_check(*args):
+        calls["verify"] += 1
+        return check(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lattice, "smith_normal_form", counted("snf", kernel))
-        patch.setattr(Isometry, "__post_init__", counted("verify", check))
+        patch.setattr(lattice, "smith_normal_form", counted_snf)
+        patch.setattr(Isometry, "__post_init__", counted_check)
         report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(2)))
     return report, calls
 
@@ -150,8 +153,15 @@ def counted_p13_report():
 def test_each_smith_form_is_computed_once(counted_p13_report):
     report, calls = counted_p13_report
     assert report.all_passed
+    gram = load_leech().gram
+    leading = {tuple(row[:k] for row in gram[:k]) for k in range(1, 25)}
+    blocks = [m for m in calls["snf"] if m in leading]
+    others = [m for m in calls["snf"] if m not in leading]
     # 1 - sigma^i for i = 1..25 (1 - tau among them), and 1 - (-1) = 2
-    assert calls["snf"] <= 26
+    assert len(others) <= 26
+    # the enumeration's coset keys: one per memoised leading block
+    assert 0 < len(blocks) <= len(gram)
+    assert len(set(calls["snf"])) == len(calls["snf"])
 
 
 def test_suite_verifies_only_the_isometries_it_loads(counted_p13_report):

@@ -26,6 +26,7 @@ from orbifoldry.lattice import (
     SingularMatrix,
     _bareiss,
     _det_int,
+    _scaled_form,
     enumerate_vectors_by_norm,
     load_lattice,
     parse_matrix,
@@ -33,6 +34,7 @@ from orbifoldry.lattice import (
     smith_normal_form,
     theta_series,
 )
+from orbifoldry.modular import unimodular_theta_rank24
 
 
 # ----- oracles -----------------------------------------------------------
@@ -168,7 +170,7 @@ def test_bareiss_determinant_and_leading_minors_match_oracle():
             cases.append(m)
     for m in cases:
         assert _det_int(m) == det_oracle(m), m
-        minors, sign = _bareiss(m)
+        minors, sign, _ = _bareiss(m)
         assert sign == 1
         leading = [det_oracle([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
         stop = next((k for k, v in enumerate(leading) if v == 0), len(m) - 1)
@@ -288,7 +290,7 @@ def test_enumerate_matches_reference_kernel():
         max_norm = rng.choice((4, 6, 8, 10))
         assert enumerate_vectors_by_norm(lat, max_norm) == \
             reference_counts(lat, max_norm), lat.gram
-        minors, _ = _bareiss(lat.gram)
+        minors = _bareiss(lat.gram)[0]
         unmemoised += any(m > MEMO_MINOR_LIMIT for m in minors)
     assert unmemoised >= 10
 
@@ -301,6 +303,59 @@ def test_enumerate_with_fewer_memoised_levels(monkeypatch, limit):
     for trial in range(16):
         lat = random_dense_lattice(rng, 1 + trial % 8)
         assert enumerate_vectors_by_norm(lat, 10) == reference_counts(lat, 10)
+
+
+def test_coset_keys_match_the_dual_quotient():
+    """Two prefixes x_{>k} get one key at level k exactly when
+    G_k^{-1} (y - y') is integral, y = G[0..k][>k] x_{>k}: the same coset
+    of L_k in its dual.  Keys are read as the kernel reads them, from the
+    parent's centres plus one step in x_{k+1}."""
+    rng = random.Random(5311)
+    same = differ = 0
+    for trial in range(30):
+        build = random_dense_lattice if trial % 3 else random_sparse_lattice
+        lat = build(rng, 1 + trial % 8)
+        gram, n = lat.gram, lat.rank
+        form = _scaled_form(gram)
+        minors = _bareiss(gram)[0]
+        for k, key_map in enumerate(form.keys):
+            if k == n - 1 or minors[k] > MEMO_MINOR_LIMIT:
+                assert key_map is None
+                continue
+            moduli = 1
+            for _, _, m in key_map:
+                assert m > 1
+                moduli *= m
+            assert moduli == minors[k]
+            inverse = frac_inverse([row[:k + 1] for row in gram[:k + 1]])
+
+            def key(prefix):
+                x = [0] * (k + 1) + prefix
+                parent = [sum(form.columns[j][i] * x[j] for j in range(k + 2, n))
+                          for i in range(k + 2)]
+                child = [c + w * x[k + 1]
+                         for c, w in zip(parent, form.columns[k + 1])]
+                digits = []
+                for t, step, m in key_map:
+                    base = sum(a * c for a, c in zip(t, parent)) // form.scale
+                    digit = (base + step * x[k + 1]) % m
+                    assert digit == sum(a * c for a, c in zip(t, child)) \
+                        // form.scale % m
+                    digits.append(digit)
+                return tuple(digits), [sum(gram[i][j] * x[j]
+                                           for j in range(k + 1, n))
+                                       for i in range(k + 1)]
+
+            keyed = [key([rng.randint(-2, 2) for _ in range(n - k - 1)])
+                     for _ in range(10)]
+            for (key_a, y_a), (key_b, y_b) in combinations(keyed, 2):
+                integral = all(
+                    sum(f * (a - b) for f, a, b in zip(row, y_a, y_b)).denominator == 1
+                    for row in inverse)
+                assert (key_a == key_b) == integral, (gram, k)
+                same += integral
+                differ += not integral
+    assert same >= 100 and differ >= 100
 
 
 def test_enumerate_budget_is_enforced():
@@ -374,3 +429,16 @@ def test_leech_norm_six_count(leech):
     counts = enumerate_vectors_by_norm(leech, 6, budget=200_000)
     assert counts[4] == 196560
     assert counts[6] == 16773120
+
+
+def test_leech_norm_six_budget_is_exact(leech):
+    # every candidate counts and a memo hit visits none
+    assert enumerate_vectors_by_norm(leech, 6, budget=60_560)[6] == 16773120
+    with pytest.raises(BudgetExceeded):
+        enumerate_vectors_by_norm(leech, 6, budget=60_559)
+
+
+def test_leech_theta_through_norm_twenty(leech):
+    counts = enumerate_vectors_by_norm(leech, 20)
+    theta = unimodular_theta_rank24(10)
+    assert counts == {2 * m: theta.coefficient_at(m) for m in range(11)}
