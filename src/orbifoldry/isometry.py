@@ -4,12 +4,17 @@ Validation against the Gram matrix, exact cyclotomic factorization of
 characteristic polynomials, eigenspace dimensions of finite-order
 isometries, and a seeded random word search over a generator set.
 
-Each spectral fact is computed once per Isometry: the characteristic
-polynomial, its cyclotomic profile and the Smith invariants of 1 - g are
-cached on the instance, and every power g^k is built once and cached on
+Spectral facts are computed from a matrix only at a root: an Isometry
+built from outside.  Its characteristic polynomial is lifted from a
+mod-prime Hessenberg reduction and certified by complete cyclotomic
+factoring and g^order = I.  Every power g^k is built once and cached on
 g, so that a power of a power is the same object as the matching power
-of g.  Matrices from outside are verified when an Isometry is
-constructed; powers are products of a verified matrix and are trusted.
+of g, and it reads its facts off the root: its cyclotomic profile is
+power_profile(profile of g, k), its characteristic polynomial the
+product of that profile's factors, and its Smith invariants of 1 - g^k
+those of the generator g^gcd(k, order) of the same cyclic subgroup.
+Matrices from outside are verified when an Isometry is constructed;
+powers are products of a verified matrix and are trusted.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .lattice import (
@@ -63,7 +69,7 @@ class NotFound(LookupError):
 
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def _mat_power(matrix: Sequence[Sequence[int]], k: int) -> list[list[int]]:
@@ -93,7 +99,8 @@ class Isometry:
     powers that power() builds skip construction: a product of copies of
     a verified isometry preserves the Gram and has determinant +-1, so
     they are not checked again.  They record the root and exponent they
-    came from and delegate to the root's cache.
+    came from, delegate to the root's cache, and take their spectral
+    facts from the root's certified profile.
     """
 
     lattice: Lattice
@@ -157,31 +164,51 @@ class Isometry:
                    for j in range(self.lattice.rank))
 
     @cached_property
-    def _spectrum(self) -> tuple[tuple[int, ...], CycloProfile]:
+    def _profile(self) -> CycloProfile:
+        root = self._root
+        if root is not self:
+            # the eigenvalues of root^e are the e-th powers of the root's
+            return power_profile(root._profile, self._exponent)
         # the lift is exact once g is shown to have finite order (_charpoly)
-        poly = tuple(_charpoly(self.matrix))
-        profile = _lifted_profile(poly)
-        if self._root is self:
-            finite = _mat_power(self.matrix, profile.order) == _identity(self.lattice.rank)
-        else:
-            # self = root^e and root^N = I with N the root's certified
-            # order, so self^order = I exactly when N divides e * order
-            finite = self._exponent * profile.order % multiplicative_order(self._root) == 0
-        if not finite:
+        profile = _lifted_profile(_charpoly(self.matrix))
+        if not self.power(profile.order).is_identity():
             raise NonCyclotomicFactor(
                 f"g^{profile.order} != I: the matrix is not of finite order")
-        return poly, profile
+        return profile
 
-    @property
+    @cached_property
     def charpoly(self) -> tuple[int, ...]:
-        """Certified coefficients of det(xI - M), highest power first."""
-        return self._spectrum[0]
+        """Coefficients of det(xI - M), highest power first: the product
+        of the certified cyclotomic factors."""
+        poly = [1]
+        for d, e in self._profile.factors:
+            factor = cyclotomic_polynomial(d)
+            for _ in range(e):
+                product = [0] * (len(poly) + len(factor) - 1)
+                for i, a in enumerate(poly):
+                    for j, b in enumerate(factor):
+                        product[i + j] += a * b
+                poly = product
+        return tuple(reversed(poly))
 
     @cached_property
     def coinvariant_divisors(self) -> tuple[int, ...]:
         """Elementary divisors > 1 of L/(1 - g)L; raises SingularMatrix
-        when 1 - g is singular.  Computed once per matrix and lattice:
-        the negation and a power equal to -1 share them."""
+        when 1 - g is singular.
+
+        One Smith form per cyclic subgroup: a power root^e delegates to
+        h = root^gcd(e, N), N the root's order.  Then root^e = h^j with j
+        prime to the order M of h, and (1 - h^j)L = (1 - h)L, since
+        1 - h^j = (1 - h)(1 + h + ... + h^(j-1)) and 1 - h = (1 - h^j)(1 +
+        h^j + ... + h^(j(k-1))) with jk = 1 mod M.  The result is kept per
+        lattice by matrix, so the negation and a power equal to -1 share
+        one Smith form.
+        """
+        root = self._root
+        if root is not self:
+            e = gcd(self._exponent, multiplicative_order(root))
+            if e != self._exponent:
+                return root.power(e).coinvariant_divisors
         known = self.lattice._coinvariants
         if self.matrix not in known:
             n = self.lattice.rank
@@ -354,8 +381,9 @@ class CycloProfile:
 
 
 def cyclotomic_profile(g: Isometry) -> CycloProfile:
-    """Factor det(xI - g) into cyclotomic polynomials exactly (cached on g)."""
-    return g._spectrum[1]
+    """Exact cyclotomic factorization of det(xI - g): certified at a root,
+    derived from the root's for a power (cached on g)."""
+    return g._profile
 
 
 def _lifted_profile(charpoly: Sequence[int]) -> CycloProfile:

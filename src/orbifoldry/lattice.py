@@ -56,7 +56,10 @@ class BudgetExceeded(RuntimeError):
 
 
 def _freeze(matrix: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in matrix)
+    # from lists, so each tuple is allocated at its final size: one grown
+    # from an iterator is resized, and on release CPython parks it on a
+    # free list that the next build from an iterator does not draw from
+    return tuple([tuple([int(x) for x in row]) for row in matrix])
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -373,14 +376,14 @@ def _scaled_form(gram: IntMatrix) -> _ScaledForm:
         if minor > MEMO_MINOR_LIMIT:
             keys.append(None)
             continue
-        form = smith_normal_form(tuple(row[:k + 1] for row in gram[:k + 1]))
+        form = smith_normal_form([row[:k + 1] for row in gram[:k + 1]])
         key_rows = []
         for r, m in enumerate(form.invariants):
             if m == 1:
                 continue
             left = form.left[r]
-            t = tuple(sum(left[i] * lower[i][l] for i in range(l, k + 1))
-                      % (scale * m) for l in range(k + 1))
+            t = tuple([sum(left[i] * lower[i][l] for i in range(l, k + 1))
+                       % (scale * m) for l in range(k + 1)])
             step = sum(left[i] * gram[i][k + 1] for i in range(k + 1)) % m
             key_rows.append((t, step, m))
         keys.append(key_rows)
@@ -479,10 +482,15 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
                     hist[shift + m] += sub[m]
         return hist
 
-    for top in range(n):
-        hist = expand(top, [0] * (top + 1), total, positive=True)
-        for norm in counts:
-            counts[norm] += 2 * hist[norm]
+    try:
+        for top in range(n):
+            hist = expand(top, [0] * (top + 1), total, positive=True)
+            for norm in counts:
+                counts[norm] += 2 * hist[norm]
+    finally:
+        # expand reaches itself through its closure cell; breaking that
+        # cycle frees the memo at return instead of at the next collection
+        del expand
     return counts
 
 

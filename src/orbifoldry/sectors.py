@@ -66,7 +66,10 @@ def conformal_weight(eig_dims: Sequence[int], m: int) -> Fraction:
 
 
 def defect_dimension(lattice: Lattice, g: Isometry, i: int) -> int:
-    """sqrt of |L/(1-g^i)L|, an integer for the lattices treated here."""
+    """sqrt of |L/(1-g^i)L|, an integer for the lattices treated here.
+
+    The quotient depends only on the cyclic subgroup <g^i>, so its Smith
+    form is taken once per subgroup (Isometry.coinvariant_divisors)."""
     if lattice.rank != g.lattice.rank:
         raise ValueError("isometry rank does not match lattice rank")
     try:

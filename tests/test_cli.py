@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifoldry import lattice
+from orbifoldry import isometry, lattice
 from orbifoldry.cli import (
     CLAIM_REGISTRY,
     DEFAULT_SUITE_CUTOFF,
@@ -131,9 +131,10 @@ def test_enumeration_budget_failure_says_how_far_it_got():
 @pytest.fixture(scope="module")
 def counted_p13_report():
     """A p=13 suite run that records each Smith form's matrix and counts
-    isometry checks."""
-    calls = {"snf": [], "verify": 0}
+    isometry checks and charpoly reductions."""
+    calls = {"snf": [], "verify": 0, "charpoly": 0}
     kernel, check = lattice.smith_normal_form, Isometry.__post_init__
+    lift = isometry._charpoly
 
     def counted_snf(matrix):
         calls["snf"].append(tuple(tuple(row) for row in matrix))
@@ -143,9 +144,14 @@ def counted_p13_report():
         calls["verify"] += 1
         return check(*args)
 
+    def counted_charpoly(matrix):
+        calls["charpoly"] += 1
+        return lift(matrix)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice, "smith_normal_form", counted_snf)
         patch.setattr(Isometry, "__post_init__", counted_check)
+        patch.setattr(isometry, "_charpoly", counted_charpoly)
         report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(2)))
     return report, calls
 
@@ -157,11 +163,19 @@ def test_each_smith_form_is_computed_once(counted_p13_report):
     leading = {tuple(row[:k] for row in gram[:k]) for k in range(1, 25)}
     blocks = [m for m in calls["snf"] if m in leading]
     others = [m for m in calls["snf"] if m not in leading]
-    # 1 - sigma^i for i = 1..25 (1 - tau among them), and 1 - (-1) = 2
-    assert len(others) <= 26
+    # one 1 - h per cyclic subgroup <h> = <sigma^i>, i = 1..25: h = sigma,
+    # tau = sigma^2 and sigma^13 = -1, whose 1 - (-1) = 2 the negation shares
+    assert len(others) <= sum(1 for d in range(1, 26) if 26 % d == 0)
     # the enumeration's coset keys: one per memoised leading block
     assert 0 < len(blocks) <= len(gram)
     assert len(set(calls["snf"])) == len(calls["snf"])
+
+
+def test_suite_reduces_only_the_loaded_matrices(counted_p13_report):
+    report, calls = counted_p13_report
+    assert report.all_passed
+    # sigma and the negation; every power reads its profile off sigma's
+    assert calls["charpoly"] <= 2
 
 
 def test_suite_verifies_only_the_isometries_it_loads(counted_p13_report):

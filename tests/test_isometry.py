@@ -15,6 +15,7 @@ from orbifoldry.fusion import orbifold_character
 from orbifoldry.isometry import (
     CHARPOLY_PRIME,
     CycloProfile,
+    Isometry,
     NonCyclotomicFactor,
     NotFound,
     NotGramPreserving,
@@ -32,7 +33,7 @@ from orbifoldry.isometry import (
     search_isometry,
     verify_isometry,
 )
-from orbifoldry.lattice import Lattice
+from orbifoldry.lattice import Lattice, SingularMatrix, quotient_invariants
 from orbifoldry.modular import unimodular_theta_rank24
 from orbifoldry.sectors import sector_invariants
 
@@ -125,6 +126,7 @@ def test_charpoly_matches_reference_on_every_shipped_power(sigmas):
             power = sigma.power(k)
             expected = reference_charpoly(power.matrix)
             assert _charpoly(power.matrix) == expected
+            # a power's charpoly is the product over the root's profile
             assert power.charpoly == tuple(expected)
 
 
@@ -158,12 +160,61 @@ def test_each_spectral_fact_is_computed_once(leech, monkeypatch):
         sector_invariants(leech, sigma, i)
     orbifold_character(leech, sigma.power(2), 13, Fraction(2),
                        theta=unimodular_theta_rank24(2))
-    profiled = {id(g) for g in (sigma, *sigma._powers.values())
-                if "_spectrum" in vars(g)}
-    assert len(calls) <= len(profiled) <= 25
+    # only the root's matrix is reduced; its powers read the root's profile
+    assert len(calls) == 1
     assert sigma.power(7) is sigma.power(7)
     assert sigma.power(2).power(5) is sigma.power(10)
     assert sigma.power(-1) is sigma.inverse() is sigma.power(25)
+
+
+def one_minus(matrix):
+    n = len(matrix)
+    return [[int(r == c) - matrix[r][c] for c in range(n)] for r in range(n)]
+
+
+def test_power_coinvariants_match_direct_smith_forms(sigmas):
+    # a power reads the Smith form of the generator of its cyclic subgroup
+    for p, sigma in sigmas.items():
+        for i in range(1, 2 * p):
+            power = sigma.power(i)
+            direct = quotient_invariants(sigma.lattice, one_minus(power.matrix))
+            assert power.coinvariant_divisors == tuple(direct), (p, i)
+
+
+def random_signed_permutation(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return [[signs[c] if perm[c] == r else 0 for c in range(n)] for r in range(n)]
+
+
+def test_coinvariants_of_signed_permutations_match_direct_smith_forms():
+    rng = random.Random(3011)
+    orders = set()
+    for n in range(1, 9):
+        lattice = Lattice(tuple(tuple(2 * int(r == c) for c in range(n))
+                                for r in range(n)))
+        identity = [[int(r == c) for c in range(n)] for r in range(n)]
+        for _ in range(12):
+            m = random_signed_permutation(rng, n)
+            g = Isometry(lattice, m)
+            power, k = m, 1
+            while True:
+                try:
+                    direct = tuple(quotient_invariants(lattice, one_minus(power)))
+                except SingularMatrix:
+                    with pytest.raises(SingularMatrix):
+                        g.power(k).coinvariant_divisors
+                else:
+                    assert g.power(k).coinvariant_divisors == direct, (m, k)
+                if power == identity:
+                    break
+                power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)]
+                         for row in power]
+                k += 1
+            assert multiplicative_order(g) == k
+            orders.add(k)
+    assert {6, 12, 30} <= orders
 
 
 def test_profile_of_negation(leech):
@@ -222,7 +273,9 @@ def test_power_profile_matches_direct_computation(sigmas):
     for p, sigma in sigmas.items():
         prof = cyclotomic_profile(sigma)
         for k in (2, p, p + 1):
-            assert power_profile(prof, k) == cyclotomic_profile(sigma.power(k))
+            direct = _profile_of_matrix(sigma.power(k).matrix, 24)
+            assert power_profile(prof, k) == direct
+            assert cyclotomic_profile(sigma.power(k)) == direct
 
 
 def test_powers_remain_isometries(sigmas):
@@ -264,4 +317,4 @@ def test_random_powers_of_shipped_sigma_have_consistent_profiles(sigmas):
         k = rng.randint(1, 4 * p)
         sigma = sigmas[p]
         assert cyclotomic_profile(sigma.power(k)) == \
-            power_profile(cyclotomic_profile(sigma), k)
+            _profile_of_matrix(sigma.power(k).matrix, 24)

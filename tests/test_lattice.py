@@ -6,7 +6,9 @@ Independent oracles, written before the implementations they check:
     via the one-candidate-at-a-time search in reference_enumeration.
 """
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
@@ -430,6 +432,25 @@ def test_leech_norm_six_count(leech):
     assert counts[4] == 196560
     assert counts[6] == 16773120
 
+
+
+def test_enumeration_frees_its_memo_at_return(leech):
+    # the memo tables and histograms (about 1.3 MB at norm 6) must not
+    # outlive the call waiting for the cyclic collector
+    # a first call fills interpreter free lists, which are not the memo
+    enumerate_vectors_by_norm(leech, 6)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert enumerate_vectors_by_norm(leech, 6)[6] == 16773120
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert after - before <= 64 * 1024
 
 def test_leech_norm_six_budget_is_exact(leech):
     # every candidate counts and a memo hit visits none
