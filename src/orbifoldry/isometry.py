@@ -7,12 +7,13 @@ isometries, and a seeded random word search over a generator set.
 Spectral facts are computed from a matrix only at a root: an Isometry
 built from outside.  Its characteristic polynomial is lifted from a
 mod-prime Hessenberg reduction and certified by complete cyclotomic
-factoring and g^order = I.  Every power g^k is built once and cached on
+factoring and g^order = I.  Every power g^k is made once and cached on
 g, so that a power of a power is the same object as the matching power
 of g, and it reads its facts off the root: its cyclotomic profile is
 power_profile(profile of g, k), its characteristic polynomial the
 product of that profile's factors, and its Smith invariants of 1 - g^k
-those of the generator g^gcd(k, order) of the same cyclic subgroup.
+those of the generator g^gcd(k, order) of the same cyclic subgroup.  A
+power's matrix is multiplied out only when something reads it.
 Matrices from outside are verified when an Isometry is constructed;
 powers are products of a verified matrix and are trusted.
 """
@@ -96,11 +97,13 @@ class Isometry:
     must equal gram.  Both invariants are checked at construction.
 
     Every constructed instance is the root of its own power cache.  The
-    powers that power() builds skip construction: a product of copies of
+    powers that power() makes skip construction: a product of copies of
     a verified isometry preserves the Gram and has determinant +-1, so
     they are not checked again.  They record the root and exponent they
     came from, delegate to the root's cache, and take their spectral
-    facts from the root's certified profile.
+    facts from the root's certified profile.  A power holds no matrix
+    until `.matrix` is first read; then it is built from the cached
+    root^(e // 2) and kept.
     """
 
     lattice: Lattice
@@ -141,19 +144,29 @@ class Isometry:
             return root
         cached = root._powers.get(e)
         if cached is None:
-            if e == 0:
-                matrix = _identity(root.lattice.rank)
-            else:
-                half = root.power(e // 2).matrix
-                matrix = _mat_mul(half, half)
-                if e & 1:
-                    matrix = _mat_mul(matrix, root.matrix)
             cached = object.__new__(Isometry)
-            for name, value in (("lattice", root.lattice), ("matrix", _freeze(matrix)),
-                                ("_root", root), ("_exponent", e)):
+            for name, value in (("lattice", root.lattice), ("_root", root),
+                                ("_exponent", e)):
                 object.__setattr__(cached, name, value)
             root._powers[e] = cached
         return cached
+
+    def __getattr__(self, name: str) -> IntMatrix:
+        # power() makes a power without its matrix; the first read builds
+        # it from the cached root^(e // 2) and keeps it
+        if name != "matrix":
+            raise AttributeError(name)
+        root, e = self._root, self._exponent
+        if e == 0:
+            matrix = _identity(root.lattice.rank)
+        else:
+            half = root.power(e // 2).matrix
+            matrix = _mat_mul(half, half)
+            if e & 1:
+                matrix = _mat_mul(matrix, root.matrix)
+        frozen = _freeze(matrix)
+        object.__setattr__(self, "matrix", frozen)
+        return frozen
 
     def inverse(self) -> Isometry:
         return self.power(-1)

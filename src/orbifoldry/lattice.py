@@ -223,6 +223,9 @@ def _smallest_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
         for j in range(t, n):
             v = a[i][j]
             if v and (best is None or abs(v) < best_abs):
+                if v in (1, -1):
+                    # no nonzero entry is smaller than a unit
+                    return i, j
                 best = (i, j)
                 best_abs = abs(v)
     return best
@@ -232,8 +235,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """Smith normal form of a square integer matrix.
 
     Pivots are chosen by smallest absolute value to keep intermediate
-    entries small; the divisibility chain is enforced by folding any
-    non-divisible entry into the pivot row before moving on.
+    entries small, the first unit found being taken at once; the
+    divisibility chain is enforced by folding any non-divisible entry
+    into the pivot row before moving on, which a unit pivot never needs.
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
@@ -283,6 +287,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
                     dirty = dirty or bool(a[t][c])
             if dirty:
                 continue
+            if a[t][t] in (1, -1):
+                # a unit divides every entry
+                break
             offender = None
             for r in range(t + 1, n):
                 for c in range(t + 1, n):
@@ -400,9 +407,11 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
     nonzero norms are doubled).  Below it the search runs over all of
     Z^k, so each subtree is counted once per coset of the fixed prefix
     modulo the sublattice spanned by the first basis vectors, on the
-    levels MEMO_MINOR_LIMIT admits.  Raises BudgetExceeded (discarding
-    all partial counts) if more than `budget` candidates are visited; a
-    memo hit visits none.
+    levels MEMO_MINOR_LIMIT admits, and once per pair of opposite
+    cosets: x -> -x maps the subtree of a prefix onto that of its
+    negative with the same norms.  Raises BudgetExceeded (discarding all
+    partial counts) if more than `budget` candidates are visited; a memo
+    hit visits none.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
@@ -476,6 +485,12 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
                         radius))
                     sub = interned.setdefault(sub, sub)
                     table[key] = sub
+                    # x -> -x maps the subtree of this coset onto that of
+                    # its negative with the same norms: one search for both
+                    negated = 0
+                    for base, step, mod in bases:
+                        negated = negated * mod + -(base + step * xi) % mod
+                    table[negated * scale + residue] = sub
             shift = (cost + residue) // scale
             for m in range(sub_rem // scale + 1):
                 if sub[m]:

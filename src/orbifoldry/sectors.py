@@ -11,7 +11,7 @@ Fock characters are eta products, expanded by qseries.grading_product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -88,9 +88,14 @@ def defect_dimension(lattice: Lattice, g: Isometry, i: int) -> int:
 @dataclass(frozen=True)
 class SectorInvariants:
     """Numeric data of the g^i-twisted sector: eigenspace dimensions for
-    eigenvalues zeta_m^{-j}, conformal weight, defect dimension."""
+    eigenvalues zeta_m^{-j}, conformal weight, defect dimension.
 
-    power: int
+    These depend only on the cyclic subgroup <g^i>, so `power` is a label
+    that takes no part in equality or hashing: the sectors of one
+    subgroup compare equal and share one twisted character.
+    """
+
+    power: int = field(compare=False)
     modulus: int
     rho: Fraction
     defect_dim: int
@@ -120,7 +125,10 @@ def sector_invariants(lattice: Lattice, g: Isometry, i: int) -> SectorInvariants
 
 @lru_cache(maxsize=None)
 def twisted_character(sector: SectorInvariants, cutoff: Rational) -> FracSeries:
-    """defect_dim * q^rho * prod_{j=1}^{m-1} prod_{k>=0} (1-q^{j/m+k})^{-dim_j}."""
+    """defect_dim * q^rho * prod_{j=1}^{m-1} prod_{k>=0} (1-q^{j/m+k})^{-dim_j}.
+
+    Cached by sector, that is once per cyclic subgroup <g^i> and cutoff.
+    """
     m = sector.modulus
     c = Fraction(cutoff)
     grain = lcm(lcm(m, sector.rho.denominator), c.denominator)

@@ -23,6 +23,7 @@ from orbifoldry.datafiles import load_leech, resolve_data_dir
 from orbifoldry.isometry import Isometry
 from orbifoldry.qseries import FracSeries
 from orbifoldry.report import emit_report
+from orbifoldry.sectors import twisted_character
 
 EXPECTED_SLUGS = (
     "isometry-witness",
@@ -131,10 +132,11 @@ def test_enumeration_budget_failure_says_how_far_it_got():
 @pytest.fixture(scope="module")
 def counted_p13_report():
     """A p=13 suite run that records each Smith form's matrix and counts
-    isometry checks and charpoly reductions."""
-    calls = {"snf": [], "verify": 0, "charpoly": 0}
+    isometry checks, charpoly reductions, matrix products and twisted
+    characters built."""
+    calls = {"snf": [], "verify": 0, "charpoly": 0, "mat_mul": 0}
     kernel, check = lattice.smith_normal_form, Isometry.__post_init__
-    lift = isometry._charpoly
+    lift, product = isometry._charpoly, isometry._mat_mul
 
     def counted_snf(matrix):
         calls["snf"].append(tuple(tuple(row) for row in matrix))
@@ -148,11 +150,18 @@ def counted_p13_report():
         calls["charpoly"] += 1
         return lift(matrix)
 
+    def counted_mat_mul(a, b):
+        calls["mat_mul"] += 1
+        return product(a, b)
+
+    twisted_character.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice, "smith_normal_form", counted_snf)
         patch.setattr(Isometry, "__post_init__", counted_check)
         patch.setattr(isometry, "_charpoly", counted_charpoly)
+        patch.setattr(isometry, "_mat_mul", counted_mat_mul)
         report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(2)))
+    calls["twisted_misses"] = twisted_character.cache_info().misses
     return report, calls
 
 
@@ -183,6 +192,33 @@ def test_suite_verifies_only_the_isometries_it_loads(counted_p13_report):
     assert report.all_passed
     # sigma on load and the negation; the powers of sigma are trusted
     assert calls["verify"] <= 2
+
+
+def test_suite_builds_one_twisted_character_per_cyclic_subgroup(
+        counted_p13_report):
+    report, calls = counted_p13_report
+    assert report.all_passed
+    # one per subgroup and cutoff: sigma's odd sectors at weight one (all
+    # in <sigma>), tau's twelve sectors (all in <tau>) and the negation's
+    # at the cutoff, and the negation's at weight 2 for the z2-split
+    assert calls["twisted_misses"] <= 4
+
+
+def test_suite_builds_only_the_power_matrices_it_reads(counted_p13_report):
+    report, calls = counted_p13_report
+    assert report.all_passed
+    # two checks on load, the chain sigma^3, sigma^6, sigma^13, sigma^26
+    # that certifies sigma's order, (-1)^2, and tau's matrix for its Smith
+    # form; eigenspace dimensions read profiles, not matrices
+    assert calls["mat_mul"] <= 12
+
+
+def test_fusion_orbifold_builds_one_twisted_character(capsys):
+    # the twelve nonzero sectors of the order-13 tau share one subgroup
+    twisted_character.cache_clear()
+    assert main(["fusion", "orbifold", "--p", "13", "--cutoff", "14"]) == 0
+    capsys.readouterr()
+    assert twisted_character.cache_info().misses == 1
 
 
 def test_verify_exit_codes(corrupted_data, tmp_path, capsys):

@@ -33,7 +33,12 @@ from orbifoldry.fusion import (
 from orbifoldry.isometry import negation_isometry, verify_isometry
 from orbifoldry.lattice import Lattice
 from orbifoldry.modular import moonshine_j, unimodular_theta_rank24
-from orbifoldry.sectors import eigencomponent_character, twined_untwisted_character
+from orbifoldry.sectors import (
+    eigencomponent_character,
+    sector_invariants,
+    twined_untwisted_character,
+    twisted_character,
+)
 from reference_isotropic import maximal_isotropic_element_sets
 
 MOONSHINE_HEAD = (1, 0, 196884, 21493760, 864299970)
@@ -300,8 +305,24 @@ def test_orbifold_weight_hypothesis(theta3):
     # rank-2 lattice 2*I: the involution sector has weight 1/8, not in (1/2)Z
     small = Lattice(((2, 0), (0, 2)))
     neg = negation_isometry(small)
-    with pytest.raises(WeightHypothesisFailed):
+    with pytest.raises(WeightHypothesisFailed,
+                       match=r"^sector 1 has conformal weight 1/8, "):
         orbifold_character(small, neg, 2, Fraction(2))
+
+
+def test_sectors_of_one_cyclic_subgroup_compare_equal(leech, sigmas):
+    # sigma^i and sigma^j with gcd(i, 26) = gcd(j, 26) generate one
+    # subgroup, so their sectors agree in everything but the label
+    g = sigmas[13]
+    first, third, second = (sector_invariants(leech, g, i) for i in (1, 3, 2))
+    assert (first.power, third.power) == (1, 3)
+    assert first == third and hash(first) == hash(third)
+    assert "power=3" in repr(third)
+    assert first != second
+    assert twisted_character(first, Fraction(2)) is \
+        twisted_character(third, Fraction(2))
+    assert twisted_character(first, Fraction(2)) == \
+        twisted_character.__wrapped__(third, Fraction(2))
 
 
 def test_axis_subgroup_resums_untwisted(leech, sigmas):
@@ -326,7 +347,6 @@ def test_axis_subgroup_resums_untwisted(leech, sigmas):
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_weight_one_dimension(leech, sigmas, p):
-    from orbifoldry.sectors import sector_invariants, twisted_character
     assert weight_one_dimension_H2(leech, sigmas[p], p) == 24
     for i in range(1, 2 * p):
         if i % 2 == 0 or i == p:

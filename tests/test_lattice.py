@@ -310,10 +310,13 @@ def test_enumerate_with_fewer_memoised_levels(monkeypatch, limit):
 def test_coset_keys_match_the_dual_quotient():
     """Two prefixes x_{>k} get one key at level k exactly when
     G_k^{-1} (y - y') is integral, y = G[0..k][>k] x_{>k}: the same coset
-    of L_k in its dual.  Keys are read as the kernel reads them, from the
-    parent's centres plus one step in x_{k+1}."""
+    of L_k in its dual.  They share a memo entry, which a miss stores
+    under its key and its negated key, exactly when G_k^{-1} (y - y') or
+    G_k^{-1} (y + y') is integral.  Keys are read as the kernel reads
+    them, from the parent's centres plus one step in x_{k+1}, and the
+    negated key is the key of -x_{>k}."""
     rng = random.Random(5311)
-    same = differ = 0
+    same = opposite = differ = 0
     for trial in range(30):
         build = random_dense_lattice if trial % 3 else random_sparse_lattice
         lat = build(rng, 1 + trial % 8)
@@ -337,27 +340,37 @@ def test_coset_keys_match_the_dual_quotient():
                           for i in range(k + 2)]
                 child = [c + w * x[k + 1]
                          for c, w in zip(parent, form.columns[k + 1])]
-                digits = []
+                digits, negated = [], []
                 for t, step, m in key_map:
                     base = sum(a * c for a, c in zip(t, parent)) // form.scale
                     digit = (base + step * x[k + 1]) % m
                     assert digit == sum(a * c for a, c in zip(t, child)) \
                         // form.scale % m
                     digits.append(digit)
-                return tuple(digits), [sum(gram[i][j] * x[j]
-                                           for j in range(k + 1, n))
-                                       for i in range(k + 1)]
+                    negated.append(-(base + step * x[k + 1]) % m)
+                return tuple(digits), tuple(negated), [
+                    sum(gram[i][j] * x[j] for j in range(k + 1, n))
+                    for i in range(k + 1)]
 
-            keyed = [key([rng.randint(-2, 2) for _ in range(n - k - 1)])
-                     for _ in range(10)]
-            for (key_a, y_a), (key_b, y_b) in combinations(keyed, 2):
-                integral = all(
-                    sum(f * (a - b) for f, a, b in zip(row, y_a, y_b)).denominator == 1
-                    for row in inverse)
-                assert (key_a == key_b) == integral, (gram, k)
-                same += integral
-                differ += not integral
-    assert same >= 100 and differ >= 100
+            def integral(y_a, y_b, sign):
+                return all(sum(f * (a + sign * b) for f, a, b in
+                               zip(row, y_a, y_b)).denominator == 1
+                           for row in inverse)
+
+            prefixes = [[rng.randint(-2, 2) for _ in range(n - k - 1)]
+                        for _ in range(10)]
+            keyed = [key(prefix) for prefix in prefixes]
+            for prefix, (_, negated, _) in zip(prefixes, keyed):
+                assert key([-x for x in prefix])[0] == negated
+            for (key_a, neg_a, y_a), (key_b, _, y_b) in combinations(keyed, 2):
+                coset = integral(y_a, y_b, -1)
+                assert (key_a == key_b) == coset, (gram, k)
+                shared = coset or integral(y_a, y_b, 1)
+                assert (key_b in (key_a, neg_a)) == shared, (gram, k)
+                same += coset
+                opposite += shared and not coset
+                differ += not shared
+    assert same >= 100 and opposite >= 50 and differ >= 100
 
 
 def test_enumerate_budget_is_enforced():
@@ -452,11 +465,25 @@ def test_enumeration_frees_its_memo_at_return(leech):
             gc.enable()
     assert after - before <= 64 * 1024
 
+
 def test_leech_norm_six_budget_is_exact(leech):
     # every candidate counts and a memo hit visits none
-    assert enumerate_vectors_by_norm(leech, 6, budget=60_560)[6] == 16773120
+    assert enumerate_vectors_by_norm(leech, 6, budget=30_931)[6] == 16773120
     with pytest.raises(BudgetExceeded):
-        enumerate_vectors_by_norm(leech, 6, budget=60_559)
+        enumerate_vectors_by_norm(leech, 6, budget=30_930)
+
+
+def test_leech_norm_two_costs_at_most_a_tenth_more_than_the_reference(leech):
+    # a small radius: the memo searches each coset pair once at the full
+    # radius, so it must not visit many more candidates than the
+    # one-candidate-at-a-time reference kernel
+    reference = 15_124
+    assert reference_counts(leech, 2, budget=reference) == {0: 1, 2: 0}
+    with pytest.raises(BudgetExceeded):
+        reference_counts(leech, 2, budget=reference - 1)
+    # 16,636 candidates
+    assert enumerate_vectors_by_norm(leech, 2, budget=reference * 11 // 10) \
+        == {0: 1, 2: 0}
 
 
 def test_leech_theta_through_norm_twenty(leech):
