@@ -46,7 +46,6 @@ from .isometry import (
 )
 from .lattice import (
     DEFAULT_NODE_BUDGET,
-    Lattice,
     enumerate_vectors_by_norm,
     load_lattice,
     parse_matrix,
@@ -207,8 +206,8 @@ def _defects_expected(cfg: RunConfig) -> Any:
 
 
 def _defects_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    lat, g = ctx.lattice(), ctx.sigma()
-    out: dict[str, Any] = {str(i): defect_dimension(lat, g, i)
+    g = ctx.sigma()
+    out: dict[str, Any] = {str(i): defect_dimension(g, i)
                            for i in range(1, 2 * cfg.p)}
     # L/2L is the quotient by 1 - (-1) = 2
     out["quotient_one_minus_tau"] = list(ctx.tau().coinvariant_divisors)
@@ -265,19 +264,19 @@ def _weight_one_expected(cfg: RunConfig) -> Any:
     return {"total": 24, "per_sector": per}
 
 
-def _weight_one_table(lat: Lattice, g: Isometry, p: int) -> dict[str, Any]:
+def _weight_one_table(g: Isometry, p: int) -> dict[str, Any]:
     """Weight-one dimension of the order-2p extension and the weight-one
     coefficient of each odd sector other than p."""
     per = {}
     for i in range(1, 2 * p, 2):
         if i != p:
-            ch = twisted_character(sector_invariants(lat, g, i), Fraction(1))
+            ch = twisted_character(sector_invariants(g, i), Fraction(1))
             per[str(i)] = ch.extract_weight_class(0).coefficient_at(1)
-    return {"total": weight_one_dimension_H2(lat, g, p), "per_sector": per}
+    return {"total": weight_one_dimension_H2(g), "per_sector": per}
 
 
 def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    return _weight_one_table(ctx.lattice(), ctx.sigma(), cfg.p)
+    return _weight_one_table(ctx.sigma(), cfg.p)
 
 
 def _moonshine_expected(cfg: RunConfig) -> Any:
@@ -288,15 +287,14 @@ def _moonshine_expected(cfg: RunConfig) -> Any:
 
 
 def _moonshine_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    lat = ctx.lattice()
     c = cfg.cutoff
     theta = ctx.theta(ceil(c))
-    ch = orbifold_character(lat, ctx.tau(), cfg.p, c, theta=theta)
+    ch = orbifold_character(ctx.tau(), c, theta)
     head = [ch.coefficient_at(w) for w in (0, 1, 2)]
     # the orbifold grading sits one power above the modular expansion
     shifted = ch.shift(-1)
     j = moonshine_j(int(c) - 1)
-    z2 = orbifold_character(lat, ctx.negation(), 2, c, theta=theta)
+    z2 = orbifold_character(ctx.negation(), c, theta)
     return {"head": head, "matches_j_expansion": shifted.agrees_with(j),
             "j_expansion_depth": min(shifted.weight_cutoff, j.weight_cutoff),
             "matches_involution_construction": z2.agrees_with(ch),
@@ -309,11 +307,11 @@ def _split_expected(cfg: RunConfig) -> Any:
 
 
 def _split_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    lat, neg = ctx.lattice(), ctx.negation()
+    neg = ctx.negation()
     theta = ctx.theta(2)
-    even = eigencomponent_character(lat, neg, 2, 0, Fraction(2), theta=theta)
-    twined = twined_untwisted_character(lat, neg, 1, Fraction(2), theta=theta)
-    sector = sector_invariants(lat, neg, 1)
+    even = eigencomponent_character(neg, 2, 0, Fraction(2), theta)
+    twined = twined_untwisted_character(neg, 1, Fraction(2), theta)
+    sector = sector_invariants(neg, 1)
     tw = twisted_character(sector, Fraction(2)).extract_weight_class(0)
     even_w2 = even.coefficient_at(2)
     tw_w2 = tw.coefficient_at(2)
@@ -335,8 +333,8 @@ def _ground_truth_computed(cfg: RunConfig, ctx: _Context) -> Any:
     theta_enum = FracSeries.from_terms(
         {m // 2: c for m, c in counts.items()}, cutoff=3, grain=1)
     modular = ctx.theta(3)
-    untwisted = twined_untwisted_character(lat, ctx.negation(), 0,
-                                           Fraction(2), theta=theta_enum)
+    untwisted = twined_untwisted_character(ctx.negation(), 0, Fraction(2),
+                                           theta_enum)
     w2 = untwisted.coefficient_at(2)
     return {"rank": lat.rank, "determinant": lat.determinant(),
             "even": all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank)),
@@ -597,10 +595,10 @@ def _cmd_isometry_search(args: argparse.Namespace,
 
 def _cmd_sectors_table(args: argparse.Namespace, config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
-    lat, g = ctx.lattice(), ctx.sigma()
+    g = ctx.sigma()
     rows = []
     for i in range(1, 2 * args.p):
-        inv = sector_invariants(lat, g, i)
+        inv = sector_invariants(g, i)
         rows.append({"i": i, "eigenspace_dims": list(inv.eig_dims),
                      "conformal_weight": inv.rho,
                      "defect_dim": inv.defect_dim})
@@ -625,7 +623,7 @@ def _cmd_sectors_character(args: argparse.Namespace,
                            config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
     cutoff = _resolve(args, config, "cutoff", Fraction(6), Fraction)
-    inv = sector_invariants(ctx.lattice(), ctx.sigma(), args.i)
+    inv = sector_invariants(ctx.sigma(), args.i)
     series = twisted_character(inv, cutoff)
     _emit({"p": args.p, "i": args.i, "conformal_weight": inv.rho,
            "defect_dim": inv.defect_dim,
@@ -647,12 +645,8 @@ def _cmd_fusion_orbifold(args: argparse.Namespace,
                          config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
     cutoff = _resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, Fraction)
-    if args.construction == "zp":
-        g, n = ctx.tau(), args.p
-    else:
-        g, n = ctx.sigma().power(args.p), 2
-    series = orbifold_character(ctx.lattice(), g, n, cutoff,
-                                theta=ctx.theta(ceil(cutoff)))
+    g = ctx.tau() if args.construction == "zp" else ctx.sigma().power(args.p)
+    series = orbifold_character(g, cutoff, ctx.theta(ceil(cutoff)))
     if args.shift_c24:
         series = series.shift(-1)
     _emit({"p": args.p, "construction": args.construction,
@@ -664,8 +658,7 @@ def _cmd_fusion_orbifold(args: argparse.Namespace,
 def _cmd_fusion_weight1(args: argparse.Namespace,
                         config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
-    _emit({"p": args.p, **_weight_one_table(ctx.lattice(), ctx.sigma(),
-                                            args.p)})
+    _emit({"p": args.p, **_weight_one_table(ctx.sigma(), args.p)})
     return 0
 
 

@@ -19,7 +19,6 @@ from math import gcd
 from typing import Iterable
 
 from .isometry import Isometry, multiplicative_order
-from .lattice import DEFAULT_NODE_BUDGET, Lattice
 from .qseries import FracSeries, Rational
 from .sectors import eigencomponent_character, sector_invariants, twisted_character
 
@@ -47,7 +46,7 @@ MAX_ISOTROPIC_MODULUS = 30
 
 
 class MismatchedModulus(ValueError):
-    """Labels or isometries whose moduli disagree."""
+    """Labels whose moduli disagree, or an isometry of the wrong order."""
 
 
 class ModulusTooLarge(ValueError):
@@ -226,58 +225,52 @@ def integral_weight_labels(space: QuadSpace, i: int) -> set[int]:
     return {j for j in range(n) if (i * j) % n == 0}
 
 
-def orbifold_character(lattice: Lattice, g: Isometry, n: int, cutoff: Rational,
-                       theta: FracSeries | None = None,
-                       budget: int = DEFAULT_NODE_BUDGET) -> FracSeries:
-    """Character of the orbifold extension along the subgroup {(i, 0)}:
-    the j = 0 eigencomponent of the untwisted space plus the
-    integral-weight class of every twisted sector.
+def orbifold_character(g: Isometry, cutoff: Rational,
+                       theta: FracSeries) -> FracSeries:
+    """Character of the orbifold extension along the subgroup {(i, 0)},
+    n the order of g: the j = 0 eigencomponent of the untwisted space
+    plus the integral-weight class of every twisted sector.
 
     Each nonzero sector must have a unique integral-weight label
     (necessarily j = 0); otherwise the extracted class aggregates
     several simple modules and the sum is not the extension character,
-    which is reported as NotSeparable.  theta optionally supplies a
-    precomputed theta series for the untwisted part.
+    which is reported as NotSeparable.  theta is the theta series of the
+    lattice of g, which the untwisted part reads.
     """
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    order = multiplicative_order(g)
-    if order != n:
-        raise MismatchedModulus(f"isometry has order {order}, not {n}")
+    n = multiplicative_order(g)
     space = QuadSpace(n)
     for i in range(1, n):
         labels = integral_weight_labels(space, i)
         if labels != {0}:
             raise NotSeparable(
                 f"sector {i} has integral-weight labels {sorted(labels)}")
-    sectors = [sector_invariants(lattice, g, i) for i in range(1, n)]
+    sectors = [sector_invariants(g, i) for i in range(1, n)]
     for inv in sectors:
         if (inv.rho * n).denominator != 1:
             raise WeightHypothesisFailed(
                 f"sector {inv.power} has conformal weight {inv.rho}, "
                 f"not a multiple of 1/{n}")
-    total = eigencomponent_character(lattice, g, n, 0, cutoff,
-                                     theta=theta, budget=budget)
+    total = eigencomponent_character(g, n, 0, cutoff, theta)
     for inv in sectors:
         twisted = twisted_character(inv, Fraction(cutoff))
         total = total + twisted.extract_weight_class(0)
     return total
 
 
-def weight_one_dimension_H2(lattice: Lattice, g: Isometry, p: int) -> int:
+def weight_one_dimension_H2(g: Isometry) -> int:
     """Weight-one dimension of the extension along {(i, 0)} for an
-    order-2p isometry: only the odd sectors other than p reach weight
-    one, and each contributes its count of 1/2p-weight modes.
+    isometry of even order 2p: only the odd sectors other than p reach
+    weight one, and each contributes its count of 1/2p-weight modes.
 
     The even and p sectors are certified absent by their conformal
     weights exceeding one.
     """
-    order = multiplicative_order(g)
-    if order != 2 * p:
-        raise MismatchedModulus(f"isometry has order {order}, not {2 * p}")
+    p, odd = divmod(multiplicative_order(g), 2)
+    if odd:
+        raise MismatchedModulus(f"isometry has odd order {2 * p + 1}")
     total = 0
     for i in range(1, 2 * p):
-        inv = sector_invariants(lattice, g, i)
+        inv = sector_invariants(g, i)
         if i % 2 == 0 or i == p:
             if inv.rho <= 1:
                 raise WeightHypothesisFailed(

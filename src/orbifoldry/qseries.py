@@ -289,6 +289,10 @@ class FracSeries:
         a, b = self.canonical(), other.canonical()
         return a.grain == b.grain and a.cutoff == b.cutoff and a.coeffs == b.coeffs
 
+    def __hash__(self) -> int:
+        c = self.canonical()
+        return hash((c.grain, c.cutoff))
+
     def __repr__(self) -> str:
         parts = [f"{v}*q^({Fraction(k, self.grain)})" for k, v in sorted(self.coeffs.items())[:8]]
         more = " + ..." if len(self.coeffs) > 8 else ""

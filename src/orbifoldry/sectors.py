@@ -25,12 +25,7 @@ from .isometry import (
     euler_phi,
     multiplicative_order,
 )
-from .lattice import (
-    DEFAULT_NODE_BUDGET,
-    Lattice,
-    SingularMatrix,
-    theta_series,
-)
+from .lattice import SingularMatrix
 from .qseries import FracSeries, Rational, grading_product
 
 
@@ -65,13 +60,11 @@ def conformal_weight(eig_dims: Sequence[int], m: int) -> Fraction:
     return Fraction(total, 4 * m * m)
 
 
-def defect_dimension(lattice: Lattice, g: Isometry, i: int) -> int:
-    """sqrt of |L/(1-g^i)L|, an integer for the lattices treated here.
+def defect_dimension(g: Isometry, i: int) -> int:
+    """sqrt of |L/(1-g^i)L|, L the lattice of g: an integer here.
 
     The quotient depends only on the cyclic subgroup <g^i>, so its Smith
     form is taken once per subgroup (Isometry.coinvariant_divisors)."""
-    if lattice.rank != g.lattice.rank:
-        raise ValueError("isometry rank does not match lattice rank")
     try:
         divisors = g.power(i).coinvariant_divisors
     except SingularMatrix as exc:
@@ -88,7 +81,8 @@ def defect_dimension(lattice: Lattice, g: Isometry, i: int) -> int:
 @dataclass(frozen=True)
 class SectorInvariants:
     """Numeric data of the g^i-twisted sector: eigenspace dimensions for
-    eigenvalues zeta_m^{-j}, conformal weight, defect dimension.
+    eigenvalues zeta_m^{-j} (m = modulus), which fix the conformal weight
+    rho, and the defect dimension.
 
     These depend only on the cyclic subgroup <g^i>, so `power` is a label
     that takes no part in equality or hashing: the sectors of one
@@ -96,28 +90,28 @@ class SectorInvariants:
     """
 
     power: int = field(compare=False)
-    modulus: int
-    rho: Fraction
     defect_dim: int
     eig_dims: tuple[int, ...]
+    modulus: int = field(init=False, compare=False)
+    rho: Fraction = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eig_dims", tuple(int(d) for d in self.eig_dims))
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.rho != conformal_weight(self.eig_dims, self.modulus):
-            raise ValueError("rho does not match the eigenspace dimensions")
+        dims = tuple(int(d) for d in self.eig_dims)
+        object.__setattr__(self, "eig_dims", dims)
+        object.__setattr__(self, "modulus", len(dims))
+        object.__setattr__(self, "rho", conformal_weight(dims, len(dims)))
         if self.defect_dim < 1:
             raise ValueError("defect dimension must be positive")
 
 
-def sector_invariants(lattice: Lattice, g: Isometry, i: int) -> SectorInvariants:
+def sector_invariants(g: Isometry, i: int) -> SectorInvariants:
     """Assemble the invariants of the g^i-twisted sector (i != 0 mod order)."""
     m = multiplicative_order(g)
     dims = eigenspace_dims(g.power(i % m), m)
-    rho = conformal_weight(dims, m)
-    defect = defect_dimension(lattice, g, i % m)
-    return SectorInvariants(power=i % m, modulus=m, rho=rho,
-                            defect_dim=defect, eig_dims=dims)
+    # a fixed vector is reported as such, before 1 - g^i is found singular
+    conformal_weight(dims, m)
+    return SectorInvariants(power=i % m, defect_dim=defect_dimension(g, i % m),
+                            eig_dims=dims)
 
 
 # ----- characters ---------------------------------------------------------
@@ -144,18 +138,15 @@ def twisted_character(sector: SectorInvariants, cutoff: Rational) -> FracSeries:
     return FracSeries.from_terms(terms, cutoff=c, grain=grain)
 
 
-def twined_untwisted_character(lattice: Lattice, g: Isometry, j: int,
-                               cutoff: Rational,
-                               theta: FracSeries | None = None,
-                               budget: int = DEFAULT_NODE_BUDGET) -> FracSeries:
+def twined_untwisted_character(g: Isometry, j: int, cutoff: Rational,
+                               theta: FracSeries) -> FracSeries:
     """Graded trace of g^j on the untwisted space, in the weight grading.
 
     For g^j = identity this is the full untwisted character
-    theta_L(q) * prod (1-q^n)^{-rank}; theta may be supplied (e.g. from a
-    modular-form identity) or is enumerated from the lattice.  For
-    fixed-point-free g^j only the zero lattice vector contributes and the
-    trace is prod_n det(I - (g^j) q^n)^{-1}, expanded through the integer
-    coefficients of det(I - M x).
+    theta * prod (1-q^n)^{-rank}, theta being the caller's theta series of
+    the lattice of g.  For fixed-point-free g^j only the zero lattice
+    vector contributes and the trace is prod_n det(I - (g^j) q^n)^{-1},
+    expanded through the integer coefficients of det(I - M x).
 
     Both expansions run at the integral cutoff int(cutoff); only integral
     weights occur, so a series exact through int(cutoff) is restated at
@@ -166,10 +157,8 @@ def twined_untwisted_character(lattice: Lattice, g: Isometry, j: int,
         raise ValueError("cutoff must be nonnegative")
     top = int(c)
     gj = g.power(j)
-    n_rank = lattice.rank
+    n_rank = g.lattice.rank
     if gj.is_identity():
-        if theta is None:
-            theta = theta_series(lattice, top, budget=budget)
         series = theta * grading_product([(1, n_rank)], cutoff=top, grain=1)
     else:
         profile = cyclotomic_profile(gj)
@@ -184,7 +173,7 @@ def twined_untwisted_character(lattice: Lattice, g: Isometry, j: int,
             factor = {n * k: det_coeffs[k] for k in range(min(n_rank, top // n) + 1)}
             acc = acc * FracSeries.from_terms(factor, cutoff=top, grain=1)
         series = acc.inverse()
-    # a supplied theta exact through less than top caps the series there
+    # a theta exact through less than top caps the series there
     if c != top and series.weight_cutoff == top:
         series = FracSeries.from_terms(dict(series.terms()), cutoff=c,
                                        grain=c.denominator)
@@ -215,10 +204,8 @@ def ramanujan_sum(q: int, n: int) -> int:
     return moebius(q // g) * (euler_phi(q) // euler_phi(q // g))
 
 
-def eigencomponent_character(lattice: Lattice, g: Isometry, m: int, j: int,
-                             cutoff: Rational,
-                             theta: FracSeries | None = None,
-                             budget: int = DEFAULT_NODE_BUDGET) -> FracSeries:
+def eigencomponent_character(g: Isometry, m: int, j: int, cutoff: Rational,
+                             theta: FracSeries) -> FracSeries:
     """Character of the zeta_m^j eigencomponent of the untwisted space:
     (1/m) sum_{j'} zeta_m^{-j j'} tr(g^{j'} q^{L0}).
 
@@ -238,9 +225,7 @@ def eigencomponent_character(lattice: Lattice, g: Isometry, m: int, j: int,
         weight = ramanujan_sum(m // e, j)
         if weight == 0:
             continue
-        trace = twined_untwisted_character(lattice, g, e, cutoff,
-                                           theta=theta, budget=budget)
-        piece = weight * trace
+        piece = weight * twined_untwisted_character(g, e, cutoff, theta)
         total = piece if total is None else total + piece
     assert total is not None
     return Fraction(1, m) * total

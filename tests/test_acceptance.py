@@ -116,7 +116,7 @@ def test_defect_dimensions(leech, sigmas):
     for p in SUPPORTED_P:
         g = sigmas[p]
         for i in range(1, 2 * p):
-            d = defect_dimension(leech, g, i)
+            d = defect_dimension(g, i)
             if i == p:
                 assert d == 2**12
             elif i % 2:
@@ -166,12 +166,11 @@ def test_integral_weight_labels():
 def test_weight_one_dimension(leech, sigmas):
     for p in SUPPORTED_P:
         g = sigmas[p]
-        assert weight_one_dimension_H2(leech, g, p) == 24
+        assert weight_one_dimension_H2(g) == 24
         for i in range(1, 2 * p):
             if i % 2 == 0 or i == p:
                 continue
-            ch = twisted_character(sector_invariants(leech, g, i),
-                                   Fraction(1))
+            ch = twisted_character(sector_invariants(g, i), Fraction(1))
             assert ch.extract_weight_class(0).coefficient_at(1) \
                 == 24 // (p - 1)
 
@@ -182,10 +181,9 @@ def test_moonshine_character(leech, sigmas, theta24):
     for w, c in J_COEFFS.items():
         assert j_oracle.coefficient_at(w) == c
     neg = negation_isometry(leech)
-    involution = orbifold_character(leech, neg, 2, 6, theta=theta24)
+    involution = orbifold_character(neg, 6, theta24)
     for p in SUPPORTED_P:
-        ch = orbifold_character(leech, sigmas[p].power(2), p, 6,
-                                theta=theta24)
+        ch = orbifold_character(sigmas[p].power(2), 6, theta24)
         assert [ch.coefficient_at(w) for w in (0, 1, 2)] == [1, 0, 196884]
         # extended depth: the suite default stops at cutoff 4
         assert ch.shift(-1).agrees_with(j_oracle, through=5)
@@ -195,11 +193,9 @@ def test_moonshine_character(leech, sigmas, theta24):
 @criterion(8, "involution-weight2-split")
 def test_involution_weight2_split(leech, theta24):
     neg = negation_isometry(leech)
-    fixed = eigencomponent_character(leech, neg, 2, 0, Fraction(2),
-                                     theta=theta24)
-    twined = twined_untwisted_character(leech, neg, 1, Fraction(2),
-                                        theta=theta24)
-    sector = sector_invariants(leech, neg, 1)
+    fixed = eigencomponent_character(neg, 2, 0, Fraction(2), theta24)
+    twined = twined_untwisted_character(neg, 1, Fraction(2), theta24)
+    sector = sector_invariants(neg, 1)
     twisted = twisted_character(sector, Fraction(2)).extract_weight_class(0)
     assert fixed.coefficient_at(2) == WEIGHT2_SPLIT[0]
     assert twisted.coefficient_at(2) == WEIGHT2_SPLIT[1]
@@ -218,8 +214,8 @@ def test_lattice_ground_truth(leech):
     assert counts == {0: 1, 2: 0, 4: KISSING_NUMBER}
     theta_enum = FracSeries.from_terms(
         {m // 2: c for m, c in counts.items()}, cutoff=2, grain=1)
-    untwisted = twined_untwisted_character(leech, negation_isometry(leech),
-                                           0, Fraction(2), theta=theta_enum)
+    untwisted = twined_untwisted_character(negation_isometry(leech), 0,
+                                           Fraction(2), theta_enum)
     assert untwisted.coefficient_at(1) == 24
     assert untwisted.coefficient_at(2) == 196884
     assert 196884 == KISSING_NUMBER + 324
@@ -332,10 +328,8 @@ def test_property_suites(leech, sigmas, theta24):
     g = sigmas[3].power(2)
     total = FracSeries.zero(2, 1)
     for j in range(3):
-        comp = eigencomponent_character(leech, g, 3, j, Fraction(2),
-                                        theta=theta24)
+        comp = eigencomponent_character(g, 3, j, Fraction(2), theta24)
         assert all(value >= 0 for _, value in comp.terms())
         total = total + comp
-    full = twined_untwisted_character(leech, g, 0, Fraction(2),
-                                      theta=theta24)
+    full = twined_untwisted_character(g, 0, Fraction(2), theta24)
     assert total == full

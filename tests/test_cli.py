@@ -110,10 +110,10 @@ def test_corrupted_isometry_becomes_failed_entries(corrupted_data):
     witness = by_slug["isometry-witness"]
     assert not witness.passed
     assert "NotGramPreserving" in witness.computed["error"]
-    # claims that never touch the isometry still pass
-    assert by_slug["isotropic-subgroups"].passed
-    assert by_slug["ising-characters"].passed
-    assert by_slug["lattice-ground-truth"].passed
+    # claims that never read sigma still pass
+    for slug in ("isotropic-subgroups", "integral-weight-labels", "z2-split",
+                 "ising-characters", "lattice-ground-truth"):
+        assert by_slug[slug].passed, slug
 
 
 def test_enumeration_budget_failure_says_how_far_it_got():

@@ -31,7 +31,7 @@ from orbifoldry.fusion import (
     weight_one_dimension_H2,
 )
 from orbifoldry.isometry import negation_isometry, verify_isometry
-from orbifoldry.lattice import Lattice
+from orbifoldry.lattice import Lattice, theta_series
 from orbifoldry.modular import moonshine_j, unimodular_theta_rank24
 from orbifoldry.sectors import (
     eigencomponent_character,
@@ -253,7 +253,7 @@ def test_integral_weight_labels_coprime_case():
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_orbifold_character_head(leech, sigmas, theta3, p):
     tau = sigmas[p].power(2)
-    ch = orbifold_character(leech, tau, p, Fraction(3), theta=theta3)
+    ch = orbifold_character(tau, Fraction(3), theta3)
     assert tuple(ch.coefficient_at(w) for w in range(4)) == MOONSHINE_HEAD[:4]
     for _, value in ch.terms():
         assert value.denominator == 1 and value >= 0
@@ -263,14 +263,14 @@ def test_orbifold_matches_modular_j(leech, sigmas):
     """Shifting by the central charge offset reproduces the J-expansion."""
     theta5 = unimodular_theta_rank24(5)
     tau = sigmas[3].power(2)
-    ch = orbifold_character(leech, tau, 3, Fraction(5), theta=theta5)
+    ch = orbifold_character(tau, Fraction(5), theta5)
     assert tuple(ch.coefficient_at(w) for w in range(5)) == MOONSHINE_HEAD
     assert ch.shift(-1) == moonshine_j(4)
 
 
 def test_orbifold_character_at_a_half_integral_cutoff(leech, sigmas, theta3):
-    for g, n in ((sigmas[3].power(2), 3), (negation_isometry(leech), 2)):
-        ch = orbifold_character(leech, g, n, Fraction(5, 2), theta=theta3)
+    for g in (sigmas[3].power(2), negation_isometry(leech)):
+        ch = orbifold_character(g, Fraction(5, 2), theta3)
         assert ch.weight_cutoff == Fraction(5, 2)
         assert [ch.coefficient_at(Fraction(k, 2)) for k in range(6)] == \
             [1, 0, 0, 0, 196884, 0]
@@ -278,10 +278,8 @@ def test_orbifold_character_at_a_half_integral_cutoff(leech, sigmas, theta3):
 
 def test_z2_and_zp_constructions_agree(leech, sigmas):
     theta5 = unimodular_theta_rank24(5)
-    z2 = orbifold_character(leech, negation_isometry(leech), 2, Fraction(5),
-                            theta=theta5)
-    zp = orbifold_character(leech, sigmas[3].power(2), 3, Fraction(5),
-                            theta=theta5)
+    z2 = orbifold_character(negation_isometry(leech), Fraction(5), theta5)
+    zp = orbifold_character(sigmas[3].power(2), Fraction(5), theta5)
     assert z2 == zp
     assert z2.shift(-1) == moonshine_j(4)
 
@@ -291,14 +289,9 @@ def test_shipped_p_power_is_negation(leech, sigmas):
         assert g.power(p).matrix == negation_isometry(leech).matrix
 
 
-def test_orbifold_not_separable_for_full_order(leech, sigmas):
+def test_orbifold_not_separable_for_full_order(leech, sigmas, theta3):
     with pytest.raises(NotSeparable):
-        orbifold_character(leech, sigmas[3], 6, Fraction(2))
-
-
-def test_orbifold_modulus_must_match_order(leech, sigmas):
-    with pytest.raises(MismatchedModulus):
-        orbifold_character(leech, sigmas[3].power(2), 6, Fraction(2))
+        orbifold_character(sigmas[3], Fraction(2), theta3)
 
 
 def test_orbifold_weight_hypothesis(theta3):
@@ -307,14 +300,14 @@ def test_orbifold_weight_hypothesis(theta3):
     neg = negation_isometry(small)
     with pytest.raises(WeightHypothesisFailed,
                        match=r"^sector 1 has conformal weight 1/8, "):
-        orbifold_character(small, neg, 2, Fraction(2))
+        orbifold_character(neg, Fraction(2), theta_series(small, 2))
 
 
 def test_sectors_of_one_cyclic_subgroup_compare_equal(leech, sigmas):
     # sigma^i and sigma^j with gcd(i, 26) = gcd(j, 26) generate one
     # subgroup, so their sectors agree in everything but the label
     g = sigmas[13]
-    first, third, second = (sector_invariants(leech, g, i) for i in (1, 3, 2))
+    first, third, second = (sector_invariants(g, i) for i in (1, 3, 2))
     assert (first.power, third.power) == (1, 3)
     assert first == third and hash(first) == hash(third)
     assert "power=3" in repr(third)
@@ -334,11 +327,9 @@ def test_axis_subgroup_resums_untwisted(leech, sigmas):
     axis = next(g for g in groups if as_pair_set(g) == {(0, 0), (0, 1)})
     total = None
     for a in axis.elements:
-        piece = eigencomponent_character(leech, neg, 2, a.j, Fraction(2),
-                                         theta=theta2)
+        piece = eigencomponent_character(neg, 2, a.j, Fraction(2), theta2)
         total = piece if total is None else total + piece
-    untwisted = twined_untwisted_character(leech, neg, 0, Fraction(2),
-                                           theta=theta2)
+    untwisted = twined_untwisted_character(neg, 0, Fraction(2), theta2)
     assert total == untwisted
 
 
@@ -347,18 +338,18 @@ def test_axis_subgroup_resums_untwisted(leech, sigmas):
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_weight_one_dimension(leech, sigmas, p):
-    assert weight_one_dimension_H2(leech, sigmas[p], p) == 24
+    assert weight_one_dimension_H2(sigmas[p]) == 24
     for i in range(1, 2 * p):
         if i % 2 == 0 or i == p:
             continue
-        ch = twisted_character(sector_invariants(leech, sigmas[p], i),
-                               Fraction(1))
+        ch = twisted_character(sector_invariants(sigmas[p], i), Fraction(1))
         assert ch.extract_weight_class(0).coefficient_at(1) == 24 // (p - 1)
 
 
 def test_weight_one_requires_matching_order(leech, sigmas):
-    with pytest.raises(MismatchedModulus):
-        weight_one_dimension_H2(leech, sigmas[3], 5)
+    # the order-3 power has no order-2p structure to read p from
+    with pytest.raises(MismatchedModulus, match="odd order 3"):
+        weight_one_dimension_H2(sigmas[3].power(2))
 
 
 def test_weight_one_certificate_failure():
@@ -368,4 +359,4 @@ def test_weight_one_certificate_failure():
     small = Lattice(gram)
     g = verify_isometry(small, rot)
     with pytest.raises(WeightHypothesisFailed):
-        weight_one_dimension_H2(small, g, 3)
+        weight_one_dimension_H2(g)

@@ -22,6 +22,14 @@ COMMANDS = {
     **{f"fusion-orbifold-p13-{c}.json": ["fusion", "orbifold", "--p", "13",
                                          "--cutoff", "14", "--construction", c]
        for c in ("zp", "z2")},
+    **{f"sectors-table-p{p}.json": ["sectors", "table", "--p", str(p)]
+       for p in (3, 5, 7, 13)},
+    "sectors-table-p5.md": ["sectors", "table", "--p", "5",
+                            "--format", "markdown"],
+    "sectors-character-p13-i3-c4.json": ["sectors", "character", "--p", "13",
+                                         "--i", "3", "--cutoff", "4"],
+    **{f"fusion-weight1-p{p}.json": ["fusion", "weight1", "--p", str(p)]
+       for p in (3, 5, 7, 13)},
 }
 
 

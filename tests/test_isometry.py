@@ -157,9 +157,8 @@ def test_each_spectral_fact_is_computed_once(leech, monkeypatch):
                         lambda matrix: calls.append(1) or kernel(matrix))
     sigma = load_sigma(13, lattice=leech)
     for i in range(1, 26):
-        sector_invariants(leech, sigma, i)
-    orbifold_character(leech, sigma.power(2), 13, Fraction(2),
-                       theta=unimodular_theta_rank24(2))
+        sector_invariants(sigma, i)
+    orbifold_character(sigma.power(2), Fraction(2), unimodular_theta_rank24(2))
     # only the root's matrix is reduced; its powers read the root's profile
     assert len(calls) == 1
     assert sigma.power(7) is sigma.power(7)

@@ -166,6 +166,13 @@ def test_geometric_inverse():
     assert all(geo.coefficient_at(n) == 1 for n in range(9))
 
 
+def test_equal_series_hash_equal_across_grains():
+    a, b = FracSeries.one(2, grain=1), FracSeries.one(2, grain=2)
+    assert a == b and hash(a) == hash(b)
+    assert b in {a} and len({a, b}) == 1
+    assert FracSeries.one(3, grain=1) not in {a}
+
+
 def test_coefficient_off_grid_is_zero():
     s = FracSeries.from_terms({0: 1, 1: -1}, cutoff=4)
     assert s.coefficient_at(F(1, 2)) == 0

@@ -13,7 +13,7 @@ import pytest
 from direct_products import direct_grading_product
 from orbifoldry.datafiles import SUPPORTED_P, load_generators, load_leech, load_sigma
 from orbifoldry.isometry import OrderDoesNotDivide, negation_isometry
-from orbifoldry.lattice import quotient_invariants
+from orbifoldry.lattice import quotient_invariants, theta_series
 from orbifoldry.modular import unimodular_theta_rank24
 from orbifoldry.sectors import (
     FixedPointsPresent,
@@ -52,6 +52,11 @@ def leech():
 @pytest.fixture(scope="module")
 def sigmas(leech):
     return {p: load_sigma(p, lattice=leech) for p in SUPPORTED_P}
+
+
+@pytest.fixture(scope="module")
+def theta2():
+    return unimodular_theta_rank24(2)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +103,7 @@ def test_sector_invariants_three_cases(leech, sigmas, p):
     """Weight and defect of every nontrivial power, by residue class."""
     g = sigmas[p]
     for i in range(1, 2 * p):
-        inv = sector_invariants(leech, g, i)
+        inv = sector_invariants(g, i)
         assert inv.modulus == 2 * p and inv.power == i
         if i == p:
             assert inv.rho == Fraction(3, 2)
@@ -128,8 +133,8 @@ def test_quotient_invariants_of_sector_maps(leech, sigmas, p):
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_lower_modulus_consistency(sigmas, leech, p):
     """The order-p power seen on its own terms gives the same sector data."""
-    via_even_power = sector_invariants(leech, sigmas[p], 2)
-    direct = sector_invariants(leech, sigmas[p].power(2), 1)
+    via_even_power = sector_invariants(sigmas[p], 2)
+    direct = sector_invariants(sigmas[p].power(2), 1)
     assert direct.modulus == p
     assert direct.rho == via_even_power.rho == Fraction(p + 1, p)
     assert direct.defect_dim == via_even_power.defect_dim
@@ -137,34 +142,31 @@ def test_lower_modulus_consistency(sigmas, leech, p):
 
 def test_identity_power_rejected(leech, sigmas):
     with pytest.raises(FixedPointsPresent):
-        sector_invariants(leech, sigmas[3], 0)
+        sector_invariants(sigmas[3], 0)
     with pytest.raises(FixedPointsPresent):
-        sector_invariants(leech, sigmas[3], 6)
+        sector_invariants(sigmas[3], 6)
 
 
 def test_sector_invariants_validation():
-    good = SectorInvariants(power=1, modulus=2, rho=Fraction(3, 2),
-                            defect_dim=4096, eig_dims=(0, 24))
-    assert good.rho == Fraction(3, 2)
+    good = SectorInvariants(power=1, defect_dim=4096, eig_dims=(0, 24))
+    assert good.modulus == 2 and good.rho == Fraction(3, 2)
     with pytest.raises(ValueError):
-        SectorInvariants(power=1, modulus=2, rho=Fraction(1, 2),
-                         defect_dim=4096, eig_dims=(0, 24))
-    with pytest.raises(ValueError):
-        SectorInvariants(power=1, modulus=2, rho=Fraction(3, 2),
-                         defect_dim=0, eig_dims=(0, 24))
+        SectorInvariants(power=1, defect_dim=0, eig_dims=(0, 24))
+    with pytest.raises(FixedPointsPresent):
+        SectorInvariants(power=1, defect_dim=1, eig_dims=(1, 23))
 
 
 def test_defect_dimension_direct(leech, sigmas):
-    assert defect_dimension(leech, negation_isometry(leech), 1) == 4096
-    assert defect_dimension(leech, sigmas[3], 1) == 1
-    assert defect_dimension(leech, sigmas[3], 2) == 729
+    assert defect_dimension(negation_isometry(leech), 1) == 4096
+    assert defect_dimension(sigmas[3], 1) == 1
+    assert defect_dimension(sigmas[3], 2) == 729
 
 
 # ----- twisted characters ---------------------------------------------------
 
 
 def test_twisted_character_involution_sector(leech):
-    sector = sector_invariants(leech, negation_isometry(leech), 1)
+    sector = sector_invariants(negation_isometry(leech), 1)
     ch = twisted_character(sector, Fraction(4))
     assert ch.leading_term() == (Fraction(3, 2), 4096)
     assert ch.coefficient_at(2) == 4096 * 24 == 98304
@@ -175,7 +177,7 @@ def test_twisted_character_involution_sector(leech):
 
 
 def test_twisted_character_oracle_sweep(leech, sigmas):
-    sector = sector_invariants(leech, sigmas[3], 1)
+    sector = sector_invariants(sigmas[3], 1)
     ch = twisted_character(sector, Fraction(3))
     modes = [(Fraction(j, 6), d) for j, d in enumerate(sector.eig_dims) if d]
     counts = mode_partition_counts(modes, 6, 13)
@@ -186,9 +188,9 @@ def test_twisted_character_oracle_sweep(leech, sigmas):
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_twisted_character_leading_terms(leech, sigmas, p):
-    odd = twisted_character(sector_invariants(leech, sigmas[p], 1), Fraction(2))
+    odd = twisted_character(sector_invariants(sigmas[p], 1), Fraction(2))
     assert odd.leading_term() == (Fraction(2 * p - 1, 2 * p), 1)
-    even = twisted_character(sector_invariants(leech, sigmas[p], 2), Fraction(2))
+    even = twisted_character(sector_invariants(sigmas[p], 2), Fraction(2))
     assert even.leading_term() == (Fraction(p + 1, p), p ** (12 // (p - 1)))
 
 
@@ -197,7 +199,7 @@ def test_twisted_character_matches_direct_product(leech, sigmas, p):
     """Every sector's character at cutoff 4 against the factor-by-factor
     product; rho lies on the 1/m grid, so no flooring is involved."""
     for i in range(1, 2 * p):
-        sector = sector_invariants(leech, sigmas[p], i)
+        sector = sector_invariants(sigmas[p], i)
         m = sector.modulus
         modes = [(Fraction(j, m), d) for j, d in enumerate(sector.eig_dims) if j and d]
         fock = direct_grading_product(modes, 4 - sector.rho, grain=m)
@@ -206,7 +208,7 @@ def test_twisted_character_matches_direct_product(leech, sigmas, p):
 
 
 def test_twisted_character_below_leading_weight(leech):
-    sector = sector_invariants(leech, negation_isometry(leech), 1)
+    sector = sector_invariants(negation_isometry(leech), 1)
     ch = twisted_character(sector, Fraction(1))
     assert ch.terms() == []
     assert ch.coefficient_at(1) == 0
@@ -217,40 +219,41 @@ def test_twisted_character_below_leading_weight(leech):
 
 def test_untwisted_character(leech, theta4):
     neg = negation_isometry(leech)
-    ch = twined_untwisted_character(leech, neg, 0, Fraction(4), theta=theta4)
+    ch = twined_untwisted_character(neg, 0, Fraction(4), theta4)
     assert tuple(ch.coefficient_at(w) for w in range(5)) == UNTWISTED
 
 
 def test_untwisted_character_dual_theta_routes(leech):
     """Enumerated theta and the modular-identity theta must agree."""
     neg = negation_isometry(leech)
-    enumerated = twined_untwisted_character(leech, neg, 0, Fraction(2))
-    modular = twined_untwisted_character(
-        leech, neg, 0, Fraction(2), theta=unimodular_theta_rank24(2))
+    enumerated = twined_untwisted_character(neg, 0, Fraction(2),
+                                            theta_series(leech, 2))
+    modular = twined_untwisted_character(neg, 0, Fraction(2),
+                                         unimodular_theta_rank24(2))
     assert enumerated == modular
     assert enumerated.coefficient_at(2) == 196884
 
 
 def test_twined_negation_series(leech, theta4):
     neg = negation_isometry(leech)
-    tw = twined_untwisted_character(leech, neg, 1, Fraction(4), theta=theta4)
+    tw = twined_untwisted_character(neg, 1, Fraction(4), theta4)
     assert tuple(tw.coefficient_at(w) for w in range(5)) == TWINED_NEGATION
 
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
-def test_twined_weight_one_is_trace(leech, sigmas, p):
+def test_twined_weight_one_is_trace(leech, sigmas, theta2, p):
     g = sigmas[p]
     for j in (1, 2):
-        tw = twined_untwisted_character(leech, g, j, Fraction(2))
+        tw = twined_untwisted_character(g, j, Fraction(2), theta2)
         mat = g.power(j).matrix
         assert tw.coefficient_at(0) == 1
         assert tw.coefficient_at(1) == sum(mat[i][i] for i in range(24))
 
 
-def test_twined_rejects_fixed_sublattice(leech):
+def test_twined_rejects_fixed_sublattice(leech, theta2):
     gen_a, _ = load_generators(lattice=leech)
     with pytest.raises(UnsupportedFixedSublattice):
-        twined_untwisted_character(leech, gen_a, 1, Fraction(2))
+        twined_untwisted_character(gen_a, 1, Fraction(2), theta2)
 
 
 # ----- eigencomponents ------------------------------------------------------
@@ -268,24 +271,24 @@ def test_moebius_and_ramanujan():
 
 def test_sign_split_under_negation(leech, theta4):
     neg = negation_isometry(leech)
-    even = eigencomponent_character(leech, neg, 2, 0, Fraction(4), theta=theta4)
-    odd = eigencomponent_character(leech, neg, 2, 1, Fraction(4), theta=theta4)
+    even = eigencomponent_character(neg, 2, 0, Fraction(4), theta4)
+    odd = eigencomponent_character(neg, 2, 1, Fraction(4), theta4)
     assert tuple(even.coefficient_at(w) for w in range(5)) == EVEN_PART
     assert tuple(odd.coefficient_at(w) for w in range(5)) == ODD_PART
-    total = twined_untwisted_character(leech, neg, 0, Fraction(4), theta=theta4)
+    total = twined_untwisted_character(neg, 0, Fraction(4), theta4)
     assert even + odd == total
 
 
 def test_eigencomponents_complete_and_nonnegative(leech, sigmas):
     theta3 = unimodular_theta_rank24(3)
     g = sigmas[3]
-    comps = [eigencomponent_character(leech, g, 6, j, Fraction(3), theta=theta3)
+    comps = [eigencomponent_character(g, 6, j, Fraction(3), theta3)
              for j in range(6)]
     assert comps[0].coefficient_at(1) == 0
     total = comps[0]
     for piece in comps[1:]:
         total = total + piece
-    untwisted = twined_untwisted_character(leech, g, 0, Fraction(3), theta=theta3)
+    untwisted = twined_untwisted_character(g, 0, Fraction(3), theta3)
     assert total == untwisted
     for piece in comps:
         for exponent, value in piece.terms():
@@ -294,24 +297,22 @@ def test_eigencomponents_complete_and_nonnegative(leech, sigmas):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [5, 7, 13])
-def test_eigencomponents_complete_larger_orders(leech, sigmas, p):
-    theta2 = unimodular_theta_rank24(2)
+def test_eigencomponents_complete_larger_orders(leech, sigmas, theta2, p):
     g = sigmas[p]
     m = 2 * p
-    comps = [eigencomponent_character(leech, g, m, j, Fraction(2), theta=theta2)
+    comps = [eigencomponent_character(g, m, j, Fraction(2), theta2)
              for j in range(m)]
     total = comps[0]
     for piece in comps[1:]:
         total = total + piece
-    assert total == twined_untwisted_character(leech, g, 0, Fraction(2),
-                                               theta=theta2)
+    assert total == twined_untwisted_character(g, 0, Fraction(2), theta2)
     for piece in comps:
         for _, value in piece.terms():
             assert value.denominator == 1 and value >= 0
 
 
-def test_eigencomponent_wrong_modulus(leech, sigmas):
+def test_eigencomponent_wrong_modulus(leech, sigmas, theta2):
     with pytest.raises(OrderDoesNotDivide):
-        eigencomponent_character(leech, sigmas[3], 5, 0, Fraction(2))
+        eigencomponent_character(sigmas[3], 5, 0, Fraction(2), theta2)
     with pytest.raises(ValueError):
-        eigencomponent_character(leech, sigmas[3], 0, 0, Fraction(2))
+        eigencomponent_character(sigmas[3], 0, 0, Fraction(2), theta2)
