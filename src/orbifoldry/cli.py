@@ -31,6 +31,7 @@ from .fusion import (
     integral_weight_labels,
     maximal_isotropic_subgroups,
     orbifold_character,
+    weight_one_by_sector,
     weight_one_dimension_H2,
 )
 from .ising import ALLOWED_WEIGHTS, c12_character, extension_weight_one_check
@@ -38,7 +39,6 @@ from .isometry import (
     DEFAULT_SEARCH_BUDGET,
     Isometry,
     cyclotomic_profile,
-    eigenspace_dims,
     multiplicative_order,
     negation_isometry,
     search_isometry,
@@ -49,13 +49,13 @@ from .lattice import (
     enumerate_vectors_by_norm,
     load_lattice,
     parse_matrix,
+    theta_series,
 )
 from .modular import moonshine_j, unimodular_theta_rank24
 from .qseries import FracSeries
 from .report import ClaimEntry, Report, emit_report, plain
 from .sectors import (
-    conformal_weight,
-    defect_dimension,
+    SectorInvariants,
     eigencomponent_character,
     sector_invariants,
     twined_untwisted_character,
@@ -130,6 +130,11 @@ class _Context:
         return self._get(("theta", depth),
                          lambda: unimodular_theta_rank24(depth))
 
+    def sectors(self) -> list[SectorInvariants]:
+        """The invariants of the sigma^i-twisted sectors, i = 1..2p-1."""
+        return self._get("sectors", lambda: [
+            sector_invariants(self.sigma(), i) for i in range(1, 2 * self.p)])
+
 
 # ----- claim bodies ---------------------------------------------------------
 
@@ -169,8 +174,7 @@ def _witness_computed(cfg: RunConfig, ctx: _Context) -> Any:
     # load_sigma verified the Gram preservation; a corrupt sigma raises there
     g = ctx.sigma()
     profile = cyclotomic_profile(g)
-    return {"order": multiplicative_order(g),
-            "profile": {str(d): mult for d, mult in profile.factors},
+    return {"order": multiplicative_order(g), "profile": profile.as_dict(),
             "fixed_sublattice_rank": profile.multiplicity(1),
             "gram_preserving": True}
 
@@ -180,9 +184,7 @@ def _dims_expected(cfg: RunConfig) -> Any:
 
 
 def _dims_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    g = ctx.sigma()
-    return {str(i): list(eigenspace_dims(g.power(i), 2 * cfg.p))
-            for i in range(1, 2 * cfg.p)}
+    return {i: inv.eig_dims for i, inv in enumerate(ctx.sectors(), 1)}
 
 
 def _weights_expected(cfg: RunConfig) -> Any:
@@ -190,10 +192,7 @@ def _weights_expected(cfg: RunConfig) -> Any:
 
 
 def _weights_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    g = ctx.sigma()
-    m = 2 * cfg.p
-    return {str(i): conformal_weight(eigenspace_dims(g.power(i), m), m)
-            for i in range(1, m)}
+    return {i: inv.rho for i, inv in enumerate(ctx.sectors(), 1)}
 
 
 def _defects_expected(cfg: RunConfig) -> Any:
@@ -206,9 +205,8 @@ def _defects_expected(cfg: RunConfig) -> Any:
 
 
 def _defects_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    g = ctx.sigma()
-    out: dict[str, Any] = {str(i): defect_dimension(g, i)
-                           for i in range(1, 2 * cfg.p)}
+    out: dict[Any, Any] = {i: inv.defect_dim
+                           for i, inv in enumerate(ctx.sectors(), 1)}
     # L/2L is the quotient by 1 - (-1) = 2
     out["quotient_one_minus_tau"] = list(ctx.tau().coinvariant_divisors)
     out["quotient_doubling"] = list(ctx.negation().coinvariant_divisors)
@@ -264,19 +262,15 @@ def _weight_one_expected(cfg: RunConfig) -> Any:
     return {"total": 24, "per_sector": per}
 
 
-def _weight_one_table(g: Isometry, p: int) -> dict[str, Any]:
+def _weight_one_table(g: Isometry) -> dict[str, Any]:
     """Weight-one dimension of the order-2p extension and the weight-one
     coefficient of each odd sector other than p."""
-    per = {}
-    for i in range(1, 2 * p, 2):
-        if i != p:
-            ch = twisted_character(sector_invariants(g, i), Fraction(1))
-            per[str(i)] = ch.extract_weight_class(0).coefficient_at(1)
-    return {"total": weight_one_dimension_H2(g), "per_sector": per}
+    return {"total": weight_one_dimension_H2(g),
+            "per_sector": weight_one_by_sector(g)}
 
 
 def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    return _weight_one_table(ctx.sigma(), cfg.p)
+    return _weight_one_table(ctx.sigma())
 
 
 def _moonshine_expected(cfg: RunConfig) -> Any:
@@ -329,21 +323,20 @@ def _ground_truth_expected(cfg: RunConfig) -> Any:
 
 def _ground_truth_computed(cfg: RunConfig, ctx: _Context) -> Any:
     lat = ctx.lattice()
-    counts = enumerate_vectors_by_norm(lat, 6, budget=cfg.enumeration_budget)
-    theta_enum = FracSeries.from_terms(
-        {m // 2: c for m, c in counts.items()}, cutoff=3, grain=1)
+    theta_enum = theta_series(lat, 3, budget=cfg.enumeration_budget)
+    counts = [theta_enum.coefficient_at(w) for w in range(4)]
     modular = ctx.theta(3)
     untwisted = twined_untwisted_character(ctx.negation(), 0, Fraction(2),
                                            theta_enum)
     w2 = untwisted.coefficient_at(2)
     return {"rank": lat.rank, "determinant": lat.determinant(),
             "even": all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank)),
-            "norm_counts": {str(m): c for m, c in sorted(counts.items())},
+            "norm_counts": {2 * w: c for w, c in enumerate(counts)},
             "matches_modular_theta": theta_enum.agrees_with(modular),
             "modular_theta_depth": min(theta_enum.weight_cutoff,
                                        modular.weight_cutoff),
             "weight1": untwisted.coefficient_at(1), "weight2": w2,
-            "oscillator_weight2": w2 - counts[4]}
+            "oscillator_weight2": w2 - counts[2]}
 
 
 def _fermion_parity_counts(max_units: int) -> list[list[int]]:
@@ -561,7 +554,7 @@ def _cmd_isometry_verify(args: argparse.Namespace,
     _, iso = _load_isometry_args(args)
     profile = cyclotomic_profile(iso)
     _emit({"gram_preserving": True, "order": multiplicative_order(iso),
-           "profile": {str(d): m for d, m in profile.factors}})
+           "profile": profile.as_dict()})
     return 0
 
 
@@ -570,9 +563,8 @@ def _cmd_isometry_profile(args: argparse.Namespace,
     _, iso = _load_isometry_args(args)
     profile = cyclotomic_profile(iso)
     order = multiplicative_order(iso)
-    _emit({"order": order,
-           "profile": {str(d): m for d, m in profile.factors},
-           "eigenspace_dims": list(eigenspace_dims(iso, order))})
+    _emit({"order": order, "profile": profile.as_dict(),
+           "eigenspace_dims": profile.eigenspace_dims(order)})
     return 0
 
 
@@ -589,19 +581,15 @@ def _cmd_isometry_search(args: argparse.Namespace,
     _emit({"p": args.p, "seed": seed, "budget": budget,
            "word": list(result.word),
            "order": multiplicative_order(result.isometry),
-           "profile": {str(d): m for d, m in profile.factors}})
+           "profile": profile.as_dict()})
     return 0
 
 
 def _cmd_sectors_table(args: argparse.Namespace, config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
-    g = ctx.sigma()
-    rows = []
-    for i in range(1, 2 * args.p):
-        inv = sector_invariants(g, i)
-        rows.append({"i": i, "eigenspace_dims": list(inv.eig_dims),
-                     "conformal_weight": inv.rho,
-                     "defect_dim": inv.defect_dim})
+    rows = [{"i": i, "eigenspace_dims": inv.eig_dims,
+             "conformal_weight": inv.rho, "defect_dim": inv.defect_dim}
+            for i, inv in enumerate(ctx.sectors(), 1)]
     fmt = _resolve(args, config, "format", "json", str)
     if fmt == "json":
         _emit({"p": args.p, "sectors": rows})
@@ -658,7 +646,7 @@ def _cmd_fusion_orbifold(args: argparse.Namespace,
 def _cmd_fusion_weight1(args: argparse.Namespace,
                         config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
-    _emit({"p": args.p, **_weight_one_table(ctx.sigma(), args.p)})
+    _emit({"p": args.p, **_weight_one_table(ctx.sigma())})
     return 0
 
 

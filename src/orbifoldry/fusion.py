@@ -37,6 +37,7 @@ __all__ = [
     "maximal_isotropic_subgroups",
     "orbifold_character",
     "q_delta",
+    "weight_one_by_sector",
     "weight_one_dimension_H2",
 ]
 
@@ -85,9 +86,6 @@ class QuadSpace:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("modulus must be positive")
-
-    def label(self, i: int, j: int) -> FusionLabel:
-        return FusionLabel(i, j, self.n)
 
     def elements(self) -> list[FusionLabel]:
         return [FusionLabel(i, j, self.n)
@@ -257,10 +255,11 @@ def orbifold_character(g: Isometry, cutoff: Rational,
     return total
 
 
-def weight_one_dimension_H2(g: Isometry) -> int:
-    """Weight-one dimension of the extension along {(i, 0)} for an
-    isometry of even order 2p: only the odd sectors other than p reach
-    weight one, and each contributes its count of 1/2p-weight modes.
+def weight_one_by_sector(g: Isometry) -> dict[int, int]:
+    """Weight-one coefficient of the integral-weight class of each twisted
+    sector i that reaches weight one in the extension along {(i, 0)},
+    for an isometry of even order 2p: these are the odd sectors other
+    than p, each contributing its count of 1/2p-weight modes.
 
     The even and p sectors are certified absent by their conformal
     weights exceeding one.
@@ -268,7 +267,7 @@ def weight_one_dimension_H2(g: Isometry) -> int:
     p, odd = divmod(multiplicative_order(g), 2)
     if odd:
         raise MismatchedModulus(f"isometry has odd order {2 * p + 1}")
-    total = 0
+    per: dict[int, int] = {}
     for i in range(1, 2 * p):
         inv = sector_invariants(g, i)
         if i % 2 == 0 or i == p:
@@ -281,5 +280,11 @@ def weight_one_dimension_H2(g: Isometry) -> int:
         if contribution.denominator != 1:
             raise WeightHypothesisFailed(
                 f"sector {i} has non-integer weight-one coefficient")
-        total += int(contribution)
-    return total
+        per[i] = int(contribution)
+    return per
+
+
+def weight_one_dimension_H2(g: Isometry) -> int:
+    """Weight-one dimension of the extension along {(i, 0)} for an
+    isometry of even order 2p: the sum of weight_one_by_sector."""
+    return sum(weight_one_by_sector(g).values())

@@ -47,10 +47,6 @@ class NotGramPreserving(ValueError):
     """The matrix does not preserve the lattice inner product."""
 
 
-class NotUnimodular(ValueError):
-    """The matrix determinant is not +1 or -1."""
-
-
 class NonCyclotomicFactor(ArithmeticError):
     """The matrix is not of finite order: its lifted characteristic
     polynomial has a non-cyclotomic factor, or M^order != I for the order
@@ -91,10 +87,10 @@ def _mat_power(matrix: Sequence[Sequence[int]], k: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class Isometry:
-    """A Gram-preserving unimodular integer matrix acting on a lattice.
+    """A Gram-preserving integer matrix acting on a lattice.
 
     The action convention is on column vectors: matrix.T @ gram @ matrix
-    must equal gram.  Both invariants are checked at construction.
+    must equal gram, which is checked at construction.
 
     Every constructed instance is the root of its own power cache.  The
     powers that power() makes skip construction: a product of copies of
@@ -120,8 +116,7 @@ class Isometry:
         mg = _mat_mul(mt, gram)
         if _freeze(_mat_mul(mg, matrix)) != gram:
             raise NotGramPreserving("matrix.T @ gram @ matrix != gram")
-        if _det_int(matrix) not in (1, -1):
-            raise NotUnimodular("determinant is not +1 or -1")
+        # det(M)^2 det(G) = det(G) > 0 then forces det(M) = +-1
         object.__setattr__(self, "_root", self)
         object.__setattr__(self, "_exponent", 1)
         object.__setattr__(self, "_powers", {})
@@ -232,8 +227,8 @@ class Isometry:
 
 
 def verify_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> Isometry:
-    """Check Gram preservation and unimodularity; return the wrapped isometry."""
-    return Isometry(lattice=lattice, matrix=_freeze(matrix))
+    """Check Gram preservation; return the wrapped isometry."""
+    return Isometry(lattice=lattice, matrix=matrix)
 
 
 def identity_isometry(lattice: Lattice) -> Isometry:
@@ -381,6 +376,16 @@ class CycloProfile:
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 
+    def eigenspace_dims(self, modulus: int) -> tuple[int, ...]:
+        """Complex eigenspace dimensions for eigenvalues ζ_m^{-j}, j = 0..m-1,
+        the order dividing m: entry j is the multiplicity of Phi_{m/gcd(j,m)}."""
+        if modulus < 1:
+            raise ValueError("modulus must be positive")
+        if modulus % self.order:
+            raise OrderDoesNotDivide(f"isometry order {self.order} does not divide {modulus}")
+        table = self.as_dict()
+        return tuple(table.get(modulus // gcd(j, modulus), 0) for j in range(modulus))
+
     def multiplicity(self, d: int) -> int:
         return dict(self.factors).get(d, 0)
 
@@ -444,18 +449,9 @@ def power_profile(profile: CycloProfile, k: int) -> CycloProfile:
 
 
 def eigenspace_dims(g: Isometry, modulus: int) -> tuple[int, ...]:
-    """Complex eigenspace dimensions for eigenvalues ζ_m^{-j}, j = 0..m-1.
-
-    Requires g^m = identity; the j-th entry is the multiplicity of the
-    cyclotomic factor whose roots have multiplicative order m/gcd(j,m).
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    profile = cyclotomic_profile(g)
-    if modulus % profile.order:
-        raise OrderDoesNotDivide(f"isometry order {profile.order} does not divide {modulus}")
-    table = profile.as_dict()
-    return tuple(table.get(modulus // gcd(j, modulus), 0) for j in range(modulus))
+    """Complex eigenspace dimensions of g for eigenvalues ζ_m^{-j}, j = 0..m-1
+    (CycloProfile.eigenspace_dims); requires g^m = identity."""
+    return cyclotomic_profile(g).eigenspace_dims(modulus)
 
 
 # ----- randomized word search -------------------------------------------

@@ -139,13 +139,16 @@ class Lattice:
         minors = _bareiss(gram)[0]
         if len(minors) < n or any(m <= 0 for m in minors):
             raise NotPositiveDefinite("a leading principal minor is not positive")
+        # a positive definite Gram needs no row swaps: its determinant is
+        # the last leading minor
+        object.__setattr__(self, "_determinant", minors[-1] if n else 1)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def determinant(self) -> int:
-        return _det_int(self.gram)
+        return self._determinant
 
     def norm(self, vector: Sequence[int]) -> int:
         """⟨v,v⟩ of an integer coordinate vector in the lattice basis."""

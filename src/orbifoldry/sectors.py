@@ -138,6 +138,12 @@ def twisted_character(sector: SectorInvariants, cutoff: Rational) -> FracSeries:
     return FracSeries.from_terms(terms, cutoff=c, grain=grain)
 
 
+@lru_cache(maxsize=None)
+def _fock_product(rank: int, cutoff: int) -> FracSeries:
+    """prod_{n>=1} (1-q^n)^{-rank} through weight cutoff, built once."""
+    return grading_product([(1, rank)], cutoff=cutoff, grain=1)
+
+
 def twined_untwisted_character(g: Isometry, j: int, cutoff: Rational,
                                theta: FracSeries) -> FracSeries:
     """Graded trace of g^j on the untwisted space, in the weight grading.
@@ -159,7 +165,7 @@ def twined_untwisted_character(g: Isometry, j: int, cutoff: Rational,
     gj = g.power(j)
     n_rank = g.lattice.rank
     if gj.is_identity():
-        series = theta * grading_product([(1, n_rank)], cutoff=top, grain=1)
+        series = theta * _fock_product(n_rank, top)
     else:
         profile = cyclotomic_profile(gj)
         if profile.multiplicity(1):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifoldry import isometry, lattice
+from orbifoldry import isometry, lattice, sectors
 from orbifoldry.cli import (
     CLAIM_REGISTRY,
     DEFAULT_SUITE_CUTOFF,
@@ -211,6 +211,24 @@ def test_suite_builds_only_the_power_matrices_it_reads(counted_p13_report):
     # that certifies sigma's order, (-1)^2, and tau's matrix for its Smith
     # form; eigenspace dimensions read profiles, not matrices
     assert calls["mat_mul"] <= 12
+
+
+def test_suite_builds_one_fock_product_per_cutoff(monkeypatch):
+    cutoffs = []
+    build = sectors.grading_product
+
+    def counted(modes, *args, **kwargs):
+        if list(modes) == [(1, 24)]:
+            cutoffs.append(kwargs["cutoff"])
+        return build(modes, *args, **kwargs)
+
+    sectors._fock_product.cache_clear()
+    monkeypatch.setattr(sectors, "grading_product", counted)
+    report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(10)))
+    assert report.all_passed
+    # the moonshine-character untwisted parts at the cutoff, and the
+    # z2-split and lattice-ground-truth ones at weight 2
+    assert len(cutoffs) <= 2
 
 
 def test_fusion_orbifold_builds_one_twisted_character(capsys):

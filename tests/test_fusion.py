@@ -28,6 +28,7 @@ from orbifoldry.fusion import (
     maximal_isotropic_subgroups,
     orbifold_character,
     q_delta,
+    weight_one_by_sector,
     weight_one_dimension_H2,
 )
 from orbifoldry.isometry import negation_isometry, verify_isometry
@@ -344,6 +345,13 @@ def test_weight_one_dimension(leech, sigmas, p):
             continue
         ch = twisted_character(sector_invariants(sigmas[p], i), Fraction(1))
         assert ch.extract_weight_class(0).coefficient_at(1) == 24 // (p - 1)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_P)
+def test_weight_one_by_sector_reads_the_odd_sectors(sigmas, p):
+    per = weight_one_by_sector(sigmas[p])
+    assert per == {i: 24 // (p - 1) for i in range(1, 2 * p, 2) if i != p}
+    assert all(type(c) is int for c in per.values())
 
 
 def test_weight_one_requires_matching_order(leech, sigmas):

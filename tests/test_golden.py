@@ -1,4 +1,4 @@
-"""Report bytes: the standard output of the main commands, compared byte
+"""Report bytes: the standard output of every subcommand, compared byte
 for byte with the files under tests/golden/.
 
 A change that means to alter a report regenerates the file it changes,
@@ -6,16 +6,21 @@ from the root of a checkout, for example
 
     PYTHONPATH=src python -m orbifoldry verify --p 3 > tests/golden/verify-p3.json
 
-and says in its description which fields moved and why.
+and says in its description which fields moved and why.  Commands that
+echo a file path are given one relative to the root of the checkout.
 """
 
+import argparse
 from pathlib import Path
 
 import pytest
 
-from orbifoldry.cli import main
+from orbifoldry.cli import _build_parser, main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+GRAM = "src/orbifoldry/data/leech_gram.txt"
+SIGMA = "src/orbifoldry/data/sigma_p13.txt"
 
 COMMANDS = {
     **{f"verify-p{p}.json": ["verify", "--p", str(p)] for p in (3, 5, 7, 13)},
@@ -30,11 +35,47 @@ COMMANDS = {
                                          "--i", "3", "--cutoff", "4"],
     **{f"fusion-weight1-p{p}.json": ["fusion", "weight1", "--p", str(p)]
        for p in (3, 5, 7, 13)},
+    "lattice-check.json": ["lattice", "check", GRAM],
+    "lattice-theta-n4.json": ["lattice", "theta", GRAM, "--max-norm", "4"],
+    "isometry-verify-p13.json": ["isometry", "verify", GRAM, SIGMA],
+    "isometry-profile-p13.json": ["isometry", "profile", GRAM, SIGMA],
+    "isometry-search-p13.json": ["isometry", "search", "--p", "13"],
+    "fusion-isotropic-n26.json": ["fusion", "isotropic", "--n", "26"],
+    "ising-chars-c4.json": ["ising", "chars", "--cutoff", "4"],
+    "ising-extension-check.json": ["ising", "extension-check"],
 }
+
+
+def _subcommands(parser: argparse.ArgumentParser):
+    """Name and parser of each subcommand, or nothing for a leaf."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices.items()
+    return ()
+
+
+def _command_paths(parser: argparse.ArgumentParser,
+                   prefix: tuple[str, ...] = ()):
+    children = _subcommands(parser)
+    if not children:
+        yield prefix
+    for name, child in children:
+        yield from _command_paths(child, prefix + (name,))
 
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_stdout_matches_the_golden_report(name, capsys, monkeypatch):
     monkeypatch.delenv("ORBIFOLDRY_DATA", raising=False)
+    monkeypatch.chdir(ROOT)
     assert main(COMMANDS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_every_subcommand_has_a_golden_report():
+    paths = set(_command_paths(_build_parser()))
+    covered = {path for path in paths
+               for argv in COMMANDS.values()
+               if tuple(argv[:len(path)]) == path}
+    # the walk reaches both bare commands and subcommands
+    assert {("verify",), ("lattice", "check")} <= paths
+    assert sorted(paths - covered) == []

@@ -33,7 +33,7 @@ from orbifoldry.isometry import (
     search_isometry,
     verify_isometry,
 )
-from orbifoldry.lattice import Lattice, SingularMatrix, quotient_invariants
+from orbifoldry.lattice import Lattice, SingularMatrix, _det_int, quotient_invariants
 from orbifoldry.modular import unimodular_theta_rank24
 from orbifoldry.sectors import sector_invariants
 
@@ -214,6 +214,42 @@ def test_coinvariants_of_signed_permutations_match_direct_smith_forms():
             assert multiplicative_order(g) == k
             orders.add(k)
     assert {6, 12, 30} <= orders
+
+
+def test_gram_preservation_forces_unit_determinant(sigmas):
+    # the constructor checks only M^T G M = G; det(M) = +-1 must follow
+    for p, sigma in sigmas.items():
+        for k in range(1, multiplicative_order(sigma) + 1):
+            assert _det_int(sigma.power(k).matrix) in (1, -1), (p, k)
+    rng = random.Random(1811)
+    for n in range(1, 7):
+        for _ in range(8):
+            # a signed permutation of a diagonal basis, within blocks of
+            # equal norm, seen in a random basis u: G = u^T D u, M = u^-1 P u
+            scales = [rng.choice((1, 2, 3)) for _ in range(n)]
+            perm = list(range(n))
+            for scale in set(scales):
+                block = [i for i in range(n) if scales[i] == scale]
+                for i, j in zip(block, rng.sample(block, len(block))):
+                    perm[i] = j
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            signed = [[signs[c] if perm[c] == r else 0 for c in range(n)]
+                      for r in range(n)]
+            u = [[int(r == c) for c in range(n)] for r in range(n)]
+            u_inv = [row[:] for row in u]
+            for _ in range(3 * n if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                k = rng.choice((-2, -1, 1, 2))
+                u = [[x + k * y for x, y in zip(u[i], u[j])] if r == i else row
+                     for r, row in enumerate(u)]
+                for row in u_inv:
+                    row[j] -= k * row[i]
+            diag = [[2 * scales[r] * int(r == c) for c in range(n)]
+                    for r in range(n)]
+            gram = isometry._mat_mul(isometry._mat_mul(list(zip(*u)), diag), u)
+            m = isometry._mat_mul(isometry._mat_mul(u_inv, signed), u)
+            g = Isometry(Lattice(gram), m)
+            assert _det_int(g.matrix) == _det_int(signed) in (1, -1), m
 
 
 def test_profile_of_negation(leech):

@@ -179,6 +179,20 @@ def test_bareiss_determinant_and_leading_minors_match_oracle():
         assert minors == leading[:stop + 1], m
 
 
+def test_determinant_is_the_last_sylvester_minor(monkeypatch):
+    rng = random.Random(7717)
+    lattices = [load_leech(), Lattice(gram=())]
+    for trial in range(40):
+        build = random_dense_lattice if trial % 2 else random_sparse_lattice
+        lattices.append(build(rng, 1 + trial % 8))
+    # no elimination runs after construction
+    monkeypatch.setattr(lattice_module, "_bareiss", None)
+    got = [lat.determinant() for lat in lattices]
+    monkeypatch.undo()
+    assert got == [_det_int(lat.gram) for lat in lattices]
+    assert got[:2] == [1, 1]
+
+
 def test_snf_examples():
     assert smith_normal_form([[2, 0], [0, 4]]).invariants == (2, 4)
     assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).invariants == (1, 1, 1)
