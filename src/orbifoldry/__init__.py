@@ -1,44 +1,3 @@
 """Exact-arithmetic verification of cyclic orbifold constructions on the Leech lattice."""
-from orbifoldry.cli import RunConfig, main, run_verification_suite
-from orbifoldry.datafiles import load_generators, load_leech, load_sigma
-from orbifoldry.fusion import (
-    QuadSpace,
-    maximal_isotropic_subgroups,
-    orbifold_character,
-    weight_one_dimension_H2,
-)
-from orbifoldry.ising import c12_character, extension_weight_one_check
-from orbifoldry.isometry import Isometry, cyclotomic_profile, verify_isometry
-from orbifoldry.lattice import Lattice, enumerate_vectors_by_norm, theta_series
-from orbifoldry.qseries import FracSeries, Rational, grading_product
-from orbifoldry.report import Report, emit_report
-from orbifoldry.sectors import sector_invariants, twisted_character
 
-__all__ = [
-    "FracSeries",
-    "Isometry",
-    "Lattice",
-    "QuadSpace",
-    "Rational",
-    "Report",
-    "RunConfig",
-    "c12_character",
-    "cyclotomic_profile",
-    "emit_report",
-    "enumerate_vectors_by_norm",
-    "extension_weight_one_check",
-    "grading_product",
-    "load_generators",
-    "load_leech",
-    "load_sigma",
-    "main",
-    "maximal_isotropic_subgroups",
-    "orbifold_character",
-    "run_verification_suite",
-    "sector_invariants",
-    "theta_series",
-    "twisted_character",
-    "verify_isometry",
-    "weight_one_dimension_H2",
-]
 __version__ = "0.1.0"

@@ -670,6 +670,15 @@ def _cmd_ising_extension(args: argparse.Namespace,
 # ----- parser ---------------------------------------------------------------
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational flag value.  argparse turns only ValueError and TypeError
+    into usage errors, so a zero denominator is made one here too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
+
+
 def _add_data_dir(parser: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps a subcommand-level absence from clobbering the
     # top-level --data-dir value already in the namespace
@@ -693,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--p", type=int, default=None, choices=SUPPORTED_P)
-    verify.add_argument("--cutoff", type=Fraction, default=None)
+    verify.add_argument("--cutoff", type=_fraction, default=None)
     verify.add_argument("--budget", type=int, default=None)
     verify.add_argument("--format", dest="format", default=None,
                         choices=OUTPUT_FORMATS)
@@ -741,7 +750,7 @@ def _build_parser() -> argparse.ArgumentParser:
     character.add_argument("--p", type=int, required=True,
                            choices=SUPPORTED_P)
     character.add_argument("--i", type=int, required=True)
-    character.add_argument("--cutoff", type=Fraction, default=None)
+    character.add_argument("--cutoff", type=_fraction, default=None)
     _add_data_dir(character)
     character.set_defaults(handler=_cmd_sectors_character)
 
@@ -754,7 +763,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orbifold.add_argument("--p", type=int, required=True, choices=SUPPORTED_P)
     orbifold.add_argument("--construction", choices=("zp", "z2"),
                           default="zp")
-    orbifold.add_argument("--cutoff", type=Fraction, default=None)
+    orbifold.add_argument("--cutoff", type=_fraction, default=None)
     orbifold.add_argument("--shift-c24", dest="shift_c24",
                           action="store_true",
                           help="emit q^(-1) times the character, aligning "
@@ -769,7 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ising = sub.add_parser("ising", help="c = 1/2 character utilities")
     ising_sub = ising.add_subparsers(dest="subcommand", required=True)
     chars = ising_sub.add_parser("chars")
-    chars.add_argument("--cutoff", type=Fraction, default=None)
+    chars.add_argument("--cutoff", type=_fraction, default=None)
     chars.set_defaults(handler=_cmd_ising_chars)
     extension = ising_sub.add_parser("extension-check")
     extension.set_defaults(handler=_cmd_ising_extension)

@@ -125,6 +125,8 @@ def twisted_character(sector: SectorInvariants, cutoff: Rational) -> FracSeries:
     """
     m = sector.modulus
     c = Fraction(cutoff)
+    if c < 0:
+        raise ValueError("cutoff must be nonnegative")
     grain = lcm(lcm(m, sector.rho.denominator), c.denominator)
     relative = c - sector.rho
     if relative < 0:

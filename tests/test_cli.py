@@ -261,6 +261,31 @@ def test_config_file_parsing(tmp_path):
         load_config_file(bad)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "3"],
+    ["sectors", "character", "--p", "3", "--i", "1"],
+    ["fusion", "orbifold", "--p", "3"],
+    ["ising", "chars"],
+], ids=["verify", "sectors-character", "fusion-orbifold", "ising-chars"])
+def test_zero_denominator_cutoff_is_a_usage_error(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "orbifoldry", *argv, "--cutoff", "1/0"],
+        capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1])
+    assert result.returncode == 2
+    assert "invalid fraction '1/0'" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_zero_denominator_cutoff_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 3\ncutoff = 1/0\n")
+    assert main(["--config", str(cfg), "verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("p = 3\ncutof = 3\n")
@@ -308,6 +333,14 @@ def test_sectors_character_serializes_series(capsys):
     payload = json.loads(capsys.readouterr().out)
     series = FracSeries.from_json(json.dumps(payload["series"]))
     assert series.leading_term() == (Fraction(3, 2), 4096)
+
+
+def test_sectors_character_rejects_negative_cutoff(capsys):
+    assert main(["sectors", "character", "--p", "3", "--i", "1",
+                 "--cutoff", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cutoff must be nonnegative" in captured.err
 
 
 def test_isometry_profile_subcommand(capsys):

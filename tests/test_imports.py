@@ -1,13 +1,26 @@
-"""Every module-level import in src/orbifoldry/ is used: read somewhere in
-its module or listed in the module's __all__.  A parameter deleted from
-a signature must not leave the import it needed behind."""
+"""Imports in src/orbifoldry/.
+
+Every module-level import is read somewhere in its module: a parameter
+deleted from a signature must not leave the import it needed behind, and
+listing a name in __all__ is not a use, so no module re-exports another's
+names.  Importing the package loads nothing else, and each module
+imports on its own; those checks run in fresh interpreters, since this
+process has already imported every module.
+"""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orbifoldry"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "orbifoldry"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
+                 if not path.stem.startswith("__"))
 
 
 def module_imports(tree):
@@ -21,19 +34,9 @@ def module_imports(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def exported(tree):
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def unused_imports(source):
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= exported(tree)
     return [(name, line) for name, line in module_imports(tree)
             if name not in used]
 
@@ -52,4 +55,38 @@ def test_the_check_sees_unused_and_exported_names():
               "__all__ = ['Any']\n"
               "def f(x: int) -> int:\n"
               "    return gcd(x, 2)\n")
-    assert unused_imports(source) == [("os", 2), ("least", 3)]
+    assert unused_imports(source) == [("os", 2), ("least", 3), ("Any", 4)]
+
+
+def loaded_after(statement):
+    """The orbifoldry modules, and whether argparse, are loaded in a fresh
+    interpreter after running statement."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    probe = (f"{statement}\n"
+             "import json, sys\n"
+             "print(json.dumps([sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'orbifoldry'),"
+             " 'argparse' in sys.modules]))\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    modules, argparse_loaded = json.loads(result.stdout)
+    return set(modules), argparse_loaded
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import orbifoldry") == ({"orbifoldry"}, False)
+
+
+def test_data_layer_loads_only_what_it_reads():
+    # the set-up path of every check: load and certify the Gram and sigma
+    assert loaded_after("import orbifoldry.datafiles") == (
+        {"orbifoldry", "orbifoldry.datafiles", "orbifoldry.isometry",
+         "orbifoldry.lattice", "orbifoldry.qseries"}, False)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    modules, _ = loaded_after(f"import orbifoldry.{module}")
+    assert f"orbifoldry.{module}" in modules

@@ -212,6 +212,13 @@ def test_twisted_character_below_leading_weight(leech):
     ch = twisted_character(sector, Fraction(1))
     assert ch.terms() == []
     assert ch.coefficient_at(1) == 0
+    assert twisted_character(sector, Fraction(0)).terms() == []
+
+
+def test_twisted_character_rejects_negative_cutoff(leech):
+    sector = sector_invariants(negation_isometry(leech), 1)
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        twisted_character(sector, Fraction(-1))
 
 
 # ----- twined and plain untwisted characters --------------------------------
