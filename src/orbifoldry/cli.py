@@ -27,7 +27,6 @@ from .datafiles import (
     sigma_profile,
 )
 from .fusion import (
-    QuadSpace,
     integral_weight_labels,
     maximal_isotropic_subgroups,
     orbifold_character,
@@ -46,7 +45,6 @@ from .isometry import (
 )
 from .lattice import (
     DEFAULT_NODE_BUDGET,
-    enumerate_vectors_by_norm,
     load_lattice,
     parse_matrix,
     theta_series,
@@ -230,8 +228,8 @@ def _isotropic_expected(cfg: RunConfig) -> Any:
 
 
 def _isotropic_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    groups = maximal_isotropic_subgroups(QuadSpace(2 * cfg.p))
-    sets = sorted(sorted([a.i, a.j] for a in g.elements) for g in groups)
+    groups = maximal_isotropic_subgroups(2 * cfg.p)
+    sets = sorted(g.elements for g in groups)
     return {"count": len(groups), "orders": sorted(g.order for g in groups),
             "element_sets": sets}
 
@@ -250,8 +248,7 @@ def _labels_expected(cfg: RunConfig) -> Any:
 
 
 def _labels_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    space = QuadSpace(2 * cfg.p)
-    return {str(i): sorted(integral_weight_labels(space, i))
+    return {str(i): sorted(integral_weight_labels(2 * cfg.p, i))
             for i in range(1, 2 * cfg.p)}
 
 
@@ -533,12 +530,15 @@ def _cmd_lattice_check(args: argparse.Namespace, config: dict[str, str]) -> int:
 def _cmd_lattice_theta(args: argparse.Namespace, config: dict[str, str]) -> int:
     lat = load_lattice(Path(args.file).read_text(), label=args.file)
     budget = _resolve(args, config, "budget", DEFAULT_NODE_BUDGET, int)
-    counts = enumerate_vectors_by_norm(lat, args.max_norm, budget=budget)
-    theta = FracSeries.from_terms(
-        {Fraction(m, 2): c for m, c in counts.items()},
-        cutoff=Fraction(args.max_norm, 2), grain=2)
-    _emit({"file": args.file, "max_norm": args.max_norm,
-           "counts": {str(m): c for m, c in sorted(counts.items())},
+    if args.max_norm < 0:
+        raise ValueError("max_norm must be nonnegative")
+    if args.max_norm % 2:
+        raise ValueError("max_norm must be even for an even lattice")
+    theta = theta_series(lat, Fraction(args.max_norm, 2),
+                         budget=budget).rescaled(2)
+    counts = {str(m): theta.coefficient_at(Fraction(m, 2))
+              for m in range(0, args.max_norm + 1, 2)}
+    _emit({"file": args.file, "max_norm": args.max_norm, "counts": counts,
            "theta": json.loads(theta.to_json())})
     return 0
 
@@ -621,11 +621,10 @@ def _cmd_sectors_character(args: argparse.Namespace,
 
 def _cmd_fusion_isotropic(args: argparse.Namespace,
                           config: dict[str, str]) -> int:
-    groups = maximal_isotropic_subgroups(QuadSpace(args.n))
+    groups = maximal_isotropic_subgroups(args.n)
     _emit({"n": args.n, "count": len(groups), "subgroups": [
-        {"order": g.order,
-         "generators": [[a.i, a.j] for a in g.generators],
-         "elements": [[a.i, a.j] for a in g.elements]} for g in groups]})
+        {"order": g.order, "generators": g.generators,
+         "elements": g.elements} for g in groups]})
     return 0
 
 

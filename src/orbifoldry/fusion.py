@@ -8,7 +8,8 @@ quadratic form q(i, j) = ij/n mod 1, and extensions of the fixed
 subalgebra correspond to subgroups on which q vanishes.  This module
 enumerates those subgroups exhaustively, classifies which labels carry
 integral weights, and sums the matching character pieces into the
-character of the orbifold extension.
+character of the orbifold extension.  A label is a pair (i, j) of
+residues 0 <= i, j < n; the modulus n is passed once beside it.
 """
 
 from __future__ import annotations
@@ -23,20 +24,15 @@ from .qseries import FracSeries, Rational
 from .sectors import eigencomponent_character, sector_invariants, twisted_character
 
 __all__ = [
-    "FusionLabel",
     "IsotropicSubgroup",
     "MAX_ISOTROPIC_MODULUS",
     "MismatchedModulus",
     "ModulusTooLarge",
     "NotSeparable",
-    "QuadSpace",
     "WeightHypothesisFailed",
-    "bilinear_form",
-    "fusion_product",
     "integral_weight_labels",
     "maximal_isotropic_subgroups",
     "orbifold_character",
-    "q_delta",
     "weight_one_by_sector",
     "weight_one_dimension_H2",
 ]
@@ -45,9 +41,11 @@ __all__ = [
 # elements; n = 30 keeps it instant while covering every modulus in use.
 MAX_ISOTROPIC_MODULUS = 30
 
+Label = tuple[int, int]
+
 
 class MismatchedModulus(ValueError):
-    """Labels whose moduli disagree, or an isometry of the wrong order."""
+    """An isometry of odd order where the weight-one count needs 2p."""
 
 
 class ModulusTooLarge(ValueError):
@@ -62,88 +60,37 @@ class WeightHypothesisFailed(ValueError):
     """A sector's conformal weight does not lie in (1/n)Z."""
 
 
-@dataclass(frozen=True, order=True)
-class FusionLabel:
-    """Index (i, j) mod n: sector number and eigencomponent."""
-
-    i: int
-    j: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "i", self.i % self.n)
-        object.__setattr__(self, "j", self.j % self.n)
-
-
-@dataclass(frozen=True)
-class QuadSpace:
-    """Z_n x Z_n carrying the quadratic form q(i, j) = ij/n mod 1."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("modulus must be positive")
-
-    def elements(self) -> list[FusionLabel]:
-        return [FusionLabel(i, j, self.n)
-                for i in range(self.n) for j in range(self.n)]
-
-
-def _q_numerator(a: FusionLabel) -> int:
-    return a.i * a.j % a.n
-
-
-def _pairing_numerator(a: FusionLabel, b: FusionLabel) -> int:
-    return (a.i * b.j + a.j * b.i) % a.n
-
-
-def q_delta(a: FusionLabel) -> Fraction:
-    """ij/n reduced mod 1."""
-    return Fraction(_q_numerator(a), a.n)
-
-
-def fusion_product(a: FusionLabel, b: FusionLabel) -> FusionLabel:
-    """Componentwise sum mod n; (0, 0) is the unit."""
-    if a.n != b.n:
-        raise MismatchedModulus(f"labels live in Z_{a.n} and Z_{b.n}")
-    return FusionLabel(a.i + b.i, a.j + b.j, a.n)
-
-
-def bilinear_form(a: FusionLabel, b: FusionLabel) -> Fraction:
-    """Polarization q(a + b) - q(a) - q(b) mod 1, that is
-    (a.i b.j + a.j b.i)/n mod 1."""
-    if a.n != b.n:
-        raise MismatchedModulus(f"labels live in Z_{a.n} and Z_{b.n}")
-    return Fraction(_pairing_numerator(a, b), a.n)
+def _q(a: Label, n: int) -> int:
+    """Numerator of q(a) = ij/n mod 1."""
+    return a[0] * a[1] % n
 
 
 @dataclass(frozen=True)
 class IsotropicSubgroup:
     """Subgroup of Z_n x Z_n on which q vanishes identically."""
 
-    generators: tuple[FusionLabel, ...]
-    elements: tuple[FusionLabel, ...]
+    n: int
+    generators: tuple[Label, ...]
+    elements: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        if not self.elements:
-            raise ValueError("a subgroup contains at least the unit")
-        n = self.elements[0].n
+        n = self.n
         members = set(self.elements)
+        if (0, 0) not in members:
+            raise ValueError("a subgroup contains the unit (0, 0)")
         if len(members) != len(self.elements):
             raise ValueError("element list has repeats")
+        for i, j in self.generators + self.elements:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"({i}, {j}) is not reduced mod {n}")
         for a in self.elements:
-            if a.n != n:
-                raise MismatchedModulus("mixed moduli in one subgroup")
-            if _q_numerator(a):
-                raise ValueError(f"q(({a.i},{a.j})) = {q_delta(a)} != 0")
+            if _q(a, n):
+                raise ValueError(f"q({a}) = {Fraction(_q(a, n), n)} != 0")
         for a in self.elements:
             for b in self.elements:
-                if fusion_product(a, b) not in members:
+                if ((a[0] + b[0]) % n, (a[1] + b[1]) % n) not in members:
                     raise ValueError("element list is not closed under sums")
-        if _span(self.generators, n) != frozenset((a.i, a.j) for a in members):
+        if _span(self.generators, n) != members:
             raise ValueError("generators do not generate the element list")
 
     @property
@@ -151,25 +98,24 @@ class IsotropicSubgroup:
         return len(self.elements)
 
 
-def _span(gens: Iterable[FusionLabel], n: int) -> frozenset[tuple[int, int]]:
+def _span(gens: Iterable[Label], n: int) -> frozenset[Label]:
     seen = {(0, 0)}
     frontier = [(0, 0)]
     while frontier:
         x, y = frontier.pop()
         for g in gens:
-            step = ((x + g.i) % n, (y + g.j) % n)
+            step = ((x + g[0]) % n, (y + g[1]) % n)
             if step not in seen:
                 seen.add(step)
                 frontier.append(step)
     return frozenset(seen)
 
 
-def _generating_tuple(elements: tuple[FusionLabel, ...],
-                      members: frozenset[tuple[int, int]],
-                      n: int) -> tuple[FusionLabel, ...]:
+def _generating_tuple(elements: tuple[Label, ...], members: frozenset[Label],
+                      n: int) -> tuple[Label, ...]:
     for a in elements:
         # a lies in members, so it generates them when its order is |members|
-        if n // gcd(n, a.i, a.j) == len(members):
+        if n // gcd(n, *a) == len(members):
             return (a,)
     for a in elements:
         for b in elements:
@@ -178,29 +124,32 @@ def _generating_tuple(elements: tuple[FusionLabel, ...],
     raise AssertionError("subgroups of Z_n x Z_n are two-generated")
 
 
-def maximal_isotropic_subgroups(space: QuadSpace) -> list[IsotropicSubgroup]:
-    """All maximal subgroups on which q vanishes, by exhaustive search.
+def maximal_isotropic_subgroups(n: int) -> list[IsotropicSubgroup]:
+    """All maximal subgroups of Z_n x Z_n on which q vanishes, by
+    exhaustive search, sorted by their element lists.
 
     Every subgroup of Z_n x Z_n is generated by two elements, and the
     span of q-null elements a, b is q-null exactly when the pairing
-    b(a, b) vanishes (q(sa + tb) = st*b(a, b) mod 1), so scanning null
-    pairs visits every isotropic subgroup.  A pair is skipped when one
-    span found already holds both elements: their span lies inside it,
-    so it is that span or not maximal.
+    b(a, b) vanishes (q(sa + tb) = st*b(a, b) mod 1), which for null a
+    and b is q(a + b); so scanning null pairs visits every isotropic
+    subgroup.  A pair is skipped when one span found already holds both
+    elements: their span lies inside it, so it is that span or not
+    maximal.
     """
-    n = space.n
+    if n < 1:
+        raise ValueError("modulus must be positive")
     if n > MAX_ISOTROPIC_MODULUS:
         raise ModulusTooLarge(
             f"exhaustive enumeration is capped at n = {MAX_ISOTROPIC_MODULUS}")
-    null = [a for a in space.elements() if _q_numerator(a) == 0]
-    spans: list[frozenset[tuple[int, int]]] = []
-    # bit s of inside[(i, j)] is set when the s-th span found holds (i, j)
-    inside: dict[tuple[int, int], int] = {}
+    null = [(i, j) for i in range(n) for j in range(n) if _q((i, j), n) == 0]
+    spans: list[frozenset[Label]] = []
+    # bit s of inside[a] is set when the s-th span found holds a
+    inside: dict[Label, int] = {}
     for k, a in enumerate(null):
         for b in null[k:]:
-            if inside.get((a.i, a.j), 0) & inside.get((b.i, b.j), 0):
+            if inside.get(a, 0) & inside.get(b, 0):
                 continue
-            if _pairing_numerator(a, b) == 0:
+            if _q((a[0] + b[0], a[1] + b[1]), n) == 0:
                 span = _span((a, b), n)
                 bit = 1 << len(spans)
                 spans.append(span)
@@ -209,18 +158,19 @@ def maximal_isotropic_subgroups(space: QuadSpace) -> list[IsotropicSubgroup]:
     maximal = [h for h in spans if not any(h < k for k in spans)]
     out = []
     for members in sorted(maximal, key=sorted):
-        elements = tuple(FusionLabel(i, j, n) for i, j in sorted(members))
+        elements = tuple(sorted(members))
         out.append(IsotropicSubgroup(
-            generators=_generating_tuple(elements, members, n),
+            n, generators=_generating_tuple(elements, members, n),
             elements=elements))
     return out
 
 
-def integral_weight_labels(space: QuadSpace, i: int) -> set[int]:
+def integral_weight_labels(n: int, i: int) -> set[int]:
     """Eigencomponents of sector i whose weights are integral:
     { j : ij = 0 mod n }."""
-    n = space.n
-    return {j for j in range(n) if (i * j) % n == 0}
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    return {j for j in range(n) if _q((i, j), n) == 0}
 
 
 def orbifold_character(g: Isometry, cutoff: Rational,
@@ -236,9 +186,8 @@ def orbifold_character(g: Isometry, cutoff: Rational,
     lattice of g, which the untwisted part reads.
     """
     n = multiplicative_order(g)
-    space = QuadSpace(n)
     for i in range(1, n):
-        labels = integral_weight_labels(space, i)
+        labels = integral_weight_labels(n, i)
         if labels != {0}:
             raise NotSeparable(
                 f"sector {i} has integral-weight labels {sorted(labels)}")

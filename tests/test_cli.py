@@ -317,6 +317,21 @@ def test_lattice_check_subcommand(capsys):
     assert payload["unimodular"] is True
 
 
+@pytest.mark.parametrize("max_norm, message", [
+    ("3", "max_norm must be even for an even lattice"),
+    ("-2", "max_norm must be nonnegative"),
+], ids=["odd", "negative"])
+def test_lattice_theta_rejects_bad_max_norm(max_norm, message):
+    result = subprocess.run(
+        [sys.executable, "-m", "orbifoldry", "lattice", "theta",
+         str(resolve_data_dir() / "leech_gram.txt"), "--max-norm", max_norm],
+        capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_sectors_table_markdown(capsys):
     assert main(["sectors", "table", "--p", "3", "--format",
                  "markdown"]) == 0
@@ -358,6 +373,17 @@ def test_fusion_isotropic_modulus_guard(capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 4
     assert main(["fusion", "isotropic", "--n", "31"]) == 2
     assert "capped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_fusion_isotropic_rejects_nonpositive_modulus(n):
+    result = subprocess.run(
+        [sys.executable, "-m", "orbifoldry", "fusion", "isotropic", "--n", n],
+        capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: modulus must be positive\n"
 
 
 def test_fusion_orbifold_z2_with_shift(capsys):

@@ -8,6 +8,7 @@ Fraction-valued isotropic search kept in reference_isotropic.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,19 +16,14 @@ from orbifoldry import fusion as fusion_module
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma
 from orbifoldry.fusion import (
     MAX_ISOTROPIC_MODULUS,
-    FusionLabel,
     IsotropicSubgroup,
     MismatchedModulus,
     ModulusTooLarge,
     NotSeparable,
-    QuadSpace,
     WeightHypothesisFailed,
-    bilinear_form,
-    fusion_product,
     integral_weight_labels,
     maximal_isotropic_subgroups,
     orbifold_character,
-    q_delta,
     weight_one_by_sector,
     weight_one_dimension_H2,
 )
@@ -60,74 +56,13 @@ def theta3():
     return unimodular_theta_rank24(3)
 
 
-# ----- the quadratic space --------------------------------------------------
-
-
-def test_q_delta_examples():
-    assert q_delta(FusionLabel(2, 3, 6)) == 0
-    assert q_delta(FusionLabel(1, 1, 6)) == Fraction(1, 6)
-    assert q_delta(FusionLabel(1, 1, 2)) == Fraction(1, 2)
-
-
-def test_q_delta_scales_quadratically():
-    rng = random.Random(906)
-    for _ in range(200):
-        n = rng.randint(1, 30)
-        a = FusionLabel(rng.randrange(n), rng.randrange(n), n)
-        k = rng.randrange(2 * n)
-        ka = a
-        for _ in range(k - 1):
-            ka = fusion_product(ka, a)
-        if k == 0:
-            ka = FusionLabel(0, 0, n)
-        assert q_delta(ka) == (k * k * q_delta(a)) % 1
-
-
-def test_fusion_product():
-    assert fusion_product(FusionLabel(1, 0, 6), FusionLabel(1, 0, 6)) == \
-        FusionLabel(2, 0, 6)
-    a = FusionLabel(4, 5, 6)
-    assert fusion_product(a, FusionLabel(0, 0, 6)) == a
-    assert fusion_product(FusionLabel(3, 5, 6), FusionLabel(3, 1, 6)) == \
-        FusionLabel(0, 0, 6)
-    with pytest.raises(MismatchedModulus):
-        fusion_product(FusionLabel(1, 0, 6), FusionLabel(1, 0, 10))
-
-
-def test_label_reduction_and_validation():
-    assert FusionLabel(7, -1, 6) == FusionLabel(1, 5, 6)
-    with pytest.raises(ValueError):
-        FusionLabel(0, 0, 0)
-    with pytest.raises(ValueError):
-        QuadSpace(0)
-
-
-def test_bilinear_form_is_symmetric_and_bilinear():
-    rng = random.Random(907)
-    for _ in range(100):
-        n = rng.randint(1, 30)
-        a, b, c = (FusionLabel(rng.randrange(n), rng.randrange(n), n)
-                   for _ in range(3))
-        assert bilinear_form(a, b) == bilinear_form(b, a)
-        assert bilinear_form(fusion_product(a, b), c) == \
-            (bilinear_form(a, c) + bilinear_form(b, c)) % 1
-        assert bilinear_form(a, b) == \
-            (q_delta(fusion_product(a, b)) - q_delta(a) - q_delta(b)) % 1
-    with pytest.raises(MismatchedModulus):
-        bilinear_form(FusionLabel(1, 0, 6), FusionLabel(1, 0, 10))
-
-
 # ----- isotropic subgroups --------------------------------------------------
-
-
-def as_pair_set(subgroup):
-    return {(a.i, a.j) for a in subgroup.elements}
 
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_four_maximal_isotropics(p):
     n = 2 * p
-    groups = maximal_isotropic_subgroups(QuadSpace(n))
+    groups = maximal_isotropic_subgroups(n)
     assert len(groups) == 4
     assert all(g.order == n for g in groups)
     expected = [
@@ -136,50 +71,47 @@ def test_four_maximal_isotropics(p):
         {(2 * k % n, p * k % n) for k in range(n)},
         {(p * k % n, 2 * k % n) for k in range(n)},
     ]
-    found = [as_pair_set(g) for g in groups]
+    found = [set(g.elements) for g in groups]
     for target in expected:
         assert target in found
 
 
 def test_two_maximal_isotropics_mod_two():
-    groups = maximal_isotropic_subgroups(QuadSpace(2))
-    assert [as_pair_set(g) for g in groups] == [
-        {(0, 0), (0, 1)}, {(0, 0), (1, 0)}]
-    assert q_delta(FusionLabel(1, 1, 2)) == Fraction(1, 2)
+    groups = maximal_isotropic_subgroups(2)
+    assert [g.elements for g in groups] == [((0, 0), (0, 1)), ((0, 0), (1, 0))]
 
 
 def test_three_maximal_isotropics_mod_four():
     # axes plus the doubled diagonal 2Z_4 x 2Z_4, each of order 4
-    groups = maximal_isotropic_subgroups(QuadSpace(4))
+    groups = maximal_isotropic_subgroups(4)
     assert len(groups) == 3
-    assert {(0, 0), (0, 2), (2, 0), (2, 2)} in [as_pair_set(g) for g in groups]
+    assert {(0, 0), (0, 2), (2, 0), (2, 2)} in [set(g.elements) for g in groups]
 
 
 def test_maximality_witnessed():
     for n in (2, 4, 6, 10):
-        space = QuadSpace(n)
-        null = [a for a in space.elements() if q_delta(a) == 0]
-        for group in maximal_isotropic_subgroups(space):
-            members = as_pair_set(group)
+        null = [(i, j) for i in range(n) for j in range(n) if i * j % n == 0]
+        for group in maximal_isotropic_subgroups(n):
+            members = set(group.elements)
             for extra in null:
-                if (extra.i, extra.j) in members:
+                if extra in members:
                     continue
                 # the enlarged span must contain a non-null element
                 grown = set(members)
                 frontier = list(grown)
                 while frontier:
                     x, y = frontier.pop()
-                    s = ((x + extra.i) % n, (y + extra.j) % n)
+                    s = ((x + extra[0]) % n, (y + extra[1]) % n)
                     if s not in grown:
                         grown.add(s)
                         frontier.append(s)
-                assert any(q_delta(FusionLabel(i, j, n)) for i, j in grown)
+                assert any(i * j % n for i, j in grown)
 
 
 def test_integer_search_matches_fraction_reference():
     for n in range(1, MAX_ISOTROPIC_MODULUS + 1):
-        found = [frozenset(as_pair_set(g))
-                 for g in maximal_isotropic_subgroups(QuadSpace(n))]
+        found = [frozenset(g.elements)
+                 for g in maximal_isotropic_subgroups(n)]
         assert len(set(found)) == len(found)
         assert set(found) == maximal_isotropic_element_sets(n), n
 
@@ -195,32 +127,42 @@ def test_isotropic_search_skips_pairs_inside_found_spans(monkeypatch):
         return span(gens, n)
 
     monkeypatch.setattr(fusion_module, "_span", counted)
-    found = maximal_isotropic_subgroups(QuadSpace(26))
-    assert {frozenset(as_pair_set(g)) for g in found} == \
+    found = maximal_isotropic_subgroups(26)
+    assert {frozenset(g.elements) for g in found} == \
         maximal_isotropic_element_sets(26)
     assert len(calls) <= 10
 
 
 def test_enumeration_capped():
     with pytest.raises(ModulusTooLarge):
-        maximal_isotropic_subgroups(QuadSpace(31))
+        maximal_isotropic_subgroups(31)
 
 
 def test_subgroup_validation():
-    ok = IsotropicSubgroup(
-        generators=(FusionLabel(0, 1, 2),),
-        elements=(FusionLabel(0, 0, 2), FusionLabel(0, 1, 2)))
+    ok = IsotropicSubgroup(2, generators=((0, 1),), elements=((0, 0), (0, 1)))
     assert ok.order == 2
-    with pytest.raises(ValueError):
-        IsotropicSubgroup(generators=(FusionLabel(1, 1, 2),),
-                          elements=(FusionLabel(0, 0, 2), FusionLabel(1, 1, 2)))
-    with pytest.raises(ValueError):  # not closed
-        IsotropicSubgroup(generators=(FusionLabel(0, 1, 4),),
-                          elements=(FusionLabel(0, 0, 4), FusionLabel(0, 1, 4)))
-    with pytest.raises(ValueError):  # generators too small
-        IsotropicSubgroup(generators=(FusionLabel(0, 2, 4),),
-                          elements=(FusionLabel(0, 0, 4), FusionLabel(0, 1, 4),
-                                    FusionLabel(0, 2, 4), FusionLabel(0, 3, 4)))
+    with pytest.raises(ValueError, match=r"^q\(\(1, 1\)\) = 1/2 != 0$"):
+        IsotropicSubgroup(2, generators=((1, 1),), elements=((0, 0), (1, 1)))
+    with pytest.raises(ValueError, match="not closed"):
+        IsotropicSubgroup(4, generators=((0, 1),), elements=((0, 0), (0, 1)))
+    with pytest.raises(ValueError, match="do not generate"):
+        IsotropicSubgroup(4, generators=((0, 2),),
+                          elements=((0, 0), (0, 1), (0, 2), (0, 3)))
+    with pytest.raises(ValueError, match="not reduced mod 2"):
+        IsotropicSubgroup(2, generators=((0, 3),), elements=((0, 0), (0, 3)))
+    with pytest.raises(ValueError, match="repeats"):
+        IsotropicSubgroup(2, generators=((0, 1),),
+                          elements=((0, 0), (0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="unit"):
+        IsotropicSubgroup(2, generators=((0, 1),), elements=((0, 1),))
+
+
+def test_modulus_must_be_positive():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            maximal_isotropic_subgroups(n)
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            integral_weight_labels(n, 1)
 
 
 # ----- integral-weight labels -----------------------------------------------
@@ -228,9 +170,8 @@ def test_subgroup_validation():
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_integral_weight_labels_three_cases(p):
-    space = QuadSpace(2 * p)
     for i in range(1, 2 * p):
-        labels = integral_weight_labels(space, i)
+        labels = integral_weight_labels(2 * p, i)
         if i == p:
             assert labels == {j for j in range(2 * p) if j % 2 == 0}
         elif i % 2 == 0:
@@ -243,9 +184,9 @@ def test_integral_weight_labels_coprime_case():
     rng = random.Random(908)
     for _ in range(50):
         n = rng.randint(2, 30)
-        units = [i for i in range(1, n) if __import__("math").gcd(i, n) == 1]
+        units = [i for i in range(1, n) if gcd(i, n) == 1]
         i = rng.choice(units)
-        assert integral_weight_labels(QuadSpace(n), i) == {0}
+        assert integral_weight_labels(n, i) == {0}
 
 
 # ----- orbifold characters --------------------------------------------------
@@ -324,11 +265,11 @@ def test_axis_subgroup_resums_untwisted(leech, sigmas):
     untwisted character."""
     theta2 = unimodular_theta_rank24(2)
     neg = negation_isometry(leech)
-    groups = maximal_isotropic_subgroups(QuadSpace(2))
-    axis = next(g for g in groups if as_pair_set(g) == {(0, 0), (0, 1)})
+    groups = maximal_isotropic_subgroups(2)
+    axis = next(g for g in groups if set(g.elements) == {(0, 0), (0, 1)})
     total = None
-    for a in axis.elements:
-        piece = eigencomponent_character(neg, 2, a.j, Fraction(2), theta2)
+    for _, j in axis.elements:
+        piece = eigencomponent_character(neg, 2, j, Fraction(2), theta2)
         total = piece if total is None else total + piece
     untwisted = twined_untwisted_character(neg, 0, Fraction(2), theta2)
     assert total == untwisted

@@ -3,7 +3,8 @@
 Every module-level import is read somewhere in its module: a parameter
 deleted from a signature must not leave the import it needed behind, and
 listing a name in __all__ is not a use, so no module re-exports another's
-names.  Importing the package loads nothing else, and each module
+names.  Every name in a module's __all__ is one the module defines, so a
+deleted name cannot linger there.  Importing the package loads nothing else, and each module
 imports on its own; those checks run in fresh interpreters, since this
 process has already imported every module.
 """
@@ -56,6 +57,41 @@ def test_the_check_sees_unused_and_exported_names():
               "def f(x: int) -> int:\n"
               "    return gcd(x, 2)\n")
     assert unused_imports(source) == [("os", 2), ("least", 3), ("Any", 4)]
+
+
+def undefined_exports(source):
+    """Names listed in __all__ that no def, class or assignment of the
+    module body binds."""
+    tree = ast.parse(source)
+    defined, listed = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            if isinstance(target, ast.Name):
+                defined.add(target.id)
+                if target.id == "__all__":
+                    listed = ast.literal_eval(node.value)
+    return [name for name in listed if name not in defined]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_all_lists_only_defined_names(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+def test_the_check_sees_stale_and_imported_exports():
+    source = ("from math import gcd\n"
+              "__all__ = ['LIMIT', 'Label', 'Gone', 'gcd', 'f', 'Box']\n"
+              "LIMIT = 3\n"
+              "Label: type = tuple\n"
+              "def f(): pass\n"
+              "class Box: pass\n")
+    assert undefined_exports(source) == ["Gone", "gcd"]
 
 
 def loaded_after(statement):
