@@ -510,7 +510,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
         p=p,
         cutoff=_resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, Fraction),
         enumeration_budget=_resolve(args, config, "budget",
-                                    DEFAULT_NODE_BUDGET, int),
+                                    DEFAULT_NODE_BUDGET, _budget),
         data_dir=_data_dir(args, config),
         output=_resolve(args, config, "format", "json", str),
     )
@@ -529,7 +529,7 @@ def _cmd_lattice_check(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 def _cmd_lattice_theta(args: argparse.Namespace, config: dict[str, str]) -> int:
     lat = load_lattice(Path(args.file).read_text(), label=args.file)
-    budget = _resolve(args, config, "budget", DEFAULT_NODE_BUDGET, int)
+    budget = _resolve(args, config, "budget", DEFAULT_NODE_BUDGET, _budget)
     if args.max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
     if args.max_norm % 2:
@@ -573,7 +573,7 @@ def _cmd_isometry_search(args: argparse.Namespace,
     data_dir = _data_dir(args, config)
     lat = load_leech(data_dir)
     gen_a, gen_b = load_generators(data_dir, lattice=lat)
-    budget = _resolve(args, config, "budget", DEFAULT_SEARCH_BUDGET, int)
+    budget = _resolve(args, config, "budget", DEFAULT_SEARCH_BUDGET, _budget)
     seed = _resolve(args, config, "seed", 0, int)
     result = search_isometry([gen_a, gen_b], sigma_profile(args.p),
                              budget=budget, seed=seed)
@@ -669,6 +669,17 @@ def _cmd_ising_extension(args: argparse.Namespace,
 # ----- parser ---------------------------------------------------------------
 
 
+def _budget(text: str) -> int:
+    """A budget flag or config value: a positive integer."""
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"budget must be a positive integer, got {text!r}")
+
+
 def _fraction(text: str) -> Fraction:
     """A rational flag value.  argparse turns only ValueError and TypeError
     into usage errors, so a zero denominator is made one here too."""
@@ -702,7 +713,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suite")
     verify.add_argument("--p", type=int, default=None, choices=SUPPORTED_P)
     verify.add_argument("--cutoff", type=_fraction, default=None)
-    verify.add_argument("--budget", type=int, default=None)
+    verify.add_argument("--budget", type=_budget, default=None)
     verify.add_argument("--format", dest="format", default=None,
                         choices=OUTPUT_FORMATS)
     _add_data_dir(verify)
@@ -716,7 +727,7 @@ def _build_parser() -> argparse.ArgumentParser:
     theta = lattice_sub.add_parser("theta")
     theta.add_argument("file")
     theta.add_argument("--max-norm", dest="max_norm", type=int, required=True)
-    theta.add_argument("--budget", type=int, default=None)
+    theta.add_argument("--budget", type=_budget, default=None)
     theta.set_defaults(handler=_cmd_lattice_theta)
 
     isometry = sub.add_parser("isometry", help="isometry utilities")
@@ -732,7 +743,7 @@ def _build_parser() -> argparse.ArgumentParser:
     iso_search = isometry_sub.add_parser("search")
     iso_search.add_argument("--p", type=int, required=True,
                             choices=SUPPORTED_P)
-    iso_search.add_argument("--budget", type=int, default=None)
+    iso_search.add_argument("--budget", type=_budget, default=None)
     iso_search.add_argument("--seed", type=int, default=None)
     _add_data_dir(iso_search)
     iso_search.set_defaults(handler=_cmd_isometry_search)
@@ -795,7 +806,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError, LookupError,
-            OSError) as exc:
+            OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

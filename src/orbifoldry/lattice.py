@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -66,8 +66,8 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _bareiss(matrix: Sequence[Sequence[int]],
-             pivoting: bool = False) -> tuple[list[int], int, list[list[int]]]:
+def _bareiss(matrix: Sequence[Sequence[int]], pivoting=False,
+             order=None) -> tuple:
     """Fraction-free (Bareiss) elimination: the successive pivots, the
     sign of the row swaps made, and the eliminated rows.
 
@@ -77,6 +77,9 @@ def _bareiss(matrix: Sequence[Sequence[int]],
     determinant.  Entry (k, j), j >= k, of the eliminated rows is the
     minor on rows 0..k and columns 0..k-1, j.  Stops at the first zero
     pivot that no row swap (or, without pivoting, nothing) replaces.
+    Given `order`, the list of indices, each step first swaps in the
+    least remaining diagonal entry, the least next leading minor, by
+    rows and columns, and permutes `order` alike.
     """
     work = [list(row) for row in matrix]
     n = len(work)
@@ -84,6 +87,11 @@ def _bareiss(matrix: Sequence[Sequence[int]],
     sign = 1
     prev = 1
     for k in range(n):
+        if order is not None:
+            i = min(range(k, n), key=lambda i: work[i][i])
+            # swap entries k and i of `order`, the rows and each row
+            for seq in (order, work, *work):
+                seq[k], seq[i] = seq[i], seq[k]
         if pivoting and work[k][k] == 0:
             for i in range(k + 1, n):
                 if work[i][k]:
@@ -126,9 +134,8 @@ class Lattice:
         gram = _freeze(self.gram)
         object.__setattr__(self, "gram", gram)
         n = len(gram)
-        for row in gram:
-            if len(row) != n:
-                raise ParseError("gram matrix must be square")
+        if any(len(row) != n for row in gram):
+            raise ParseError("gram matrix must be square")
         for i in range(n):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
@@ -154,12 +161,8 @@ class Lattice:
         """⟨v,v⟩ of an integer coordinate vector in the lattice basis."""
         if len(vector) != self.rank:
             raise ValueError("vector length does not match lattice rank")
-        total = 0
-        for i, xi in enumerate(vector):
-            if xi:
-                row = self.gram[i]
-                total += xi * sum(g * xj for g, xj in zip(row, vector))
-        return total
+        return sum(xi * sum(map(mul, row, vector))
+                   for xi, row in zip(vector, self.gram) if xi)
 
 
 def parse_matrix(source: str) -> IntMatrix:
@@ -167,11 +170,8 @@ def parse_matrix(source: str) -> IntMatrix:
     line, then that many rows.  '#' starts a comment; blank lines are
     skipped.
     """
-    lines = []
-    for raw in source.splitlines():
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            lines.append(text)
+    lines = [text for text in (raw.split("#", 1)[0].strip()
+                               for raw in source.splitlines()) if text]
     if not lines:
         raise ParseError("empty matrix description")
     head = lines[0].split()
@@ -207,8 +207,7 @@ def load_lattice(source: str, label: str = "") -> Lattice:
 # ----- Smith normal form ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """Diagonalization left @ A @ right = diag(invariants) with unimodular
     transforms and the divisibility chain d1 | d2 | ... | dr.
     """
@@ -218,20 +217,17 @@ class SmithForm:
     right: IntMatrix
 
 
-def _smallest_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    n = len(a)
+def _smallest_entry(a, t):
     best = None
-    best_abs = 0
-    for i in range(t, n):
-        for j in range(t, n):
-            v = a[i][j]
-            if v and (best is None or abs(v) < best_abs):
-                if v in (1, -1):
+    for i in range(t, len(a)):
+        for j in range(t, len(a)):
+            v = abs(a[i][j])
+            if v and (best is None or v < best[0]):
+                if v == 1:
                     # no nonzero entry is smaller than a unit
                     return i, j
-                best = (i, j)
-                best_abs = abs(v)
-    return best
+                best = (v, i, j)
+    return best and best[1:]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
@@ -244,75 +240,49 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
     left = _identity(n)
     right = _identity(n)
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst: int, src: int, k: int) -> None:
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + k * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst: int, src: int, k: int) -> None:
-        for row in a:
-            row[dst] += k * row[src]
-        for row in right:
-            row[dst] += k * row[src]
-
     for t in range(n):
-        while True:
-            pivot = _smallest_entry(a, t)
-            if pivot is None:
-                break
-            if pivot[0] != t:
-                swap_rows(t, pivot[0])
-            if pivot[1] != t:
-                swap_cols(t, pivot[1])
+        while (pivot := _smallest_entry(a, t)) is not None:
+            i, j = pivot
+            a[t], a[i] = a[i], a[t]
+            left[t], left[i] = left[i], left[t]
+            if j != t:
+                for row in a + right:
+                    row[t], row[j] = row[j], row[t]
+            p = a[t][t]
             dirty = False
             for r in range(t + 1, n):
                 if a[r][t]:
-                    add_row(r, t, -(a[r][t] // a[t][t]))
-                    dirty = dirty or bool(a[r][t])
+                    k = a[r][t] // p
+                    a[r] = [x - k * y for x, y in zip(a[r], a[t])]
+                    left[r] = [x - k * y for x, y in zip(left[r], left[t])]
+                    dirty = dirty or a[r][t]
             for c in range(t + 1, n):
                 if a[t][c]:
-                    add_col(c, t, -(a[t][c] // a[t][t]))
-                    dirty = dirty or bool(a[t][c])
+                    k = a[t][c] // p
+                    for row in a + right:
+                        row[c] -= k * row[t]
+                    dirty = dirty or a[t][c]
             if dirty:
                 continue
-            if a[t][t] in (1, -1):
+            if p in (1, -1):
                 # a unit divides every entry
                 break
-            offender = None
-            for r in range(t + 1, n):
-                for c in range(t + 1, n):
-                    if a[r][c] % a[t][t]:
-                        offender = r
-                        break
-                if offender is not None:
-                    break
+            offender = next((r for r in range(t + 1, n)
+                             if any(x % p for x in a[r][t + 1:])), None)
             if offender is None:
                 break
-            add_row(t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            left[t] = [x + y for x, y in zip(left[t], left[offender])]
     for t in range(n):
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+            a[t][t] = -a[t][t]
             left[t] = [-x for x in left[t]]
-    return SmithForm(
-        invariants=tuple(a[t][t] for t in range(n)),
-        left=_freeze(left),
-        right=_freeze(right),
-    )
+    return SmithForm(tuple(a[t][t] for t in range(n)), _freeze(left),
+                     _freeze(right))
 
 
 def quotient_invariants(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -321,11 +291,10 @@ def quotient_invariants(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> li
     M is a nonsingular integer matrix in the lattice basis; the product
     of the returned divisors equals |det M|.
     """
-    m = [[int(x) for x in row] for row in matrix]
-    if len(m) != lattice.rank or any(len(r) != lattice.rank for r in m):
+    if len(matrix) != lattice.rank or any(len(r) != lattice.rank for r in matrix):
         raise ValueError("matrix shape does not match lattice rank")
-    form = smith_normal_form(m)
-    if any(d == 0 for d in form.invariants):
+    form = smith_normal_form(matrix)
+    if 0 in form.invariants:
         raise SingularMatrix("matrix has determinant zero")
     return [d for d in form.invariants if d > 1]
 
@@ -333,31 +302,88 @@ def quotient_invariants(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> li
 # ----- vector enumeration ---------------------------------------------
 
 
-# A coset key map: one (row, step, modulus) per Smith row with modulus > 1.
-_KeyMap = list[tuple[tuple[int, ...], int, int]]
-
-
 class _ScaledForm(NamedTuple):
     """The form in scaled integers, with the coset key map of each level.
 
-    Level i costs amp[i] * (den[i] * x_i + centre_i)^2 scaled units, one
-    unit of norm being `scale`, with centre_i = sum_{j>i} columns[j][i] *
-    x_j.  keys[k] is None unless level k is memoised and lies below the
-    top; otherwise it names the coset of a fixed prefix x_{>k} in
-    L_k^#/L_k, L_k being spanned by the first k+1 basis vectors.  The
-    coset is y mod G_k Z^{k+1}, with y = G[0..k][>k] x_{>k} and G_k the
-    leading block; for a Smith form U G_k V = D it is (U y)_r mod D_r
-    over the rows with D_r > 1.  Each key row (t, step, m) has m = D_r,
-    (t . centres) // scale congruent to (U y)_r mod m, and step =
-    (U G[0..k][k+1])_r mod m, the change of (U y)_r as x_{k+1} grows by
-    one.
+    The basis is in the pivot order of _bareiss, which keeps the leading
+    minors (the cosets the memo searches) small; G is the Gram matrix in
+    that order.  Level i costs amp[i] * (den[i] * x_i + centre_i)^2 scaled
+    units, `scale` to a unit of norm, with centre_i = upper[i] . x_{>i}.
+    keys[k], for a memoised level k below the top (else None), names the
+    coset of a fixed prefix x_{>k} in L_k^#/L_k, L_k being spanned by the
+    first k+1 basis vectors: y mod G_k Z^{k+1}, with y = G[0..k][>k]
+    x_{>k} and G_k the leading block.  For a Smith form U G_k V = D that
+    is (U y)_r mod D_r over the rows with D_r > 1; each key row (t, step,
+    m) has m = D_r and (U y)_r = step x_{k+1} + t . x_{>k+1}.
     """
 
-    den: list[int]
-    columns: list[list[int]]
-    amp: list[int]
+    den: list
+    upper: list
+    amp: list
     scale: int
-    keys: list[_KeyMap | None]
+    keys: list
+
+
+def _key_maps(gram, minors) -> list:
+    """The coset key rows of each level of a positive definite Gram
+    matrix (see _ScaledForm), None above MEMO_MINOR_LIMIT.
+
+    Smith forms U G_k V = D are kept modulo N, the lcm of the memoised
+    minors.  The transforms of G_{k-1}, extended by one, turn G_k into
+    [[D, U b], [b^T V, c]].  Each border entry is reduced modulo its D_r,
+    which changes only the corner and clears it where D_r = 1; a Smith
+    form of the other rows plus the border finishes the step.
+    """
+    memoised = [k for k in range(len(gram) - 1)
+                if minors[k] <= MEMO_MINOR_LIMIT]
+    modulus = lcm(*(minors[k] for k in memoised))
+    keys = [None] * len(gram)
+    left, right, diag = [], [], []  # the rows of U, the columns of V, D
+    for k in range(max(memoised, default=-1) + 1):
+        border, corner = gram[k][:k], gram[k][k]
+        beta = [sum(map(mul, u, border)) for u in left]
+        alpha = [sum(map(mul, v, border)) for v in right]
+        # column operations (down) reduce U b, then row operations (up)
+        # reduce b^T V; each moves the corner by its multiple of the
+        # other border entry as it stands at that point
+        down = [x // d for x, d in zip(beta, diag)]
+        up = [x // d for x, d in zip(alpha, diag)]
+        beta = [x % d for x, d in zip(beta, diag)]
+        corner -= sum(map(mul, down, alpha)) + sum(map(mul, up, beta))
+        alpha = [x % d for x, d in zip(alpha, diag)]
+        left = [u + [0] for u in left] + [
+            [-sum(map(mul, up, x)) % modulus for x in zip(*left)] + [1]]
+        right = [v + [0] for v in right] + [
+            [-sum(map(mul, down, x)) % modulus for x in zip(*right)] + [1]]
+        rest = [r for r, d in enumerate(diag) if d > 1]
+        diag.append(corner % modulus)
+        if rest:
+            form = smith_normal_form(
+                [[diag[r] * (r == s) for s in rest] + [beta[r]] for r in rest]
+                + [[alpha[s] for s in rest] + [diag[k]]])
+            rest.append(k)
+            rows = list(zip(*[left[r] for r in rest]))
+            cols = list(zip(*[right[r] for r in rest]))
+            for r, f, g, d in zip(rest, form.left, zip(*form.right),
+                                  form.invariants):
+                left[r] = [sum(map(mul, f, x)) % modulus for x in rows]
+                right[r] = [sum(map(mul, g, x)) % modulus for x in cols]
+                diag[r] = d
+        for r in rest or [k]:  # the rows whose D_r changed
+            # scale U_r by a unit w modulo N with w D_r = gcd(D_r, N)
+            d = gcd(diag[r], modulus)
+            w = pow(diag[r] // d, -1, modulus // d)
+            while gcd(w, modulus) > 1:
+                w += modulus // d
+            left[r] = [x * w % modulus for x in left[r]]
+            diag[r] = d
+        if k in memoised:
+            keys[k] = []
+            for u, d in zip(left, diag):
+                if d > 1:
+                    step, *t = [sum(map(mul, u, g)) % d for g in gram[k + 1:]]
+                    keys[k].append((t, step, d))
+    return keys
 
 
 def _scaled_form(gram: IntMatrix) -> _ScaledForm:
@@ -365,103 +391,85 @@ def _scaled_form(gram: IntMatrix) -> _ScaledForm:
     # the square completion Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
     # from fraction-free elimination: d_i = minors[i] / minors[i-1] and
     # u_ij = rows[i][j] / minors[i]; den[i] is the denominator of row i
-    minors, _, rows = _bareiss(gram)
+    order = list(range(n))
+    minors, _, rows = _bareiss(gram, order=order)
+    gram = [[gram[i][j] for j in order] for i in order]
     below = [1] + minors[:-1]
     shrink = [gcd(minors[i], *rows[i][i + 1:]) for i in range(n)]
     den = [minors[i] // shrink[i] for i in range(n)]
-    columns = [[rows[i][j] // shrink[i] for i in range(j)] for j in range(n)]
+    upper = [[x // shrink[i] for x in rows[i][i + 1:]] for i in range(n)]
     scale = lcm(*(below[i] // gcd(below[i], minors[i]) * den[i] ** 2
                   for i in range(n)))
     amp = [scale * minors[i] // (below[i] * den[i] ** 2) for i in range(n)]
     common = gcd(scale, *amp)
-    scale //= common
-    amp = [a // common for a in amp]
-    # G = R^T diag(d) R for the unit upper triangular R[i][j] = u_ij, so
-    # scale * y = A . centres with A lower triangular: A[i][l] =
-    # columns[i][l] * amp[l] below the diagonal and amp[i] * den[i] on it
-    lower = [[columns[i][l] * amp[l] for l in range(i)] + [amp[i] * den[i]]
-             for i in range(n)]
-    keys: list[_KeyMap | None] = []
-    for k, minor in enumerate(minors[:-1]):
-        if minor > MEMO_MINOR_LIMIT:
-            keys.append(None)
-            continue
-        form = smith_normal_form([row[:k + 1] for row in gram[:k + 1]])
-        key_rows = []
-        for r, m in enumerate(form.invariants):
-            if m == 1:
-                continue
-            left = form.left[r]
-            t = tuple([sum(left[i] * lower[i][l] for i in range(l, k + 1))
-                       % (scale * m) for l in range(k + 1)])
-            step = sum(left[i] * gram[i][k + 1] for i in range(k + 1)) % m
-            key_rows.append((t, step, m))
-        keys.append(key_rows)
-    return _ScaledForm(den, columns, amp, scale, keys)
+    return _ScaledForm(den, upper, [a // common for a in amp], scale // common,
+                       _key_maps(gram, minors))
 
 
 def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
                               budget: int = DEFAULT_NODE_BUDGET) -> dict[int, int]:
     """Exact count of lattice vectors at each even norm 0..max_norm.
 
-    Depth-first search over the square-completion of the form with all
-    bounds computed in scaled integer arithmetic.  An outer loop fixes
-    the highest nonzero coordinate x_k to a positive value (counts for
-    nonzero norms are doubled).  Below it the search runs over all of
-    Z^k, so each subtree is counted once per coset of the fixed prefix
-    modulo the sublattice spanned by the first basis vectors, on the
-    levels MEMO_MINOR_LIMIT admits, and once per pair of opposite
-    cosets: x -> -x maps the subtree of a prefix onto that of its
-    negative with the same norms.  Raises BudgetExceeded (discarding all
-    partial counts) if more than `budget` candidates are visited; a memo
-    hit visits none.
+    Depth-first search over the square completion of the form, basis in
+    pivot order, bounds in scaled integers.  An outer loop fixes the
+    highest nonzero coordinate x_k to a positive value (nonzero norms
+    count twice).  Below it the search runs over all of Z^k, so each
+    subtree is counted once per coset of the fixed prefix modulo the span
+    of the first basis vectors, on the levels MEMO_MINOR_LIMIT admits, and
+    once per pair of opposite cosets: x -> -x maps the subtree of a prefix
+    onto that of its negative.  Raises BudgetExceeded (discarding partial
+    counts) once more than `budget` candidates are visited; a memo hit
+    visits none.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
     if max_norm % 2:
         raise ValueError("max_norm must be even for an even lattice")
-    counts = {m: 0 for m in range(0, max_norm + 1, 2)}
-    counts[0] = 1
+    counts = {m: int(m == 0) for m in range(0, max_norm + 1, 2)}
     n = lattice.rank
     if n == 0 or max_norm == 0:
         return counts
 
-    den, columns, amp, scale, keys = _scaled_form(lattice.gram)
+    den, upper, amp, scale, keys = _scaled_form(lattice.gram)
     total = scale * max_norm
     nodes = 0
-    memo: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    memo = [{} for _ in range(n)]
+    # one object per distinct histogram: 631 for Leech's 5,631 searches
+    interned = {}
+    # A histogram packs a subtree's vectors by projected scaled norm v
+    # into one integer, the count of each v // scale in a `width`-bit
+    # field.  The lattice is integral, so each v is congruent to its
+    # radius mod scale and a field holds one v; no subtree outnumbers the
+    # box of each level's widest range, so no field overflows.
+    width = prod(2 * (isqrt(total // a) // b) + 3
+                 for a, b in zip(amp, den)).bit_length()
+    masks = [(1 << (m + 1) * width) - 1 for m in range(max_norm + 1)]
 
-    # A histogram h counts the vectors of a subtree by projected scaled
-    # norm v: h[v // scale].  The lattice is integral, so every v in a
-    # subtree reached with radius rem is congruent to rem mod scale, and
-    # each index holds one value of v.
-
-    def expand(level: int, centres: list[int], rem: int,
-               positive: bool = False) -> list[int]:
-        """Histogram of the subtree at this level, through radius rem."""
+    def expand(level: int, prefix: list, rem: int, positive=False) -> int:
+        """Histogram of the subtree at this level, through radius rem,
+        below the fixed coordinates prefix = [x_{level+1}, ...]."""
         nonlocal nodes
-        hist = [0] * (rem // scale + 1)
-        b, a, centre = den[level], amp[level], centres[level]
+        b, a = den[level], amp[level]
+        centre = sum(map(mul, upper[level], prefix))
         reach = isqrt(rem // a)
         lo = 1 if positive else -((reach + centre) // b)
         hi = (reach - centre) // b
         if hi < lo:
-            return hist
+            return 0
         nodes += hi - lo + 1
         if nodes > budget:
             raise BudgetExceeded(budget, nodes)
+        hist = 0
         if level == 0:
             for xi in range(lo, hi + 1):
                 e = b * xi + centre
-                hist[a * e * e // scale] += 1
+                hist += 1 << a * e * e // scale * width
             return hist
-        column = columns[level]
         below = level - 1
         key_map = keys[below]
         if key_map is not None:
             table = memo[below]
-            bases = [(sum(map(mul, t, centres)) // scale, step, mod)
+            bases = [(sum(map(mul, t, prefix)), step, mod)
                      for t, step, mod in key_map]
         for xi in range(lo, hi + 1):
             e = b * xi + centre
@@ -469,8 +477,7 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
             sub_rem = rem - cost
             residue = sub_rem % scale
             if key_map is None:
-                sub = expand(below, [c + w * xi for c, w in zip(centres, column)],
-                             sub_rem)
+                sub = expand(below, [xi] + prefix, sub_rem)
             else:
                 code = 0
                 for base, step, mod in bases:
@@ -478,37 +485,30 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
                 key = code * scale + residue
                 sub = table.get(key)
                 if sub is None:
-                    # the subtree depends only on the coset, so the centres
-                    # need no reduction; the largest radius <= total in
-                    # this residue class serves every caller, one with a
-                    # smaller radius reading a prefix
+                    # the subtree depends only on the coset; the largest
+                    # radius <= total in this residue class serves every
+                    # caller, one with a smaller radius masking the rest
                     radius = total - scale + residue if residue else total
-                    sub = tuple(expand(
-                        below, [c + w * xi for c, w in zip(centres, column)],
-                        radius))
-                    sub = interned.setdefault(sub, sub)
-                    table[key] = sub
+                    sub = expand(below, [xi] + prefix, radius)
+                    sub = table[key] = interned.setdefault(sub, sub)
                     # x -> -x maps the subtree of this coset onto that of
                     # its negative with the same norms: one search for both
                     negated = 0
                     for base, step, mod in bases:
                         negated = negated * mod + -(base + step * xi) % mod
                     table[negated * scale + residue] = sub
-            shift = (cost + residue) // scale
-            for m in range(sub_rem // scale + 1):
-                if sub[m]:
-                    hist[shift + m] += sub[m]
+                sub &= masks[sub_rem // scale]
+            hist += sub << (cost + residue) // scale * width
         return hist
 
     try:
-        for top in range(n):
-            hist = expand(top, [0] * (top + 1), total, positive=True)
-            for norm in counts:
-                counts[norm] += 2 * hist[norm]
+        hist = sum(expand(top, [], total, positive=True) for top in range(n))
     finally:
         # expand reaches itself through its closure cell; breaking that
         # cycle frees the memo at return instead of at the next collection
         del expand
+    for norm in counts:
+        counts[norm] += 2 * (hist >> norm * width & masks[0])
     return counts
 
 

@@ -169,15 +169,28 @@ def test_each_smith_form_is_computed_once(counted_p13_report):
     report, calls = counted_p13_report
     assert report.all_passed
     gram = load_leech().gram
-    leading = {tuple(row[:k] for row in gram[:k]) for k in range(1, 25)}
-    blocks = [m for m in calls["snf"] if m in leading]
-    others = [m for m in calls["snf"] if m not in leading]
+    order = list(range(len(gram)))
+    lattice._bareiss(gram, order=order)
+    ordered = [[gram[i][j] for j in order] for i in order]
+    leading = {tuple(tuple(row[:k]) for row in g[:k])
+               for g in (gram, ordered) for k in range(1, 25)}
+    # the enumeration's coset keys border each leading block onto the
+    # previous one's Smith form: no leading block, in either basis order,
+    # is reduced from scratch, beyond G_1, which borders G_0 = (g_00)
+    # with unit transforms
+    assert all(len(m) <= 2 for m in calls["snf"] if m in leading)
+    full = [m for m in calls["snf"] if len(m) == len(gram)]
+    bordered = [m for m in calls["snf"] if len(m) < len(gram)]
+    # one small form per level at most, over the rows with invariant > 1
+    # plus the border
+    keys = lattice._scaled_form(gram).keys
+    key_rows = max(len(rows) for rows in keys if rows is not None)
+    assert 0 < len(bordered) < len(gram)
+    assert all(len(m) <= key_rows + 1 for m in bordered)
     # one 1 - h per cyclic subgroup <h> = <sigma^i>, i = 1..25: h = sigma,
     # tau = sigma^2 and sigma^13 = -1, whose 1 - (-1) = 2 the negation shares
-    assert len(others) <= sum(1 for d in range(1, 26) if 26 % d == 0)
-    # the enumeration's coset keys: one per memoised leading block
-    assert 0 < len(blocks) <= len(gram)
-    assert len(set(calls["snf"])) == len(calls["snf"])
+    assert len(full) <= sum(1 for d in range(1, 26) if 26 % d == 0)
+    assert len(set(full)) == len(full)
 
 
 def test_suite_reduces_only_the_loaded_matrices(counted_p13_report):
@@ -275,6 +288,40 @@ def test_zero_denominator_cutoff_is_a_usage_error(argv):
     assert result.returncode == 2
     assert "invalid fraction '1/0'" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "3"],
+    ["lattice", "theta", str(resolve_data_dir() / "leech_gram.txt"),
+     "--max-norm", "0"],
+    ["isometry", "search", "--p", "3"],
+], ids=["verify", "lattice-theta", "isometry-search"])
+@pytest.mark.parametrize("budget", ["0", "-1", "many"])
+def test_nonpositive_budget_is_a_usage_error(argv, budget):
+    result = subprocess.run(
+        [sys.executable, "-m", "orbifoldry", *argv, "--budget", budget],
+        capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1])
+    assert result.returncode == 2
+    assert f"budget must be a positive integer, got '{budget}'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["lattice", "theta", str(resolve_data_dir() / "leech_gram.txt"),
+     "--max-norm", "0"],
+    ["isometry", "search", "--p", "3"],
+], ids=["verify", "lattice-theta", "isometry-search"])
+def test_nonpositive_budget_in_config_file(tmp_path, capsys, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 3\nbudget = -1\n")
+    assert main(["--config", str(cfg), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: budget must be a positive integer, got '-1'\n"
 
 
 def test_zero_denominator_cutoff_in_config_file(tmp_path, capsys):

@@ -311,6 +311,49 @@ def test_enumerate_matches_reference_kernel():
     assert unmemoised >= 10
 
 
+def pivot_order(gram):
+    """The basis order the kernel works in."""
+    order = list(range(len(gram)))
+    _bareiss(gram, order=order)
+    return order
+
+
+def permuted(lat, rng):
+    """The lattice with its basis vectors in a random order."""
+    order = list(range(lat.rank))
+    rng.shuffle(order)
+    return Lattice(gram=[[lat.gram[i][j] for j in order] for i in order])
+
+
+def test_counts_do_not_depend_on_the_basis_order():
+    rng = random.Random(4242)
+    for trial in range(24):
+        build = random_dense_lattice if trial % 3 else random_sparse_lattice
+        lat = build(rng, 1 + trial % 8)
+        max_norm = rng.choice((4, 6, 8))
+        want = reference_counts(lat, max_norm)
+        assert enumerate_vectors_by_norm(lat, max_norm) == want, lat.gram
+        shuffled = permuted(lat, rng)
+        assert enumerate_vectors_by_norm(shuffled, max_norm) == want, \
+            shuffled.gram
+
+
+def test_pivot_order_takes_the_least_next_minor():
+    rng = random.Random(8128)
+    for trial in range(12):
+        build = random_dense_lattice if trial % 3 else random_sparse_lattice
+        gram = build(rng, 1 + trial % 7).gram
+        order = pivot_order(gram)
+        assert sorted(order) == list(range(len(gram)))
+
+        def minor(indices):
+            return det_oracle([[gram[i][j] for j in indices] for i in indices])
+
+        for k in range(len(gram)):
+            least = min(minor(order[:k] + [j]) for j in order[k:])
+            assert minor(order[:k + 1]) == least, (gram, k)
+
+
 @pytest.mark.parametrize("limit", [0, 12])
 def test_enumerate_with_fewer_memoised_levels(monkeypatch, limit):
     # limit 0 memoises nothing; 12 memoises only the lowest levels
@@ -327,41 +370,63 @@ def test_coset_keys_match_the_dual_quotient():
     of L_k in its dual.  They share a memo entry, which a miss stores
     under its key and its negated key, exactly when G_k^{-1} (y - y') or
     G_k^{-1} (y + y') is integral.  Keys are read as the kernel reads
-    them, from the parent's centres plus one step in x_{k+1}, and the
-    negated key is the key of -x_{>k}."""
+    them, from the parent's coordinates x_{>k+1} plus one step in x_{k+1},
+    and the negated key is the key of -x_{>k}.  G is the Gram matrix in the
+    kernel's basis order, and the key moduli are the invariants > 1 of a
+    Smith form of each leading block computed from scratch."""
     rng = random.Random(5311)
-    same = opposite = differ = 0
-    for trial in range(30):
+    same, opposite, differ = coset_key_tallies(rng, random_lattices(rng, 30))
+    assert same >= 100 and opposite >= 50 and differ >= 100
+
+
+def test_coset_keys_through_unmemoised_levels(monkeypatch, leech):
+    # Leech's leading minors rise above 12 and fall below it again: the
+    # Smith forms are bordered through levels whose invariants do not
+    # divide their modulus
+    monkeypatch.setattr(lattice_module, "MEMO_MINOR_LIMIT", 12)
+    keys = _scaled_form(leech.gram).keys
+    # minors 4, 12, 32, ..., 36, 12, 4, 1 in the pivot order
+    assert [k for k, rows in enumerate(keys) if rows is not None] == \
+        [0, 1, 21, 22]
+    rng = random.Random(6029)
+    same, opposite, differ = coset_key_tallies(
+        rng, [leech, *random_lattices(rng, 30)])
+    assert same >= 20 and differ >= 20
+
+
+def random_lattices(rng, trials):
+    for trial in range(trials):
         build = random_dense_lattice if trial % 3 else random_sparse_lattice
-        lat = build(rng, 1 + trial % 8)
-        gram, n = lat.gram, lat.rank
-        form = _scaled_form(gram)
+        yield build(rng, 1 + trial % 8)
+
+
+def coset_key_tallies(rng, lattices):
+    """Check the keys of random prefixes on each lattice; count the pairs
+    in one coset, in opposite cosets, and in neither."""
+    same = opposite = differ = 0
+    for lat in lattices:
+        n = lat.rank
+        form = _scaled_form(lat.gram)
+        order = pivot_order(lat.gram)
+        gram = [[lat.gram[i][j] for j in order] for i in order]
         minors = _bareiss(gram)[0]
         for k, key_map in enumerate(form.keys):
-            if k == n - 1 or minors[k] > MEMO_MINOR_LIMIT:
+            if k == n - 1 or minors[k] > lattice_module.MEMO_MINOR_LIMIT:
                 assert key_map is None
                 continue
-            moduli = 1
-            for _, _, m in key_map:
-                assert m > 1
-                moduli *= m
-            assert moduli == minors[k]
-            inverse = frac_inverse([row[:k + 1] for row in gram[:k + 1]])
+            block = [row[:k + 1] for row in gram[:k + 1]]
+            assert [m for _, _, m in key_map] == [
+                d for d in smith_normal_form(block).invariants if d > 1]
+            inverse = frac_inverse(block)
 
             def key(prefix):
                 x = [0] * (k + 1) + prefix
-                parent = [sum(form.columns[j][i] * x[j] for j in range(k + 2, n))
-                          for i in range(k + 2)]
-                child = [c + w * x[k + 1]
-                         for c, w in zip(parent, form.columns[k + 1])]
                 digits, negated = [], []
                 for t, step, m in key_map:
-                    base = sum(a * c for a, c in zip(t, parent)) // form.scale
-                    digit = (base + step * x[k + 1]) % m
-                    assert digit == sum(a * c for a, c in zip(t, child)) \
-                        // form.scale % m
-                    digits.append(digit)
-                    negated.append(-(base + step * x[k + 1]) % m)
+                    assert len(t) == n - k - 2
+                    base = sum(a * c for a, c in zip(t, prefix[1:]))
+                    digits.append((base + step * prefix[0]) % m)
+                    negated.append(-(base + step * prefix[0]) % m)
                 return tuple(digits), tuple(negated), [
                     sum(gram[i][j] * x[j] for j in range(k + 1, n))
                     for i in range(k + 1)]
@@ -384,7 +449,7 @@ def test_coset_keys_match_the_dual_quotient():
                 same += coset
                 opposite += shared and not coset
                 differ += not shared
-    assert same >= 100 and opposite >= 50 and differ >= 100
+    return same, opposite, differ
 
 
 def test_enumerate_budget_is_enforced():
@@ -482,22 +547,28 @@ def test_enumeration_frees_its_memo_at_return(leech):
 
 def test_leech_norm_six_budget_is_exact(leech):
     # every candidate counts and a memo hit visits none
-    assert enumerate_vectors_by_norm(leech, 6, budget=30_931)[6] == 16773120
+    assert enumerate_vectors_by_norm(leech, 6, budget=26_312)[6] == 16773120
     with pytest.raises(BudgetExceeded):
-        enumerate_vectors_by_norm(leech, 6, budget=30_930)
+        enumerate_vectors_by_norm(leech, 6, budget=26_311)
 
 
-def test_leech_norm_two_costs_at_most_a_tenth_more_than_the_reference(leech):
+def test_leech_norm_two_costs_at_most_the_reference(leech):
     # a small radius: the memo searches each coset pair once at the full
-    # radius, so it must not visit many more candidates than the
+    # radius, so it must not visit more candidates than the
     # one-candidate-at-a-time reference kernel
     reference = 15_124
     assert reference_counts(leech, 2, budget=reference) == {0: 1, 2: 0}
     with pytest.raises(BudgetExceeded):
         reference_counts(leech, 2, budget=reference - 1)
-    # 16,636 candidates
-    assert enumerate_vectors_by_norm(leech, 2, budget=reference * 11 // 10) \
-        == {0: 1, 2: 0}
+    # 13,848 candidates
+    assert enumerate_vectors_by_norm(leech, 2, budget=reference) == {0: 1, 2: 0}
+
+
+def test_leech_counts_do_not_depend_on_the_basis_order(leech):
+    shuffled = permuted(leech, random.Random(24))
+    assert shuffled.gram != leech.gram
+    assert enumerate_vectors_by_norm(shuffled, 8) == \
+        enumerate_vectors_by_norm(leech, 8)
 
 
 def test_leech_theta_through_norm_twenty(leech):
