@@ -72,28 +72,27 @@ OUTPUT_FORMATS = ("json", "markdown")
 CONFIG_KEYS = ("p", "cutoff", "budget", "seed", "format", "data_dir")
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Settings for one verification run."""
 
-    p: int
-    cutoff: Fraction = DEFAULT_SUITE_CUTOFF
-    enumeration_budget: int = DEFAULT_NODE_BUDGET
-    data_dir: Path | None = None
-    output: str = "json"
+    __slots__ = ("p", "cutoff", "enumeration_budget", "data_dir", "output")
 
-    def __post_init__(self) -> None:
-        if self.p not in SUPPORTED_P:
-            raise ValueError(f"p must be one of {SUPPORTED_P}, got {self.p}")
-        object.__setattr__(self, "cutoff", Fraction(self.cutoff))
+    def __init__(self, p: int, cutoff: Fraction | int = DEFAULT_SUITE_CUTOFF,
+                 enumeration_budget: int = DEFAULT_NODE_BUDGET,
+                 data_dir: Path | None = None, output: str = "json") -> None:
+        if p not in SUPPORTED_P:
+            raise ValueError(f"p must be one of {SUPPORTED_P}, got {p}")
+        self.p = p
+        self.cutoff = Fraction(cutoff)
         if self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
-        if self.enumeration_budget < 1:
+        if enumeration_budget < 1:
             raise ValueError("enumeration budget must be positive")
-        if self.output not in OUTPUT_FORMATS:
+        self.enumeration_budget = enumeration_budget
+        if output not in OUTPUT_FORMATS:
             raise ValueError(f"output must be one of {OUTPUT_FORMATS}")
-        if self.data_dir is not None:
-            object.__setattr__(self, "data_dir", Path(self.data_dir))
+        self.output = output
+        self.data_dir = Path(data_dir) if data_dir is not None else None
 
 
 class _Context:
@@ -539,7 +538,7 @@ def _cmd_lattice_theta(args: argparse.Namespace, config: dict[str, str]) -> int:
     counts = {str(m): theta.coefficient_at(Fraction(m, 2))
               for m in range(0, args.max_norm + 1, 2)}
     _emit({"file": args.file, "max_norm": args.max_norm, "counts": counts,
-           "theta": json.loads(theta.to_json())})
+           "theta": theta.to_dict()})
     return 0
 
 
@@ -615,7 +614,7 @@ def _cmd_sectors_character(args: argparse.Namespace,
     series = twisted_character(inv, cutoff)
     _emit({"p": args.p, "i": args.i, "conformal_weight": inv.rho,
            "defect_dim": inv.defect_dim,
-           "series": json.loads(series.to_json())})
+           "series": series.to_dict()})
     return 0
 
 
@@ -638,7 +637,7 @@ def _cmd_fusion_orbifold(args: argparse.Namespace,
         series = series.shift(-1)
     _emit({"p": args.p, "construction": args.construction,
            "cutoff": cutoff, "shifted": bool(args.shift_c24),
-           "series": json.loads(series.to_json())})
+           "series": series.to_dict()})
     return 0
 
 
@@ -654,7 +653,7 @@ def _cmd_ising_chars(args: argparse.Namespace, config: dict[str, str]) -> int:
     payload = {}
     for h in ALLOWED_WEIGHTS:
         ch = c12_character(h, cutoff)
-        payload[str(h)] = json.loads(ch.series.to_json())
+        payload[str(h)] = ch.series.to_dict()
     _emit({"cutoff": cutoff, "characters": payload})
     return 0
 

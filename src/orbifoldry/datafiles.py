@@ -1,4 +1,4 @@
-"""Loaders for the matrices and word certificates shipped with the package.
+"""Loaders for the matrices shipped with the package.
 
 The data directory resolves in order: explicit argument, the
 ORBIFOLDRY_DATA environment variable, then the packaged data/ folder.
@@ -7,7 +7,6 @@ Shipped isometries are re-verified on every load.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -18,7 +17,6 @@ SUPPORTED_P = (3, 5, 7, 13)
 
 LEECH_FILE = "leech_gram.txt"
 GENERATOR_FILES = ("co0_gen_a.txt", "co0_gen_b.txt")
-WORDS_FILE = "isometry_words.json"
 
 
 class DataMissing(FileNotFoundError):
@@ -79,9 +77,3 @@ def load_sigma(p: int, data_dir: str | os.PathLike | None = None,
     if cyclotomic_profile(g) != sigma_profile(p):
         raise ValueError(f"sigma data for p={p} has the wrong spectral profile")
     return g
-
-
-def load_word_certificates(data_dir: str | os.PathLike | None = None) -> dict:
-    """Recorded search words reproducing each shipped sigma from the
-    generator pair, with the seeds and budgets that found them."""
-    return json.loads(_read(data_dir, WORDS_FILE))

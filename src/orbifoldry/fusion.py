@@ -14,7 +14,6 @@ residues 0 <= i, j < n; the modulus n is passed once beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable
@@ -65,16 +64,14 @@ def _q(a: Label, n: int) -> int:
     return a[0] * a[1] % n
 
 
-@dataclass(frozen=True)
 class IsotropicSubgroup:
     """Subgroup of Z_n x Z_n on which q vanishes identically."""
 
-    n: int
-    generators: tuple[Label, ...]
-    elements: tuple[Label, ...]
+    __slots__ = ("n", "generators", "elements")
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, generators: tuple[Label, ...],
+                 elements: tuple[Label, ...]) -> None:
+        self.n, self.generators, self.elements = n, generators, elements
         members = set(self.elements)
         if (0, 0) not in members:
             raise ValueError("a subgroup contains the unit (0, 0)")

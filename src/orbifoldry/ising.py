@@ -9,7 +9,6 @@ q^{1/16} prod_{n>=1}(1 + q^n); both are expanded by qseries.euler_product.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -30,15 +29,13 @@ class UnknownHighestWeight(ValueError):
     """Highest weight outside {0, 1/2, 1/16}."""
 
 
-@dataclass(frozen=True)
 class MinimalModelChar:
     """Graded dimension of one simple module: leading term q^h."""
 
-    h: Fraction
-    series: FracSeries
+    __slots__ = ("h", "series")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "h", Fraction(self.h))
+    def __init__(self, h: Rational, series: FracSeries) -> None:
+        self.h, self.series = Fraction(h), series
         if self.h not in ALLOWED_WEIGHTS:
             raise UnknownHighestWeight(f"no simple module of weight {self.h}")
         if self.series.leading_term() != (self.h, 1):

@@ -21,11 +21,10 @@ powers are products of a verified matrix and are trusted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lattice import (
     IntMatrix,
@@ -85,12 +84,12 @@ def _mat_power(matrix: Sequence[Sequence[int]], k: int) -> list[list[int]]:
 # ----- isometry type ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Isometry:
     """A Gram-preserving integer matrix acting on a lattice.
 
     The action convention is on column vectors: matrix.T @ gram @ matrix
     must equal gram, which is checked at construction.
+    Isometries are equal when their lattices and matrices are.
 
     Every constructed instance is the root of its own power cache.  The
     powers that power() makes skip construction: a product of copies of
@@ -102,12 +101,18 @@ class Isometry:
     root^(e // 2) and kept.
     """
 
-    lattice: Lattice
-    matrix: IntMatrix
+    # __dict__ holds the cached_property values
+    __slots__ = ("lattice", "matrix", "_root", "_exponent", "_powers", "__dict__")
+
+    def __init__(self, lattice: Lattice, matrix: Sequence[Sequence[int]]) -> None:
+        self.lattice = lattice
+        self.matrix = matrix
+        # looked up on the class, so that a wrapper set there (the span
+        # tracer in perfbench/spans.py, the tests' counters) sees each check
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        matrix = _freeze(self.matrix)
-        object.__setattr__(self, "matrix", matrix)
+        self.matrix = matrix = _freeze(self.matrix)
         n = self.lattice.rank
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix shape does not match lattice rank")
@@ -117,14 +122,20 @@ class Isometry:
         if _freeze(_mat_mul(mg, matrix)) != gram:
             raise NotGramPreserving("matrix.T @ gram @ matrix != gram")
         # det(M)^2 det(G) = det(G) > 0 then forces det(M) = +-1
-        object.__setattr__(self, "_root", self)
-        object.__setattr__(self, "_exponent", 1)
-        object.__setattr__(self, "_powers", {})
+        self._root = self
+        self._exponent = 1
+        self._powers = {}
 
-    def __mul__(self, other: Isometry) -> Isometry:
-        if self.lattice is not other.lattice and self.lattice != other.lattice:
-            raise ValueError("isometries act on different lattices")
-        return Isometry(self.lattice, _mat_mul(self.matrix, other.matrix))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Isometry):
+            return NotImplemented
+        return self.lattice == other.lattice and self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"Isometry(lattice={self.lattice!r}, matrix={self.matrix!r})"
 
     def power(self, k: int) -> Isometry:
         """g^k, negative k taken mod the order; built once.
@@ -140,9 +151,7 @@ class Isometry:
         cached = root._powers.get(e)
         if cached is None:
             cached = object.__new__(Isometry)
-            for name, value in (("lattice", root.lattice), ("_root", root),
-                                ("_exponent", e)):
-                object.__setattr__(cached, name, value)
+            cached.lattice, cached._root, cached._exponent = root.lattice, root, e
             root._powers[e] = cached
         return cached
 
@@ -159,12 +168,8 @@ class Isometry:
             matrix = _mat_mul(half, half)
             if e & 1:
                 matrix = _mat_mul(matrix, root.matrix)
-        frozen = _freeze(matrix)
-        object.__setattr__(self, "matrix", frozen)
+        self.matrix = frozen = _freeze(matrix)
         return frozen
-
-    def inverse(self) -> Isometry:
-        return self.power(-1)
 
     def is_identity(self) -> bool:
         return all(self.matrix[i][j] == int(i == j)
@@ -229,10 +234,6 @@ class Isometry:
 def verify_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> Isometry:
     """Check Gram preservation; return the wrapped isometry."""
     return Isometry(lattice=lattice, matrix=matrix)
-
-
-def identity_isometry(lattice: Lattice) -> Isometry:
-    return Isometry(lattice, _identity(lattice.rank))
 
 
 def negation_isometry(lattice: Lattice) -> Isometry:
@@ -352,22 +353,38 @@ def cyclotomic_polynomial(d: int, _cache: dict[int, list[int]] = {}) -> list[int
 def _cyclotomic_orders(rank: int) -> tuple[int, ...]:
     """Every d with phi(d) <= rank, ascending: the orders of the cyclotomic
     factors a rank-n characteristic polynomial can have."""
-    # phi(d) >= sqrt(d/2), so phi(d) <= rank forces d <= 2 rank^2
-    return tuple(d for d in range(1, 2 * rank * rank + 1) if euler_phi(d) <= rank)
+    # phi(d) >= sqrt(d/2), so phi(d) <= rank forces d <= 2 rank^2; phi of
+    # every d up to there by a sieve over the primes
+    top = 2 * rank * rank
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for d in range(p, top + 1, p):
+                phi[d] -= phi[d] // p
+    return tuple(d for d in range(1, top + 1) if phi[d] <= rank)
 
 
-@dataclass(frozen=True)
 class CycloProfile:
     """Multiset of cyclotomic factors of a characteristic polynomial,
     stored as sorted (d, multiplicity) pairs with all multiplicities >= 1."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors",
-                           tuple(sorted((int(d), int(e)) for d, e in self.factors)))
+    def __init__(self, factors: Iterable[tuple[int, int]]) -> None:
+        self.factors = tuple(sorted((int(d), int(e)) for d, e in factors))
         if any(e < 1 for _, e in self.factors):
             raise ValueError("multiplicities must be positive")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CycloProfile):
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"CycloProfile(factors={self.factors!r})"
 
     @staticmethod
     def of(factors: dict[int, int]) -> CycloProfile:
@@ -388,9 +405,6 @@ class CycloProfile:
 
     def multiplicity(self, d: int) -> int:
         return dict(self.factors).get(d, 0)
-
-    def degree(self) -> int:
-        return sum(e * euler_phi(d) for d, e in self.factors)
 
     @property
     def order(self) -> int:
@@ -457,8 +471,7 @@ def eigenspace_dims(g: Isometry, modulus: int) -> tuple[int, ...]:
 # ----- randomized word search -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Found isometry with the generator word that produces it (indices
     into the generator list, applied left to right as a matrix product)."""
 

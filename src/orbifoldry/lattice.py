@@ -7,13 +7,14 @@ theta series.  All arithmetic is exact (integers and Fractions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .qseries import FracSeries
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .qseries import FracSeries
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -115,24 +116,22 @@ def _det_int(matrix: Sequence[Sequence[int]]) -> int:
     return sign * pivots[-1] if pivots else 1
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Even positive definite lattice described by its Gram matrix.
 
     Invariants are checked at construction: the matrix must be square,
     symmetric, have even diagonal, and pass Sylvester's criterion.
+    Lattices are equal when their Gram matrices and labels are.
     """
 
-    gram: IntMatrix
-    label: str = ""
-    # divisors of L/(1 - g)L by the matrix of g, filled by
+    # _coinvariants: divisors of L/(1 - g)L by the matrix of g, filled by
     # Isometry.coinvariant_divisors
-    _coinvariants: dict[IntMatrix, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("gram", "label", "_coinvariants", "_determinant")
 
-    def __post_init__(self) -> None:
-        gram = _freeze(self.gram)
-        object.__setattr__(self, "gram", gram)
+    def __init__(self, gram: Sequence[Sequence[int]], label: str = "") -> None:
+        self.gram = gram = _freeze(gram)
+        self.label = label
+        self._coinvariants = {}
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ParseError("gram matrix must be square")
@@ -148,7 +147,18 @@ class Lattice:
             raise NotPositiveDefinite("a leading principal minor is not positive")
         # a positive definite Gram needs no row swaps: its determinant is
         # the last leading minor
-        object.__setattr__(self, "_determinant", minors[-1] if n else 1)
+        self._determinant = minors[-1] if n else 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self.gram == other.gram and self.label == other.label
+
+    def __hash__(self) -> int:
+        return hash((self.gram, self.label))
+
+    def __repr__(self) -> str:
+        return f"Lattice(gram={self.gram!r}, label={self.label!r})"
 
     @property
     def rank(self) -> int:
@@ -156,13 +166,6 @@ class Lattice:
 
     def determinant(self) -> int:
         return self._determinant
-
-    def norm(self, vector: Sequence[int]) -> int:
-        """⟨v,v⟩ of an integer coordinate vector in the lattice basis."""
-        if len(vector) != self.rank:
-            raise ValueError("vector length does not match lattice rank")
-        return sum(xi * sum(map(mul, row, vector))
-                   for xi, row in zip(vector, self.gram) if xi)
 
 
 def parse_matrix(source: str) -> IntMatrix:
@@ -519,6 +522,12 @@ def theta_series(lattice: Lattice, cutoff: Fraction | int,
     Norms are even, so the series enumerated through int(cutoff) is exact
     through the requested cutoff and is stated there.
     """
+    # imported here, so that loading a lattice leaves the series layer
+    # (and fractions, which imports decimal) unloaded
+    from fractions import Fraction
+
+    from .qseries import FracSeries
+
     c = Fraction(cutoff)
     if c < 0:
         raise ValueError("cutoff must be nonnegative")

@@ -14,9 +14,7 @@ kernel, euler_product; grading_product maps oscillator modes onto it.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
@@ -42,27 +40,26 @@ def _as_fraction(x: int | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class FracSeries:
     """Truncated series sum(c_k * q^(k/grain)) with exact Fraction coefficients.
 
     coeffs maps k (grain units, possibly negative) to a nonzero Fraction; all
-    keys satisfy k <= cutoff.  Instances are value objects; do not mutate the
-    coefficient map after construction.
+    keys satisfy k <= cutoff.  Instances are value objects, equal and hashed
+    by their canonical (coarsest) grid; do not mutate one after construction.
     """
 
-    grain: int
-    coeffs: Mapping[int, Fraction] = field(compare=False)
-    cutoff: int
+    __slots__ = ("grain", "coeffs", "cutoff")
 
-    def __post_init__(self) -> None:
-        if self.grain < 1:
-            raise ValueError(f"grain must be >= 1, got {self.grain}")
-        cleaned = {int(k): _as_fraction(v) for k, v in self.coeffs.items() if v != 0}
+    def __init__(self, grain: int, coeffs: Mapping[int, Fraction], cutoff: int) -> None:
+        if grain < 1:
+            raise ValueError(f"grain must be >= 1, got {grain}")
+        cleaned = {int(k): _as_fraction(v) for k, v in coeffs.items() if v != 0}
         for k in cleaned:
-            if k > self.cutoff:
-                raise ValueError(f"term q^({k}/{self.grain}) lies past cutoff {self.cutoff}")
-        object.__setattr__(self, "coeffs", cleaned)
+            if k > cutoff:
+                raise ValueError(f"term q^({k}/{grain}) lies past cutoff {cutoff}")
+        self.grain = grain
+        self.coeffs = cleaned
+        self.cutoff = cutoff
 
     # ----- constructors -------------------------------------------------
 
@@ -90,10 +87,6 @@ class FracSeries:
     def weight_cutoff(self) -> Fraction:
         """Largest weight at which coefficients are exact."""
         return Fraction(self.cutoff, self.grain)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def tail_exponent(self) -> int:
         """Smallest stored exponent in grain units; cutoff for the zero series.
@@ -273,15 +266,10 @@ class FracSeries:
 
     # ----- serialization --------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """{"grain", "terms": [[k, "num/den"], ...], "cutoff"}, JSON-able."""
         terms = [[k, _frac_str(v)] for k, v in sorted(self.coeffs.items())]
-        return json.dumps({"grain": self.grain, "terms": terms, "cutoff": self.cutoff})
-
-    @staticmethod
-    def from_json(text: str) -> FracSeries:
-        obj = json.loads(text)
-        coeffs = {int(k): Fraction(v) for k, v in obj["terms"]}
-        return FracSeries(int(obj["grain"]), coeffs, int(obj["cutoff"]))
+        return {"grain": self.grain, "terms": terms, "cutoff": self.cutoff}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FracSeries):

@@ -8,9 +8,8 @@ byte-stable for a fixed configuration, so reports can be golden-filed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["ClaimEntry", "Report", "emit_report", "plain"]
 
@@ -35,28 +34,17 @@ def plain(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
-@dataclass(frozen=True)
-class ClaimEntry:
+class ClaimEntry(NamedTuple):
     claim: str
     description: str
     passed: bool
     computed: Any
     expected: Any
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "description": self.description,
-            "passed": self.passed,
-            "computed": self.computed,
-            "expected": self.expected,
-        }
 
-
-@dataclass
-class Report:
+class Report(NamedTuple):
     config: dict[str, Any]
-    entries: list[ClaimEntry] = field(default_factory=list)
+    entries: list[ClaimEntry]
 
     @property
     def all_passed(self) -> bool:
@@ -65,7 +53,7 @@ class Report:
     def to_dict(self) -> dict[str, Any]:
         return {
             "config": plain(self.config),
-            "claims": [entry.to_dict() for entry in self.entries],
+            "claims": [entry._asdict() for entry in self.entries],
             "all_passed": self.all_passed,
         }
 

@@ -11,7 +11,6 @@ Fock characters are eta products, expanded by qseries.grading_product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -78,7 +77,6 @@ def defect_dimension(g: Isometry, i: int) -> int:
     return root
 
 
-@dataclass(frozen=True)
 class SectorInvariants:
     """Numeric data of the g^i-twisted sector: eigenspace dimensions for
     eigenvalues zeta_m^{-j} (m = modulus), which fix the conformal weight
@@ -89,19 +87,28 @@ class SectorInvariants:
     subgroup compare equal and share one twisted character.
     """
 
-    power: int = field(compare=False)
-    defect_dim: int
-    eig_dims: tuple[int, ...]
-    modulus: int = field(init=False, compare=False)
-    rho: Fraction = field(init=False, compare=False)
+    __slots__ = ("power", "defect_dim", "eig_dims", "modulus", "rho")
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.eig_dims)
-        object.__setattr__(self, "eig_dims", dims)
-        object.__setattr__(self, "modulus", len(dims))
-        object.__setattr__(self, "rho", conformal_weight(dims, len(dims)))
-        if self.defect_dim < 1:
+    def __init__(self, power: int, defect_dim: int, eig_dims: Sequence[int]) -> None:
+        self.power = power
+        self.defect_dim = defect_dim
+        self.eig_dims = dims = tuple(int(d) for d in eig_dims)
+        self.modulus = len(dims)
+        self.rho = conformal_weight(dims, len(dims))
+        if defect_dim < 1:
             raise ValueError("defect dimension must be positive")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SectorInvariants):
+            return NotImplemented
+        return self.defect_dim == other.defect_dim and self.eig_dims == other.eig_dims
+
+    def __hash__(self) -> int:
+        return hash((self.defect_dim, self.eig_dims))
+
+    def __repr__(self) -> str:
+        return (f"SectorInvariants(power={self.power!r}, defect_dim={self.defect_dim!r}, "
+                f"eig_dims={self.eig_dims!r}, modulus={self.modulus!r}, rho={self.rho!r})")
 
 
 def sector_invariants(g: Isometry, i: int) -> SectorInvariants:

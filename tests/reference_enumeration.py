@@ -12,6 +12,12 @@ from math import isqrt, lcm
 from orbifoldry.lattice import BudgetExceeded
 
 
+def norm(gram, vector) -> int:
+    """<v, v> of an integer coordinate vector in the basis of gram."""
+    return sum(x * y * g for x, row in zip(vector, gram)
+               for y, g in zip(vector, row))
+
+
 def _squares_decomposition(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Write the form as sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 exactly."""
     n = len(gram)

@@ -39,6 +39,7 @@ from orbifoldry.sectors import (
     twined_untwisted_character,
     twisted_character,
 )
+from reference_enumeration import norm as reference_norm
 
 # frozen independent facts
 J_COEFFS = {-1: 1, 0: 0, 1: 196884, 2: 21493760, 3: 864299970,
@@ -273,14 +274,13 @@ def leibniz_det(m):
 def naive_box_counts(gram, max_norm):
     # exhaustive scan of a coordinate box certified by the dual form
     rank = len(gram)
-    lat = Lattice(gram)
     counts = {m: 0 for m in range(0, max_norm + 1, 2)}
     bound = max_norm * max(gram[i][i] for i in range(rank))
     radius = int(bound**0.5) + 2
     box = [range(-radius, radius + 1)] * rank
     def scan(prefix):
         if len(prefix) == rank:
-            norm = lat.norm(prefix)
+            norm = reference_norm(gram, prefix)
             if norm <= max_norm:
                 counts[norm] += 1
             return

