@@ -35,12 +35,10 @@ from .fusion import (
 )
 from .ising import ALLOWED_WEIGHTS, c12_character, extension_weight_one_check
 from .isometry import (
-    DEFAULT_SEARCH_BUDGET,
     Isometry,
     cyclotomic_profile,
     multiplicative_order,
     negation_isometry,
-    search_isometry,
     verify_isometry,
 )
 from .lattice import (
@@ -52,6 +50,7 @@ from .lattice import (
 from .modular import moonshine_j, unimodular_theta_rank24
 from .qseries import FracSeries
 from .report import ClaimEntry, Report, emit_report, plain
+from .search import DEFAULT_SEARCH_BUDGET, search_isometry
 from .sectors import (
     SectorInvariants,
     eigencomponent_character,
@@ -631,7 +630,8 @@ def _cmd_fusion_orbifold(args: argparse.Namespace,
                          config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
     cutoff = _resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, Fraction)
-    g = ctx.tau() if args.construction == "zp" else ctx.sigma().power(args.p)
+    # the lift of -1 is sigma^p, but building it reads no sigma
+    g = ctx.tau() if args.construction == "zp" else ctx.negation()
     series = orbifold_character(g, cutoff, ctx.theta(ceil(cutoff)))
     if args.shift_c24:
         series = series.shift(-1)
@@ -771,7 +771,10 @@ def _build_parser() -> argparse.ArgumentParser:
     orbifold = fusion_sub.add_parser("orbifold")
     orbifold.add_argument("--p", type=int, required=True, choices=SUPPORTED_P)
     orbifold.add_argument("--construction", choices=("zp", "z2"),
-                          default="zp")
+                          default="zp",
+                          help="zp: the Z_p orbifold by tau = sigma^2 "
+                          "(default); z2: the Z_2 orbifold by the lift of "
+                          "-1, which reads no sigma")
     orbifold.add_argument("--cutoff", type=_fraction, default=None)
     orbifold.add_argument("--shift-c24", dest="shift_c24",
                           action="store_true",

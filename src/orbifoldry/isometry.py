@@ -1,41 +1,37 @@
 """Integer isometries of a definite lattice.
 
 Validation against the Gram matrix, exact cyclotomic factorization of
-characteristic polynomials, eigenspace dimensions of finite-order
-isometries, and a seeded random word search over a generator set.
+characteristic polynomials, and eigenspace dimensions of finite-order
+isometries.
 
 Spectral facts are computed from a matrix only at a root: an Isometry
-built from outside.  Its characteristic polynomial is lifted from a
-mod-prime Hessenberg reduction and certified by complete cyclotomic
-factoring and g^order = I.  Every power g^k is made once and cached on
-g, so that a power of a power is the same object as the matching power
-of g, and it reads its facts off the root: its cyclotomic profile is
+built from outside.  The constructor's check M^T G M = G, with G
+positive definite, puts M in the finite group Aut(L); so M has finite
+order, is diagonalisable, and has roots of unity as eigenvalues.  Its
+characteristic polynomial is then exactly the lift of a mod-prime
+Hessenberg reduction, a product of cyclotomic polynomials, and
+M^order = I for the order they give; no power of M is multiplied out
+to confirm it.  Every power g^k is made once and cached on g, so that
+a power of a power is the same object as the matching power of g, and
+it reads its facts off the root: its cyclotomic profile is
 power_profile(profile of g, k), its characteristic polynomial the
 product of that profile's factors, and its Smith invariants of 1 - g^k
 those of the generator g^gcd(k, order) of the same cyclic subgroup.  A
-power's matrix is multiplied out only when something reads it.
-Matrices from outside are verified when an Isometry is constructed;
-powers are products of a verified matrix and are trusted.
+power's matrix is multiplied out only when something reads it, and not
+at all when its profile is Phi_1^n or Phi_2^n: a diagonalisable matrix
+with every eigenvalue 1 (or -1) is I (or -I).  Matrices from outside
+are verified when an Isometry is constructed; powers are products of a
+verified matrix and are trusted.
 """
 
 from __future__ import annotations
 
-import random
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .lattice import (
-    IntMatrix,
-    Lattice,
-    _det_int,
-    _freeze,
-    _identity,
-    quotient_invariants,
-)
-
-DEFAULT_SEARCH_BUDGET = 4000
+from .lattice import IntMatrix, Lattice, _freeze, _identity, quotient_invariants
 
 # characteristic polynomials are computed modulo this prime and lifted;
 # see _charpoly for why one prime is exact for finite-order matrices
@@ -48,16 +44,13 @@ class NotGramPreserving(ValueError):
 
 class NonCyclotomicFactor(ArithmeticError):
     """The matrix is not of finite order: its lifted characteristic
-    polynomial has a non-cyclotomic factor, or M^order != I for the order
-    the factorization predicts.  Unreachable for verified isometries."""
+    polynomial has a non-cyclotomic factor, or a bare matrix has
+    M^order != I for the order the factorization predicts.  Unreachable
+    for Gram-verified isometries."""
 
 
 class OrderDoesNotDivide(ValueError):
     """A modulus m was supplied with g^m != identity."""
-
-
-class NotFound(LookupError):
-    """The word search exhausted its budget without hitting the target."""
 
 
 # ----- integer matrix helpers ------------------------------------------
@@ -66,19 +59,6 @@ class NotFound(LookupError):
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
-def _mat_power(matrix: Sequence[Sequence[int]], k: int) -> list[list[int]]:
-    n = len(matrix)
-    result = _identity(n)
-    base = [list(row) for row in matrix]
-    while k:
-        if k & 1:
-            result = _mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = _mat_mul(base, base)
-    return result
 
 
 # ----- isometry type ----------------------------------------------------
@@ -157,12 +137,16 @@ class Isometry:
 
     def __getattr__(self, name: str) -> IntMatrix:
         # power() makes a power without its matrix; the first read builds
-        # it from the cached root^(e // 2) and keeps it
+        # it from the cached root^(e // 2) and keeps it, unless the profile
+        # Phi_1^n or Phi_2^n already says that it is I or -I
         if name != "matrix":
             raise AttributeError(name)
         root, e = self._root, self._exponent
-        if e == 0:
-            matrix = _identity(root.lattice.rank)
+        n = root.lattice.rank
+        if e == 0 or self._profile.factors == ((1, n),):
+            matrix = _identity(n)
+        elif self._profile.factors == ((2, n),):
+            matrix = [[-int(i == j) for j in range(n)] for i in range(n)]
         else:
             half = root.power(e // 2).matrix
             matrix = _mat_mul(half, half)
@@ -182,12 +166,9 @@ class Isometry:
         if root is not self:
             # the eigenvalues of root^e are the e-th powers of the root's
             return power_profile(root._profile, self._exponent)
-        # the lift is exact once g is shown to have finite order (_charpoly)
-        profile = _lifted_profile(_charpoly(self.matrix))
-        if not self.power(profile.order).is_identity():
-            raise NonCyclotomicFactor(
-                f"g^{profile.order} != I: the matrix is not of finite order")
-        return profile
+        # the Gram check put g in the finite group Aut(L), so the lift is
+        # exact (_charpoly) and g^order = I holds without a product
+        return _lifted_profile(_charpoly(self.matrix))
 
     @cached_property
     def charpoly(self) -> tuple[int, ...]:
@@ -255,7 +236,10 @@ def _charpoly(matrix: Sequence[Sequence[int]]) -> list[int]:
     M has finite order, so the true polynomial and the lift both have all
     roots on the unit circle, every coefficient is at most C(n, k) in
     absolute value, and two such polynomials that agree mod P are equal
-    because 2 C(n, n/2) < P.  Callers certify the lift that way.
+    because 2 C(n, n/2) < P.  An Isometry needs no such certificate: its
+    Gram check M^T G M = G, G positive definite, puts M in the finite
+    group Aut(L), so M has finite order, the lift is exact and M^order = I.
+    A bare matrix is certified by the word search's _profile_of_matrix.
     """
     p = CHARPOLY_PRIME
     n = len(matrix)
@@ -438,15 +422,6 @@ def _lifted_profile(charpoly: Sequence[int]) -> CycloProfile:
     return CycloProfile.of(factors)
 
 
-def _profile_of_matrix(matrix: Sequence[Sequence[int]], rank: int) -> CycloProfile:
-    """Certified cyclotomic profile of a bare integer matrix."""
-    profile = _lifted_profile(_charpoly(matrix))
-    if _mat_power(matrix, profile.order) != _identity(rank):
-        raise NonCyclotomicFactor(
-            f"M^{profile.order} != I: the matrix is not of finite order")
-    return profile
-
-
 def multiplicative_order(g: Isometry) -> int:
     """Least n >= 1 with g^n = identity, from the cyclotomic profile."""
     return cyclotomic_profile(g).order
@@ -466,77 +441,3 @@ def eigenspace_dims(g: Isometry, modulus: int) -> tuple[int, ...]:
     """Complex eigenspace dimensions of g for eigenvalues ζ_m^{-j}, j = 0..m-1
     (CycloProfile.eigenspace_dims); requires g^m = identity."""
     return cyclotomic_profile(g).eigenspace_dims(modulus)
-
-
-# ----- randomized word search -------------------------------------------
-
-
-class SearchResult(NamedTuple):
-    """Found isometry with the generator word that produces it (indices
-    into the generator list, applied left to right as a matrix product)."""
-
-    isometry: Isometry
-    word: tuple[int, ...]
-
-
-def _word_matrix(generators: Sequence[Isometry], word: Sequence[int]) -> list[list[int]]:
-    out = _identity(generators[0].lattice.rank)
-    for idx in word:
-        out = _mat_mul(out, generators[idx].matrix)
-    return out
-
-
-def search_isometry(generators: Sequence[Isometry], target: CycloProfile,
-                    budget: int = DEFAULT_SEARCH_BUDGET, seed: int = 0) -> SearchResult:
-    """Find a product of generators whose cyclotomic profile equals target.
-
-    Tries each single generator first, then random words of bounded
-    length, examining every power of each candidate through its profile.
-    Deterministic for a given seed.  The returned word is re-verified:
-    profile equality, and (when no power of the target contains the
-    factor d=1) absence of fixed vectors in every proper power.
-    """
-    if not generators:
-        raise ValueError("generators must be nonempty")
-    lattice = generators[0].lattice
-    for g in generators[1:]:
-        if g.lattice != lattice:
-            raise ValueError("generators act on different lattices")
-    rank = lattice.rank
-    rng = random.Random(seed)
-    words = [(i,) for i in range(len(generators))]
-    tried = 0
-    while tried < budget:
-        if words:
-            word = words.pop(0)
-        else:
-            length = rng.randint(8, 30)
-            word = tuple(rng.randrange(len(generators)) for _ in range(length))
-        tried += 1
-        matrix = _word_matrix(generators, word)
-        profile = _profile_of_matrix(matrix, rank)
-        for k in range(1, profile.order + 1):
-            if power_profile(profile, k) == target:
-                found_word = word * k
-                result = verify_isometry(lattice, _mat_power(matrix, k))
-                _check_found(result, target)
-                return SearchResult(isometry=result, word=found_word)
-    raise NotFound(f"no generator word matched the target profile in {budget} attempts")
-
-
-def _check_found(result: Isometry, target: CycloProfile) -> None:
-    profile = cyclotomic_profile(result)
-    if profile != target:
-        raise AssertionError("search result fails profile re-verification")
-    order = profile.order
-    fixed_free = all(power_profile(profile, i).multiplicity(1) == 0
-                     for i in range(1, order))
-    if fixed_free:
-        # independent matrix-level confirmation: no proper power fixes a vector
-        n = result.lattice.rank
-        for i in range(1, order):
-            mi = [list(row) for row in result.power(i).matrix]
-            for r in range(n):
-                mi[r][r] -= 1
-            if _det_int(mi) == 0:
-                raise AssertionError(f"power {i} unexpectedly has a fixed vector")

@@ -1,7 +1,8 @@
 """Exact formal power series in fractional powers of q.
 
 A series lives on the grid (1/D)*Z for a positive integer D called the grain.
-Coefficients are exact rationals, exponents are integers in grain units, and
+Coefficients are exact rationals, stored as ints where integral and as
+Fractions only otherwise; exponents are integers in grain units, and
 every series carries an explicit truncation cutoff: the coefficient of q^(k/D)
 is exact for all k <= cutoff and undefined past it.  Reading past the cutoff
 raises BeyondCutoff rather than returning a silent zero.
@@ -40,20 +41,29 @@ def _as_fraction(x: int | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class FracSeries:
-    """Truncated series sum(c_k * q^(k/grain)) with exact Fraction coefficients.
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x as an int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = _as_fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
-    coeffs maps k (grain units, possibly negative) to a nonzero Fraction; all
-    keys satisfy k <= cutoff.  Instances are value objects, equal and hashed
+
+class FracSeries:
+    """Truncated series sum(c_k * q^(k/grain)) with exact rational coefficients.
+
+    coeffs maps k (grain units, possibly negative) to a nonzero coefficient,
+    an int when integral and a Fraction otherwise; all keys satisfy
+    k <= cutoff.  Instances are value objects, equal and hashed
     by their canonical (coarsest) grid; do not mutate one after construction.
     """
 
     __slots__ = ("grain", "coeffs", "cutoff")
 
-    def __init__(self, grain: int, coeffs: Mapping[int, Fraction], cutoff: int) -> None:
+    def __init__(self, grain: int, coeffs: Mapping[int, int | Fraction], cutoff: int) -> None:
         if grain < 1:
             raise ValueError(f"grain must be >= 1, got {grain}")
-        cleaned = {int(k): _as_fraction(v) for k, v in coeffs.items() if v != 0}
+        cleaned = {int(k): _exact(v) for k, v in coeffs.items() if v}
         for k in cleaned:
             if k > cutoff:
                 raise ValueError(f"term q^({k}/{grain}) lies past cutoff {cutoff}")
@@ -69,7 +79,7 @@ class FracSeries:
 
     @staticmethod
     def one(cutoff: Fraction | int = DEFAULT_CUTOFF, grain: int = 1) -> FracSeries:
-        return FracSeries(grain, {0: Fraction(1)}, _to_grain_units(cutoff, grain))
+        return FracSeries(grain, {0: 1}, _to_grain_units(cutoff, grain))
 
     @staticmethod
     def from_terms(terms: Mapping[Fraction | int, Fraction | int],
@@ -78,7 +88,7 @@ class FracSeries:
         g = grain if grain is not None else 1
         for e in exps:
             g = lcm(g, e.denominator)
-        coeffs = {int(_as_fraction(e) * g): _as_fraction(c) for e, c in terms.items()}
+        coeffs = {int(_as_fraction(e) * g): c for e, c in terms.items()}
         return FracSeries(g, coeffs, _to_grain_units(cutoff, g))
 
     # ----- inspection ---------------------------------------------------
@@ -97,23 +107,23 @@ class FracSeries:
         """
         return min(self.coeffs) if self.coeffs else self.cutoff
 
-    def leading_term(self) -> tuple[Fraction, Fraction]:
+    def leading_term(self) -> tuple[Fraction, int | Fraction]:
         """(exponent, coefficient) of the lowest-order term."""
         if not self.coeffs:
             raise ZeroLeadingTerm("zero series has no leading term")
         k = min(self.coeffs)
         return Fraction(k, self.grain), self.coeffs[k]
 
-    def coefficient_at(self, exponent: Fraction | int) -> Fraction:
+    def coefficient_at(self, exponent: Fraction | int) -> int | Fraction:
         e = _as_fraction(exponent)
         if e > self.weight_cutoff:
             raise BeyondCutoff(f"coefficient at {e} requested, cutoff is {self.weight_cutoff}")
         scaled = e * self.grain
         if scaled.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get(int(scaled), Fraction(0))
+            return 0
+        return self.coeffs.get(int(scaled), 0)
 
-    def terms(self) -> list[tuple[Fraction, Fraction]]:
+    def terms(self) -> list[tuple[Fraction, int | Fraction]]:
         """Sorted (exponent, coefficient) pairs."""
         return [(Fraction(k, self.grain), v) for k, v in sorted(self.coeffs.items())]
 
@@ -128,7 +138,7 @@ class FracSeries:
         a, b = _aligned(self, other)
         kmax = int(bound * a.grain)
         keys = {k for k in a.coeffs if k <= kmax} | {k for k in b.coeffs if k <= kmax}
-        return all(a.coeffs.get(k, Fraction(0)) == b.coeffs.get(k, Fraction(0)) for k in keys)
+        return all(a.coeffs.get(k, 0) == b.coeffs.get(k, 0) for k in keys)
 
     # ----- grain and cutoff management ----------------------------------
 
@@ -168,38 +178,36 @@ class FracSeries:
 
     def __add__(self, other: FracSeries | int | Fraction) -> FracSeries:
         if isinstance(other, (int, Fraction)):
-            other = FracSeries(self.grain, {0: _as_fraction(other)}, self.cutoff)
+            other = FracSeries(self.grain, {0: other}, self.cutoff)
         a, b = _aligned(self, other)
         n = min(a.cutoff, b.cutoff)
         out = dict(a.coeffs)
         for k, v in b.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return FracSeries(a.grain, {k: v for k, v in out.items() if k <= n}, n)
 
     __radd__ = __add__
 
     def __sub__(self, other: FracSeries | int | Fraction) -> FracSeries:
-        return self + (-other if isinstance(other, FracSeries) else -_as_fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other: int | Fraction) -> FracSeries:
-        return (-self) + _as_fraction(other)
+        return (-self) + other
 
     def __mul__(self, other: FracSeries | int | Fraction) -> FracSeries:
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return FracSeries(self.grain, {}, self.cutoff)
-            return FracSeries(self.grain, {k: v * c for k, v in self.coeffs.items()}, self.cutoff)
+            return FracSeries(self.grain, {k: v * other for k, v in self.coeffs.items()},
+                              self.cutoff)
         a, b = _aligned(self, other)
         # worst-case exactness: a term at e needs b exact at e - tail(a) and
         # vice versa, so the product is exact through min of the shifted cutoffs
         n = min(a.cutoff + b.tail_exponent(), b.cutoff + a.tail_exponent())
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for ka, va in a.coeffs.items():
             for kb, vb in b.coeffs.items():
                 k = ka + kb
                 if k <= n:
-                    out[k] = out.get(k, Fraction(0)) + va * vb
+                    out[k] = out.get(k, 0) + va * vb
         return FracSeries(a.grain, out, n)
 
     __rmul__ = __mul__
@@ -237,32 +245,33 @@ class FracSeries:
         t = min(self.coeffs)
         n_inv = self.cutoff - 2 * t
         lead = self.coeffs[t]
-        # normalized unit u = q^(-t) * self / lead = 1 + sum_{k>=1} u_k q^k
-        u = {k - t: v / lead for k, v in self.coeffs.items()}
-        order = self.cutoff - t
-        inv = {0: Fraction(1)}
-        for k in range(1, order + 1):
-            s = Fraction(0)
-            for j, uj in u.items():
-                if 0 < j <= k:
-                    c = inv.get(k - j)
-                    if c:
-                        s -= uj * c
-            if s:
-                inv[k] = s
-        out = {k - t: v / lead for k, v in inv.items() if k - t <= n_inv}
-        return FracSeries(self.grain, out, n_inv)
+        # 1/lead, an int when lead is +-1 so that unit series stay in ints
+        scale = lead if lead in (1, -1) else 1 / _as_fraction(lead)
+        # normalized unit u = q^(-t) * self / lead = 1 + sum_{j>=1} u_j q^j
+        steps = sorted((k - t, _exact(v * scale)) for k, v in self.coeffs.items() if k > t)
+        # u^(-1) through q^(N - t), which puts the inverse's top at N - 2t
+        inv = [1] + [0] * (self.cutoff - t)
+        for k in range(1, len(inv)):
+            s = 0
+            for j, uj in steps:
+                if j > k:
+                    break
+                s -= uj * inv[k - j]
+            inv[k] = s
+        return FracSeries(self.grain, {k - t: v * scale for k, v in enumerate(inv) if v},
+                          n_inv)
 
     # ----- graded structure ----------------------------------------------
 
     def extract_weight_class(self, residue: Fraction | int) -> FracSeries:
-        """Terms whose exponent is congruent to residue mod 1."""
-        r = _as_fraction(residue) % 1
-        out = {}
-        for k, v in self.coeffs.items():
-            if (Fraction(k, self.grain) - r).denominator == 1:
-                out[k] = v
-        return FracSeries(self.grain, out, self.cutoff)
+        """Terms whose exponent is congruent to residue mod 1: the k with
+        k = residue * grain mod grain, none when residue is off the grid."""
+        g = self.grain
+        r = _as_fraction(residue) * g
+        if r.denominator != 1:
+            return FracSeries(g, {}, self.cutoff)
+        r = r.numerator % g
+        return FracSeries(g, {k: v for k, v in self.coeffs.items() if k % g == r}, self.cutoff)
 
     # ----- serialization --------------------------------------------------
 

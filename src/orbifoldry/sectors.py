@@ -134,7 +134,7 @@ def twisted_character(sector: SectorInvariants, cutoff: Rational) -> FracSeries:
     c = Fraction(cutoff)
     if c < 0:
         raise ValueError("cutoff must be nonnegative")
-    grain = lcm(lcm(m, sector.rho.denominator), c.denominator)
+    grain = lcm(m, sector.rho.denominator, c.denominator)
     relative = c - sector.rho
     if relative < 0:
         return FracSeries.zero(c, grain)
@@ -143,8 +143,10 @@ def twisted_character(sector: SectorInvariants, cutoff: Rational) -> FracSeries:
     floored = Fraction(int(relative * m), m)
     modes = [(Fraction(j, m), d) for j, d in enumerate(sector.eig_dims) if j and d]
     fock = grading_product(modes, cutoff=floored, grain=m)
-    terms = {sector.rho + e: sector.defect_dim * v for e, v in fock.terms()}
-    return FracSeries.from_terms(terms, cutoff=c, grain=grain)
+    # q^rho times the Fock product, moved from grain m onto the finer grid
+    shift, stride, dim = int(sector.rho * grain), grain // m, sector.defect_dim
+    return FracSeries(grain, {shift + k * stride: dim * v for k, v in fock.coeffs.items()},
+                      int(c * grain))
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +188,7 @@ def twined_untwisted_character(g: Isometry, j: int, cutoff: Rational,
         acc = FracSeries.one(top, grain=1)
         for n in range(1, top + 1):
             factor = {n * k: det_coeffs[k] for k in range(min(n_rank, top // n) + 1)}
-            acc = acc * FracSeries.from_terms(factor, cutoff=top, grain=1)
+            acc = acc * FracSeries(1, factor, top)
         series = acc.inverse()
     # a theta exact through less than top caps the series there
     if c != top and series.weight_cutoff == top:

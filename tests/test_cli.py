@@ -220,10 +220,13 @@ def test_suite_builds_one_twisted_character_per_cyclic_subgroup(
 def test_suite_builds_only_the_power_matrices_it_reads(counted_p13_report):
     report, calls = counted_p13_report
     assert report.all_passed
-    # two checks on load, the chain sigma^3, sigma^6, sigma^13, sigma^26
-    # that certifies sigma's order, (-1)^2, and tau's matrix for its Smith
-    # form; eigenspace dimensions read profiles, not matrices
-    assert calls["mat_mul"] <= 12
+    # two products for each Gram check on load (sigma and the negation)
+    # and one for tau's matrix, which its Smith form reads; the Gram check
+    # certifies each order, so no power chain is multiplied out, the
+    # powers with profile Phi_1^24 or Phi_2^24 (sigma^13, sigma^26, (-1)^2)
+    # are I or -I without a product, and eigenspace dimensions read
+    # profiles, not matrices
+    assert calls["mat_mul"] <= 5
 
 
 def test_suite_builds_one_fock_product_per_cutoff(monkeypatch):
@@ -441,6 +444,22 @@ def test_fusion_orbifold_z2_with_shift(capsys):
     assert series.coefficient_at(-1) == 1
     assert series.coefficient_at(0) == 0
     assert series.coefficient_at(1) == 196884
+
+
+def test_fusion_orbifold_z2_reads_no_sigma(tmp_path, capsys):
+    shutil.copy(resolve_data_dir() / "leech_gram.txt", tmp_path)
+    argv = ["fusion", "orbifold", "--p", "13", "--cutoff", "14",
+            "--data-dir", str(tmp_path)]
+    assert main(argv + ["--construction", "z2"]) == 0
+    golden = Path(__file__).resolve().parent / "golden"
+    assert capsys.readouterr().out == (
+        golden / "fusion-orbifold-p13-z2.json").read_text()
+    assert main(argv + ["--construction", "zp"]) == 2
+    assert "sigma_p13.txt" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["fusion", "orbifold", "--help"])
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "the lift of -1, which reads no sigma" in usage
 
 
 def test_fusion_orbifold_has_no_budget_flag(capsys):

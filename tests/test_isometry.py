@@ -16,11 +16,9 @@ from orbifoldry.isometry import (
     CycloProfile,
     Isometry,
     NonCyclotomicFactor,
-    NotFound,
     NotGramPreserving,
     OrderDoesNotDivide,
     _charpoly,
-    _profile_of_matrix,
     cyclotomic_polynomial,
     cyclotomic_profile,
     eigenspace_dims,
@@ -28,11 +26,11 @@ from orbifoldry.isometry import (
     multiplicative_order,
     negation_isometry,
     power_profile,
-    search_isometry,
     verify_isometry,
 )
 from orbifoldry.lattice import Lattice, SingularMatrix, _det_int, quotient_invariants
 from orbifoldry.modular import unimodular_theta_rank24
+from orbifoldry.search import NotFound, _mat_power, _profile_of_matrix, search_isometry
 from orbifoldry.sectors import sector_invariants
 
 
@@ -175,6 +173,29 @@ def test_each_spectral_fact_is_computed_once(leech, monkeypatch):
     assert sigma.power(-1) is sigma.power(25)
 
 
+def assert_order_certified(g):
+    """M^order = I for the order of the profile read off the lifted
+    charpoly: the certificate the Gram check makes redundant at run time."""
+    n = g.lattice.rank
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert _mat_power(g.matrix, multiplicative_order(g)) == identity
+
+
+def test_gram_verified_roots_have_the_order_of_their_profile(leech, sigmas):
+    roots = [*sigmas.values(), *load_generators(lattice=leech),
+             negation_isometry(leech), identity_isometry(leech)]
+    for g in roots:
+        assert_order_certified(g)
+
+
+def test_power_matrices_match_repeated_products(leech):
+    # the profile shortcut to +-I at sigma^0, sigma^p and sigma^2p included
+    for p in (3, 5, 7, 13):
+        sigma = load_sigma(p, lattice=leech)
+        for k in range(2 * p + 1):
+            assert sigma.power(k).matrix == tuple(map(tuple, _mat_power(sigma.matrix, k))), (p, k)
+
+
 def one_minus(matrix):
     n = len(matrix)
     return [[int(r == c) - matrix[r][c] for c in range(n)] for r in range(n)]
@@ -221,6 +242,7 @@ def test_coinvariants_of_signed_permutations_match_direct_smith_forms():
                          for row in power]
                 k += 1
             assert multiplicative_order(g) == k
+            assert_order_certified(g)
             orders.add(k)
     assert {6, 12, 30} <= orders
 
@@ -259,6 +281,7 @@ def test_gram_preservation_forces_unit_determinant(sigmas):
             m = isometry._mat_mul(isometry._mat_mul(u_inv, signed), u)
             g = Isometry(Lattice(gram), m)
             assert _det_int(g.matrix) == _det_int(signed) in (1, -1), m
+            assert_order_certified(g)
 
 
 def test_profile_of_negation(leech):
@@ -336,7 +359,7 @@ def test_lazy_power_equals_the_isometry_of_its_matrix(leech):
     sigma = load_sigma(7, lattice=leech)
     # compared before anything reads its matrix, which equality builds
     power = sigma.power(3)
-    built = verify_isometry(leech, isometry._mat_power(sigma.matrix, 3))
+    built = verify_isometry(leech, _mat_power(sigma.matrix, 3))
     assert power == built and hash(power) == hash(built)
     assert power != sigma.power(5) and power != sigma
 

@@ -209,6 +209,39 @@ def test_laurent_tail_inverse():
     assert (s * inv).coefficient_at(0) == 1
 
 
+def test_integral_coefficients_are_stored_as_ints():
+    s = FracSeries(2, {0: F(6, 2), 1: F(1, 2), 3: -4}, 4)
+    assert s.coeffs == {0: 3, 1: F(1, 2), 3: -4}
+    assert [type(v) for v in s.coeffs.values()] == [int, F, int]
+    as_fractions = FracSeries(2, {0: F(3), 1: F(1, 2), 3: F(-4)}, 4)
+    as_ints = FracSeries(2, {0: 3, 1: F(1, 2), 3: -4}, 4)
+    assert as_fractions == as_ints and hash(as_fractions) == hash(as_ints)
+    assert all(type(v) is int for v in (as_ints * as_ints).coeffs.values()
+               if v.denominator == 1)
+
+
+def fraction_inverse(coeffs, n):
+    """b_0..b_n with (sum a_k x^k)(sum b_k x^k) = 1 + O(x^(n+1)), a_0 != 0,
+    in Fractions."""
+    b = [1 / F(coeffs[0])]
+    for k in range(1, n + 1):
+        b.append(-b[0] * sum(F(coeffs.get(j, 0)) * b[k - j] for j in range(1, k + 1)))
+    return b
+
+
+def test_inverse_of_a_non_unit_lead_keeps_fractions():
+    coeffs = {0: 2, 1: -3, 2: 5, 4: 1}
+    inv = FracSeries(1, coeffs, 8).inverse()
+    want = fraction_inverse(coeffs, 8)
+    assert [inv.coefficient_at(k) for k in range(9)] == want
+    assert any(type(v) is F for v in inv.coeffs.values())
+    # a unit lead keeps the inverse in ints
+    unit = FracSeries(1, {0: -1, 1: 4, 3: 7}, 8).inverse()
+    assert all(type(v) is int for v in unit.coeffs.values())
+    assert [unit.coefficient_at(k) for k in range(9)] == \
+        fraction_inverse({0: -1, 1: 4, 3: 7}, 8)
+
+
 # ----- ring laws on random series ------------------------------------------
 
 def random_series(rng, grain=None, cutoff_units=12):
@@ -259,6 +292,12 @@ def test_extract_weight_class_integral():
     assert integral.terms() == [(F(2), F(7)), (F(3), F(2))]
     half = s.extract_weight_class(F(1, 2))
     assert half.terms() == [(F(3, 2), F(5)), (F(5, 2), F(1))]
+
+
+def test_extract_weight_class_off_grid_residue_is_zero():
+    s = FracSeries.from_terms({0: 1, F(1, 2): 3, 1: F(2, 5)}, cutoff=2)
+    assert s.grain == 2
+    assert s.extract_weight_class(F(1, 3)) == FracSeries.zero(2, grain=2)
 
 
 def test_power_matches_repeated_multiplication():

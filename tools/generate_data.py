@@ -40,10 +40,10 @@ from orbifoldry.isometry import (
     cyclotomic_profile,
     eigenspace_dims,
     multiplicative_order,
-    search_isometry,
     verify_isometry,
 )
 from orbifoldry.lattice import Lattice
+from orbifoldry.search import search_isometry
 
 OUT_DIR = ROOT / "src" / "orbifoldry" / "data"
 PRIMES = (3, 5, 7, 13)
