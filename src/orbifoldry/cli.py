@@ -50,7 +50,6 @@ from .lattice import (
 from .modular import moonshine_j, unimodular_theta_rank24
 from .qseries import FracSeries
 from .report import ClaimEntry, Report, emit_report, plain
-from .search import DEFAULT_SEARCH_BUDGET, search_isometry
 from .sectors import (
     SectorInvariants,
     eigencomponent_character,
@@ -356,10 +355,10 @@ def _ising_expected(cfg: RunConfig) -> Any:
 def _ising_computed(cfg: RunConfig, ctx: _Context) -> Any:
     depth = Fraction(10)
     chars = {h: c12_character(h, depth + h) for h in ALLOWED_WEIGHTS}
-    leading = [chars[h].series.leading_term()[0] for h in ALLOWED_WEIGHTS]
+    leading = [chars[h].leading_term()[0] for h in ALLOWED_WEIGHTS]
     oracle = _fermion_parity_counts(20)
-    ch0 = chars[Fraction(0)].series
-    ch_half = chars[Fraction(1, 2)].series
+    ch0 = chars[Fraction(0)]
+    ch_half = chars[Fraction(1, 2)]
     matches = all(
         ch0.coefficient_at(Fraction(u, 2)) == oracle[u][0]
         and ch_half.coefficient_at(Fraction(u, 2)) == oracle[u][1]
@@ -506,7 +505,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
         raise ValueError("p is required: pass --p or set p in the config file")
     cfg = RunConfig(
         p=p,
-        cutoff=_resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, Fraction),
+        cutoff=_resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, _fraction),
         enumeration_budget=_resolve(args, config, "budget",
                                     DEFAULT_NODE_BUDGET, _budget),
         data_dir=_data_dir(args, config),
@@ -568,6 +567,8 @@ def _cmd_isometry_profile(args: argparse.Namespace,
 
 def _cmd_isometry_search(args: argparse.Namespace,
                          config: dict[str, str]) -> int:
+    # only this command runs the word search, so no other child compiles it
+    from .search import DEFAULT_SEARCH_BUDGET, search_isometry
     data_dir = _data_dir(args, config)
     lat = load_leech(data_dir)
     gen_a, gen_b = load_generators(data_dir, lattice=lat)
@@ -608,7 +609,7 @@ def _cmd_sectors_table(args: argparse.Namespace, config: dict[str, str]) -> int:
 def _cmd_sectors_character(args: argparse.Namespace,
                            config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
-    cutoff = _resolve(args, config, "cutoff", Fraction(6), Fraction)
+    cutoff = _resolve(args, config, "cutoff", Fraction(6), _fraction)
     inv = sector_invariants(ctx.sigma(), args.i)
     series = twisted_character(inv, cutoff)
     _emit({"p": args.p, "i": args.i, "conformal_weight": inv.rho,
@@ -629,7 +630,7 @@ def _cmd_fusion_isotropic(args: argparse.Namespace,
 def _cmd_fusion_orbifold(args: argparse.Namespace,
                          config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
-    cutoff = _resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, Fraction)
+    cutoff = _resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, _fraction)
     # the lift of -1 is sigma^p, but building it reads no sigma
     g = ctx.tau() if args.construction == "zp" else ctx.negation()
     series = orbifold_character(g, cutoff, ctx.theta(ceil(cutoff)))
@@ -649,11 +650,10 @@ def _cmd_fusion_weight1(args: argparse.Namespace,
 
 
 def _cmd_ising_chars(args: argparse.Namespace, config: dict[str, str]) -> int:
-    cutoff = _resolve(args, config, "cutoff", Fraction(6), Fraction)
+    cutoff = _resolve(args, config, "cutoff", Fraction(6), _fraction)
     payload = {}
     for h in ALLOWED_WEIGHTS:
-        ch = c12_character(h, cutoff)
-        payload[str(h)] = ch.series.to_dict()
+        payload[str(h)] = c12_character(h, cutoff).to_dict()
     _emit({"cutoff": cutoff, "characters": payload})
     return 0
 
@@ -680,8 +680,8 @@ def _budget(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    """A rational flag value.  argparse turns only ValueError and TypeError
-    into usage errors, so a zero denominator is made one here too."""
+    """A rational flag or config value.  argparse turns only ValueError and
+    TypeError into usage errors, so a zero denominator is made one here too."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .isometry import Isometry, multiplicative_order
 from .qseries import FracSeries, Rational
@@ -64,31 +64,13 @@ def _q(a: Label, n: int) -> int:
     return a[0] * a[1] % n
 
 
-class IsotropicSubgroup:
-    """Subgroup of Z_n x Z_n on which q vanishes identically."""
+class IsotropicSubgroup(NamedTuple):
+    """Subgroup of Z_n x Z_n on which q vanishes identically: its sorted
+    elements and a generating tuple, as maximal_isotropic_subgroups
+    finds them."""
 
-    __slots__ = ("n", "generators", "elements")
-
-    def __init__(self, n: int, generators: tuple[Label, ...],
-                 elements: tuple[Label, ...]) -> None:
-        self.n, self.generators, self.elements = n, generators, elements
-        members = set(self.elements)
-        if (0, 0) not in members:
-            raise ValueError("a subgroup contains the unit (0, 0)")
-        if len(members) != len(self.elements):
-            raise ValueError("element list has repeats")
-        for i, j in self.generators + self.elements:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"({i}, {j}) is not reduced mod {n}")
-        for a in self.elements:
-            if _q(a, n):
-                raise ValueError(f"q({a}) = {Fraction(_q(a, n), n)} != 0")
-        for a in self.elements:
-            for b in self.elements:
-                if ((a[0] + b[0]) % n, (a[1] + b[1]) % n) not in members:
-                    raise ValueError("element list is not closed under sums")
-        if _span(self.generators, n) != members:
-            raise ValueError("generators do not generate the element list")
+    generators: tuple[Label, ...]
+    elements: tuple[Label, ...]
 
     @property
     def order(self) -> int:
@@ -157,7 +139,7 @@ def maximal_isotropic_subgroups(n: int) -> list[IsotropicSubgroup]:
     for members in sorted(maximal, key=sorted):
         elements = tuple(sorted(members))
         out.append(IsotropicSubgroup(
-            n, generators=_generating_tuple(elements, members, n),
+            generators=_generating_tuple(elements, members, n),
             elements=elements))
     return out
 

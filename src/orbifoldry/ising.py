@@ -16,7 +16,6 @@ from .qseries import FracSeries, Rational, euler_product
 
 __all__ = [
     "ALLOWED_WEIGHTS",
-    "MinimalModelChar",
     "UnknownHighestWeight",
     "c12_character",
     "extension_weight_one_check",
@@ -27,22 +26,6 @@ ALLOWED_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1, 16))
 
 class UnknownHighestWeight(ValueError):
     """Highest weight outside {0, 1/2, 1/16}."""
-
-
-class MinimalModelChar:
-    """Graded dimension of one simple module: leading term q^h."""
-
-    __slots__ = ("h", "series")
-
-    def __init__(self, h: Rational, series: FracSeries) -> None:
-        self.h, self.series = Fraction(h), series
-        if self.h not in ALLOWED_WEIGHTS:
-            raise UnknownHighestWeight(f"no simple module of weight {self.h}")
-        if self.series.leading_term() != (self.h, 1):
-            raise ValueError(f"series does not lead with 1*q^{self.h}")
-        for _, value in self.series.terms():
-            if value.denominator != 1 or value < 0:
-                raise ValueError("character coefficients must be counts")
 
 
 def _fermion_product(first: Fraction, cutoff: Fraction, sign: int,
@@ -59,8 +42,9 @@ def _fermion_product(first: Fraction, cutoff: Fraction, sign: int,
     return FracSeries(grain, dict(enumerate(euler_product(multiplicities, n))), n)
 
 
-def c12_character(h: Rational, cutoff: Rational) -> MinimalModelChar:
-    """Character of the simple module of highest weight h in {0, 1/2, 1/16}."""
+def c12_character(h: Rational, cutoff: Rational) -> FracSeries:
+    """Character of the simple module of highest weight h in {0, 1/2, 1/16},
+    1 * q^h + (counts at higher weights) through the cutoff."""
     hw = Fraction(h)
     c = Fraction(cutoff)
     if hw not in ALLOWED_WEIGHTS:
@@ -69,13 +53,12 @@ def c12_character(h: Rational, cutoff: Rational) -> MinimalModelChar:
         raise ValueError(f"cutoff {c} is below the leading weight {hw}")
     if hw == Fraction(1, 16):
         acc = _fermion_product(Fraction(1), c - hw, 1, lcm(16, c.denominator))
-        return MinimalModelChar(hw, acc.shift(hw))
+        return acc.shift(hw)
     half = Fraction(1, 2)
     grain = lcm(2, c.denominator)
     plus = _fermion_product(half, c, 1, grain)
     minus = _fermion_product(half, c, -1, grain)
-    series = (plus + minus) * half if hw == 0 else (plus - minus) * half
-    return MinimalModelChar(hw, series)
+    return (plus + minus) * half if hw == 0 else (plus - minus) * half
 
 
 def extension_weight_one_check(cutoff: Rational = 2) -> Fraction:
@@ -85,8 +68,6 @@ def extension_weight_one_check(cutoff: Rational = 2) -> Fraction:
     c = Fraction(cutoff)
     if c < 1:
         raise ValueError("cutoff must reach weight one")
-    ch0 = c12_character(0, c).series
-    ch_half = c12_character(Fraction(1, 2), c).series
-    value = (ch0 * ch0 + ch_half * ch_half).coefficient_at(1)
-    assert value > 0
-    return value
+    ch0 = c12_character(0, c)
+    ch_half = c12_character(Fraction(1, 2), c)
+    return (ch0 * ch0 + ch_half * ch_half).coefficient_at(1)

@@ -356,8 +356,6 @@ class CycloProfile:
 
     def __init__(self, factors: Iterable[tuple[int, int]]) -> None:
         self.factors = tuple(sorted((int(d), int(e)) for d, e in factors))
-        if any(e < 1 for _, e in self.factors):
-            raise ValueError("multiplicities must be positive")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycloProfile):

@@ -67,25 +67,20 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _bareiss(matrix: Sequence[Sequence[int]], pivoting=False,
-             order=None) -> tuple:
-    """Fraction-free (Bareiss) elimination: the successive pivots, the
-    sign of the row swaps made, and the eliminated rows.
+def _bareiss(matrix: Sequence[Sequence[int]], order=None) -> tuple:
+    """Fraction-free (Bareiss) elimination without row swaps: the
+    successive pivots and the eliminated rows.
 
-    The k-th pivot is the k-th leading principal minor of the row-swapped
-    matrix.  Without pivoting these are the leading minors of the input
-    (Sylvester's criterion); with pivoting, sign * last pivot is the
-    determinant.  Entry (k, j), j >= k, of the eliminated rows is the
-    minor on rows 0..k and columns 0..k-1, j.  Stops at the first zero
-    pivot that no row swap (or, without pivoting, nothing) replaces.
-    Given `order`, the list of indices, each step first swaps in the
-    least remaining diagonal entry, the least next leading minor, by
-    rows and columns, and permutes `order` alike.
+    The k-th pivot is the k-th leading principal minor of the input
+    (Sylvester's criterion).  Entry (k, j), j >= k, of the eliminated
+    rows is the minor on rows 0..k and columns 0..k-1, j.  Stops at the
+    first zero pivot.  Given `order`, the list of indices, each step
+    first swaps in the least remaining diagonal entry, the least next
+    leading minor, by rows and columns, and permutes `order` alike.
     """
     work = [list(row) for row in matrix]
     n = len(work)
     pivots: list[int] = []
-    sign = 1
     prev = 1
     for k in range(n):
         if order is not None:
@@ -93,12 +88,6 @@ def _bareiss(matrix: Sequence[Sequence[int]], pivoting=False,
             # swap entries k and i of `order`, the rows and each row
             for seq in (order, work, *work):
                 seq[k], seq[i] = seq[i], seq[k]
-        if pivoting and work[k][k] == 0:
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
         pivot = work[k][k]
         pivots.append(pivot)
         if pivot == 0:
@@ -107,13 +96,7 @@ def _bareiss(matrix: Sequence[Sequence[int]], pivoting=False,
             for j in range(k + 1, n):
                 work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]) // prev
         prev = pivot
-    return pivots, sign, work
-
-
-def _det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix."""
-    pivots, sign, _ = _bareiss(matrix, pivoting=True)
-    return sign * pivots[-1] if pivots else 1
+    return pivots, work
 
 
 class Lattice:
@@ -395,7 +378,7 @@ def _scaled_form(gram: IntMatrix) -> _ScaledForm:
     # from fraction-free elimination: d_i = minors[i] / minors[i-1] and
     # u_ij = rows[i][j] / minors[i]; den[i] is the denominator of row i
     order = list(range(n))
-    minors, _, rows = _bareiss(gram, order=order)
+    minors, rows = _bareiss(gram, order=order)
     gram = [[gram[i][j] for j in order] for i in order]
     below = [1] + minors[:-1]
     shrink = [gcd(minors[i], *rows[i][i + 1:]) for i in range(n)]

@@ -22,8 +22,6 @@ from typing import Iterable, Mapping
 
 Rational = Fraction
 
-DEFAULT_CUTOFF = Fraction(6)
-
 
 class ZeroLeadingTerm(ArithmeticError):
     """Inversion requires a nonzero leading coefficient."""
@@ -74,16 +72,16 @@ class FracSeries:
     # ----- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(cutoff: Fraction | int = DEFAULT_CUTOFF, grain: int = 1) -> FracSeries:
+    def zero(cutoff: Fraction | int, grain: int = 1) -> FracSeries:
         return FracSeries(grain, {}, _to_grain_units(cutoff, grain))
 
     @staticmethod
-    def one(cutoff: Fraction | int = DEFAULT_CUTOFF, grain: int = 1) -> FracSeries:
+    def one(cutoff: Fraction | int, grain: int = 1) -> FracSeries:
         return FracSeries(grain, {0: 1}, _to_grain_units(cutoff, grain))
 
     @staticmethod
     def from_terms(terms: Mapping[Fraction | int, Fraction | int],
-                   cutoff: Fraction | int = DEFAULT_CUTOFF, grain: int | None = None) -> FracSeries:
+                   cutoff: Fraction | int, grain: int | None = None) -> FracSeries:
         exps = [_as_fraction(e) for e in terms]
         g = grain if grain is not None else 1
         for e in exps:

@@ -3,8 +3,9 @@
 Products of generator words are bare integer matrices, not isometries
 built from a Gram check, so their cyclotomic profiles are certified
 here by M^order = I before anything is trusted; the word found is then
-wrapped as a verified Isometry and re-checked.  Only the data generator
-and the `isometry search` command run this; loading data does not.
+wrapped as a verified Isometry, whose certified profile must equal the
+target.  Only the data generator and the `isometry search` command run
+this; loading data does not.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .isometry import (
     power_profile,
     verify_isometry,
 )
-from .lattice import _det_int, _identity
+from .lattice import _identity
 
 DEFAULT_SEARCH_BUDGET = 4000
 
@@ -76,9 +77,10 @@ def search_isometry(generators: Sequence[Isometry], target: CycloProfile,
 
     Tries each single generator first, then random words of bounded
     length, examining every power of each candidate through its profile.
-    Deterministic for a given seed.  The returned word is re-verified:
-    profile equality, and (when no power of the target contains the
-    factor d=1) absence of fixed vectors in every proper power.
+    Deterministic for a given seed.  The matrix found passes the Gram
+    check of verify_isometry, and its certified profile must equal the
+    target; that profile is exact, so it already says which powers fix
+    a vector.
     """
     if not generators:
         raise ValueError("generators must be nonempty")
@@ -109,18 +111,5 @@ def search_isometry(generators: Sequence[Isometry], target: CycloProfile,
 
 
 def _check_found(result: Isometry, target: CycloProfile) -> None:
-    profile = cyclotomic_profile(result)
-    if profile != target:
+    if cyclotomic_profile(result) != target:
         raise AssertionError("search result fails profile re-verification")
-    order = profile.order
-    fixed_free = all(power_profile(profile, i).multiplicity(1) == 0
-                     for i in range(1, order))
-    if fixed_free:
-        # independent matrix-level confirmation: no proper power fixes a vector
-        n = result.lattice.rank
-        for i in range(1, order):
-            mi = [list(row) for row in result.power(i).matrix]
-            for r in range(n):
-                mi[r][r] -= 1
-            if _det_int(mi) == 0:
-                raise AssertionError(f"power {i} unexpectedly has a fixed vector")

@@ -95,8 +95,6 @@ class SectorInvariants:
         self.eig_dims = dims = tuple(int(d) for d in eig_dims)
         self.modulus = len(dims)
         self.rho = conformal_weight(dims, len(dims))
-        if defect_dim < 1:
-            raise ValueError("defect dimension must be positive")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SectorInvariants):

@@ -328,12 +328,14 @@ def test_nonpositive_budget_in_config_file(tmp_path, capsys, argv):
 
 
 def test_zero_denominator_cutoff_in_config_file(tmp_path, capsys):
+    # a config value is read as the flag is, with the flag's message
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 3\ncutoff = 1/0\n")
-    assert main(["--config", str(cfg), "verify"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    for value in ("1/0", "abc"):
+        cfg.write_text(f"p = 3\ncutoff = {value}\n")
+        assert main(["--config", str(cfg), "verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid fraction '{value}'\n"
 
 
 def test_config_file_unknown_key_is_an_error(tmp_path, capsys):

@@ -16,7 +16,6 @@ from orbifoldry import fusion as fusion_module
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma
 from orbifoldry.fusion import (
     MAX_ISOTROPIC_MODULUS,
-    IsotropicSubgroup,
     MismatchedModulus,
     ModulusTooLarge,
     NotSeparable,
@@ -36,7 +35,10 @@ from orbifoldry.sectors import (
     twined_untwisted_character,
     twisted_character,
 )
-from reference_isotropic import maximal_isotropic_element_sets
+from reference_isotropic import (
+    _span as reference_span,
+    maximal_isotropic_element_sets,
+)
 
 MOONSHINE_HEAD = (1, 0, 196884, 21493760, 864299970)
 
@@ -110,10 +112,13 @@ def test_maximality_witnessed():
 
 def test_integer_search_matches_fraction_reference():
     for n in range(1, MAX_ISOTROPIC_MODULUS + 1):
-        found = [frozenset(g.elements)
-                 for g in maximal_isotropic_subgroups(n)]
+        groups = maximal_isotropic_subgroups(n)
+        found = [frozenset(g.elements) for g in groups]
         assert len(set(found)) == len(found)
         assert set(found) == maximal_isotropic_element_sets(n), n
+        for g, members in zip(groups, found):
+            assert g.elements == tuple(sorted(members)), (n, g)
+            assert reference_span(g.generators, n) == members, (n, g)
 
 
 def test_isotropic_search_skips_pairs_inside_found_spans(monkeypatch):
@@ -136,25 +141,6 @@ def test_isotropic_search_skips_pairs_inside_found_spans(monkeypatch):
 def test_enumeration_capped():
     with pytest.raises(ModulusTooLarge):
         maximal_isotropic_subgroups(31)
-
-
-def test_subgroup_validation():
-    ok = IsotropicSubgroup(2, generators=((0, 1),), elements=((0, 0), (0, 1)))
-    assert ok.order == 2
-    with pytest.raises(ValueError, match=r"^q\(\(1, 1\)\) = 1/2 != 0$"):
-        IsotropicSubgroup(2, generators=((1, 1),), elements=((0, 0), (1, 1)))
-    with pytest.raises(ValueError, match="not closed"):
-        IsotropicSubgroup(4, generators=((0, 1),), elements=((0, 0), (0, 1)))
-    with pytest.raises(ValueError, match="do not generate"):
-        IsotropicSubgroup(4, generators=((0, 2),),
-                          elements=((0, 0), (0, 1), (0, 2), (0, 3)))
-    with pytest.raises(ValueError, match="not reduced mod 2"):
-        IsotropicSubgroup(2, generators=((0, 3),), elements=((0, 0), (0, 3)))
-    with pytest.raises(ValueError, match="repeats"):
-        IsotropicSubgroup(2, generators=((0, 1),),
-                          elements=((0, 0), (0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="unit"):
-        IsotropicSubgroup(2, generators=((0, 1),), elements=((0, 1),))
 
 
 def test_modulus_must_be_positive():

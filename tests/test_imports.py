@@ -128,6 +128,13 @@ def test_data_layer_loads_only_what_it_reads():
          "orbifoldry.lattice"}, set())
 
 
+def test_command_line_does_not_load_the_word_search():
+    # only `isometry search` runs it, and imports it when called
+    modules, _ = loaded_after("import orbifoldry.cli")
+    assert "orbifoldry.cli" in modules
+    assert "orbifoldry.search" not in modules
+
+
 def test_the_probe_sees_heavy_modules():
     assert loaded_after("import orbifoldry.cli")[1] == set(HEAVY)
 

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from faddeev_leverrier import charpoly as reference_charpoly
+from integer_det import det_int
 from orbifoldry import isometry
 from orbifoldry.datafiles import load_generators, load_leech, load_sigma, sigma_profile
 from orbifoldry.fusion import orbifold_character
@@ -28,7 +29,7 @@ from orbifoldry.isometry import (
     power_profile,
     verify_isometry,
 )
-from orbifoldry.lattice import Lattice, SingularMatrix, _det_int, quotient_invariants
+from orbifoldry.lattice import Lattice, SingularMatrix, quotient_invariants
 from orbifoldry.modular import unimodular_theta_rank24
 from orbifoldry.search import NotFound, _mat_power, _profile_of_matrix, search_isometry
 from orbifoldry.sectors import sector_invariants
@@ -247,11 +248,21 @@ def test_coinvariants_of_signed_permutations_match_direct_smith_forms():
     assert {6, 12, 30} <= orders
 
 
+def test_no_proper_power_of_a_shipped_sigma_fixes_a_vector(sigmas):
+    # the matrix-level form of what each certified profile says: for
+    # 0 < i < order, 1 is no eigenvalue of sigma^i, so det(sigma^i - I) != 0
+    for p, sigma in sigmas.items():
+        for i in range(1, multiplicative_order(sigma)):
+            shifted = [[x - (r == c) for c, x in enumerate(row)]
+                       for r, row in enumerate(sigma.power(i).matrix)]
+            assert det_int(shifted) != 0, (p, i)
+
+
 def test_gram_preservation_forces_unit_determinant(sigmas):
     # the constructor checks only M^T G M = G; det(M) = +-1 must follow
     for p, sigma in sigmas.items():
         for k in range(1, multiplicative_order(sigma) + 1):
-            assert _det_int(sigma.power(k).matrix) in (1, -1), (p, k)
+            assert det_int(sigma.power(k).matrix) in (1, -1), (p, k)
     rng = random.Random(1811)
     for n in range(1, 7):
         for _ in range(8):
@@ -280,7 +291,7 @@ def test_gram_preservation_forces_unit_determinant(sigmas):
             gram = isometry._mat_mul(isometry._mat_mul(list(zip(*u)), diag), u)
             m = isometry._mat_mul(isometry._mat_mul(u_inv, signed), u)
             g = Isometry(Lattice(gram), m)
-            assert _det_int(g.matrix) == _det_int(signed) in (1, -1), m
+            assert det_int(g.matrix) == det_int(signed) in (1, -1), m
             assert_order_certified(g)
 
 

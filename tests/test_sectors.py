@@ -150,8 +150,6 @@ def test_identity_power_rejected(leech, sigmas):
 def test_sector_invariants_validation():
     good = SectorInvariants(power=1, defect_dim=4096, eig_dims=(0, 24))
     assert good.modulus == 2 and good.rho == Fraction(3, 2)
-    with pytest.raises(ValueError):
-        SectorInvariants(power=1, defect_dim=0, eig_dims=(0, 24))
     with pytest.raises(FixedPointsPresent):
         SectorInvariants(power=1, defect_dim=1, eig_dims=(1, 23))
 
