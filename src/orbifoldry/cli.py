@@ -21,10 +21,8 @@ from typing import Any, Callable
 from .datafiles import (
     SUPPORTED_P,
     DataMissing,
-    load_generators,
     load_leech,
     load_sigma,
-    sigma_profile,
 )
 from .fusion import (
     integral_weight_labels,
@@ -67,7 +65,7 @@ DEFAULT_SUITE_CUTOFF = Fraction(4)
 OUTPUT_FORMATS = ("json", "markdown")
 
 # every key a config file may set; anything else is a mistyped key
-CONFIG_KEYS = ("p", "cutoff", "budget", "seed", "format", "data_dir")
+CONFIG_KEYS = ("p", "cutoff", "budget", "format", "data_dir")
 
 
 class RunConfig:
@@ -500,7 +498,7 @@ def _data_dir(args: argparse.Namespace, config: dict[str, str]) -> Path | None:
 
 
 def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    p = _resolve(args, config, "p", None, int)
+    p = _resolve(args, config, "p", None, _config_p)
     if p is None:
         raise ValueError("p is required: pass --p or set p in the config file")
     cfg = RunConfig(
@@ -562,25 +560,6 @@ def _cmd_isometry_profile(args: argparse.Namespace,
     order = multiplicative_order(iso)
     _emit({"order": order, "profile": profile.as_dict(),
            "eigenspace_dims": profile.eigenspace_dims(order)})
-    return 0
-
-
-def _cmd_isometry_search(args: argparse.Namespace,
-                         config: dict[str, str]) -> int:
-    # only this command runs the word search, so no other child compiles it
-    from .search import DEFAULT_SEARCH_BUDGET, search_isometry
-    data_dir = _data_dir(args, config)
-    lat = load_leech(data_dir)
-    gen_a, gen_b = load_generators(data_dir, lattice=lat)
-    budget = _resolve(args, config, "budget", DEFAULT_SEARCH_BUDGET, _budget)
-    seed = _resolve(args, config, "seed", 0, int)
-    result = search_isometry([gen_a, gen_b], sigma_profile(args.p),
-                             budget=budget, seed=seed)
-    profile = cyclotomic_profile(result.isometry)
-    _emit({"p": args.p, "seed": seed, "budget": budget,
-           "word": list(result.word),
-           "order": multiplicative_order(result.isometry),
-           "profile": profile.as_dict()})
     return 0
 
 
@@ -688,6 +667,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
 
 
+def _add_p(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--p", type=int, required=required, choices=SUPPORTED_P)
+
+
+def _config_p(text: str) -> int:
+    """A config-file p, read by the --p flag's type, choices and messages."""
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    _add_p(probe, required=False)
+    return probe.parse_args([f"--p={text}"]).p
+
+
 def _add_data_dir(parser: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps a subcommand-level absence from clobbering the
     # top-level --data-dir value already in the namespace
@@ -710,7 +700,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the verification suite")
-    verify.add_argument("--p", type=int, default=None, choices=SUPPORTED_P)
+    _add_p(verify, required=False)
     verify.add_argument("--cutoff", type=_fraction, default=None)
     verify.add_argument("--budget", type=_budget, default=None)
     verify.add_argument("--format", dest="format", default=None,
@@ -739,25 +729,17 @@ def _build_parser() -> argparse.ArgumentParser:
     iso_profile.add_argument("lattice")
     iso_profile.add_argument("matrix")
     iso_profile.set_defaults(handler=_cmd_isometry_profile)
-    iso_search = isometry_sub.add_parser("search")
-    iso_search.add_argument("--p", type=int, required=True,
-                            choices=SUPPORTED_P)
-    iso_search.add_argument("--budget", type=_budget, default=None)
-    iso_search.add_argument("--seed", type=int, default=None)
-    _add_data_dir(iso_search)
-    iso_search.set_defaults(handler=_cmd_isometry_search)
 
     sectors = sub.add_parser("sectors", help="twisted-sector tables")
     sectors_sub = sectors.add_subparsers(dest="subcommand", required=True)
     table = sectors_sub.add_parser("table")
-    table.add_argument("--p", type=int, required=True, choices=SUPPORTED_P)
+    _add_p(table)
     table.add_argument("--format", dest="format", default=None,
                        choices=OUTPUT_FORMATS)
     _add_data_dir(table)
     table.set_defaults(handler=_cmd_sectors_table)
     character = sectors_sub.add_parser("character")
-    character.add_argument("--p", type=int, required=True,
-                           choices=SUPPORTED_P)
+    _add_p(character)
     character.add_argument("--i", type=int, required=True)
     character.add_argument("--cutoff", type=_fraction, default=None)
     _add_data_dir(character)
@@ -768,8 +750,11 @@ def _build_parser() -> argparse.ArgumentParser:
     isotropic = fusion_sub.add_parser("isotropic")
     isotropic.add_argument("--n", type=int, required=True)
     isotropic.set_defaults(handler=_cmd_fusion_isotropic)
-    orbifold = fusion_sub.add_parser("orbifold")
-    orbifold.add_argument("--p", type=int, required=True, choices=SUPPORTED_P)
+    orbifold = fusion_sub.add_parser(
+        "orbifold", description="The untwisted part of the character uses "
+        "the modular theta E4^3 - 720 Delta, not the enumerated theta of the "
+        "loaded lattice: this command is a passthrough, not a claim.")
+    _add_p(orbifold)
     orbifold.add_argument("--construction", choices=("zp", "z2"),
                           default="zp",
                           help="zp: the Z_p orbifold by tau = sigma^2 "
@@ -783,7 +768,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_dir(orbifold)
     orbifold.set_defaults(handler=_cmd_fusion_orbifold)
     weight1 = fusion_sub.add_parser("weight1")
-    weight1.add_argument("--p", type=int, required=True, choices=SUPPORTED_P)
+    _add_p(weight1)
     _add_data_dir(weight1)
     weight1.set_defaults(handler=_cmd_fusion_weight1)
 
@@ -808,7 +793,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError, LookupError,
-            OSError, argparse.ArgumentTypeError) as exc:
+            OSError, argparse.ArgumentError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,6 @@ from .lattice import Lattice, load_lattice, parse_matrix
 SUPPORTED_P = (3, 5, 7, 13)
 
 LEECH_FILE = "leech_gram.txt"
-GENERATOR_FILES = ("co0_gen_a.txt", "co0_gen_b.txt")
 
 
 class DataMissing(FileNotFoundError):
@@ -47,15 +46,6 @@ def load_leech(data_dir: str | os.PathLike | None = None) -> Lattice:
     if lattice.rank != 24 or lattice.determinant() != 1:
         raise ValueError("shipped lattice data is not unimodular of rank 24")
     return lattice
-
-
-def load_generators(data_dir: str | os.PathLike | None = None,
-                    lattice: Lattice | None = None) -> tuple[Isometry, Isometry]:
-    """The shipped pair of automorphism-group generators."""
-    lat = lattice if lattice is not None else load_leech(data_dir)
-    a, b = (verify_isometry(lat, parse_matrix(_read(data_dir, name)))
-            for name in GENERATOR_FILES)
-    return a, b
 
 
 def sigma_profile(p: int) -> CycloProfile:

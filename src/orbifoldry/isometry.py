@@ -44,9 +44,8 @@ class NotGramPreserving(ValueError):
 
 class NonCyclotomicFactor(ArithmeticError):
     """The matrix is not of finite order: its lifted characteristic
-    polynomial has a non-cyclotomic factor, or a bare matrix has
-    M^order != I for the order the factorization predicts.  Unreachable
-    for Gram-verified isometries."""
+    polynomial has a non-cyclotomic factor.  Unreachable for
+    Gram-verified isometries."""
 
 
 class OrderDoesNotDivide(ValueError):
@@ -231,15 +230,12 @@ def _charpoly(matrix: Sequence[Sequence[int]]) -> list[int]:
 
     Hessenberg reduction by similarity over GF(P), then the recurrence on
     the leading blocks (Cohen, GTM 138, Alg. 2.2.9): O(n^3) operations.
-    The lift is only a candidate.  It is exact when the lift factors into
-    cyclotomic polynomials and M^order = I for the order they give: then
-    M has finite order, so the true polynomial and the lift both have all
-    roots on the unit circle, every coefficient is at most C(n, k) in
-    absolute value, and two such polynomials that agree mod P are equal
-    because 2 C(n, n/2) < P.  An Isometry needs no such certificate: its
-    Gram check M^T G M = G, G positive definite, puts M in the finite
-    group Aut(L), so M has finite order, the lift is exact and M^order = I.
-    A bare matrix is certified by the word search's _profile_of_matrix.
+    The lift is exact when M has finite order: then the true polynomial
+    and the lift both have all roots on the unit circle, every coefficient
+    is at most C(n, k) in absolute value, and two such polynomials that
+    agree mod P are equal because 2 C(n, n/2) < P.  Only Isometry roots
+    are reduced here, and their Gram check (M^T G M = G, G positive
+    definite) puts them in the finite group Aut(L).
     """
     p = CHARPOLY_PRIME
     n = len(matrix)

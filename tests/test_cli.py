@@ -297,8 +297,7 @@ def test_zero_denominator_cutoff_is_a_usage_error(argv):
     ["verify", "--p", "3"],
     ["lattice", "theta", str(resolve_data_dir() / "leech_gram.txt"),
      "--max-norm", "0"],
-    ["isometry", "search", "--p", "3"],
-], ids=["verify", "lattice-theta", "isometry-search"])
+], ids=["verify", "lattice-theta"])
 @pytest.mark.parametrize("budget", ["0", "-1", "many"])
 def test_nonpositive_budget_is_a_usage_error(argv, budget):
     result = subprocess.run(
@@ -315,8 +314,7 @@ def test_nonpositive_budget_is_a_usage_error(argv, budget):
     ["verify"],
     ["lattice", "theta", str(resolve_data_dir() / "leech_gram.txt"),
      "--max-norm", "0"],
-    ["isometry", "search", "--p", "3"],
-], ids=["verify", "lattice-theta", "isometry-search"])
+], ids=["verify", "lattice-theta"])
 def test_nonpositive_budget_in_config_file(tmp_path, capsys, argv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 3\nbudget = -1\n")
@@ -336,6 +334,24 @@ def test_zero_denominator_cutoff_in_config_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: invalid fraction '{value}'\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "4"])
+def test_bad_p_in_config_file_gets_the_flag_message(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", value])
+    assert exc.value.code == 2
+    flag_error = capsys.readouterr().err.splitlines()[-1]
+    assert flag_error.startswith("orbifoldry verify: error: argument --p: ")
+    assert value in flag_error
+    # the config value is read by the same type and choices
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p = {value}\n")
+    assert main(["--config", str(cfg), "verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {flag_error.split(': error: ', 1)[1]}\n"
 
 
 def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
@@ -486,6 +502,18 @@ def test_fusion_weight1_table(capsys):
     assert main(["fusion", "weight1", "--p", "5"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "p": 5, "total": 24, "per_sector": {"1": 6, "3": 6, "7": 6, "9": 6}}
+
+
+def test_isometry_search_is_a_usage_error():
+    # the word search lives in tools/, and the command line has none
+    result = subprocess.run(
+        [sys.executable, "-m", "orbifoldry", "isometry", "search", "--p", "3"],
+        capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1])
+    assert result.returncode == 2
+    assert "invalid choice: 'search'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_module_entry_point_subprocess():

@@ -1,13 +1,13 @@
 """Data directory resolution and shipped-data regression checks."""
 
-import json
 import shutil
+from pathlib import Path
 
 import pytest
 
+from orbifoldry import datafiles
 from orbifoldry.datafiles import (
     DataMissing,
-    load_generators,
     load_leech,
     load_sigma,
     resolve_data_dir,
@@ -43,20 +43,8 @@ def test_unsupported_p_rejected():
         sigma_profile(2)
 
 
-def test_word_certificates_reproduce_shipped_sigmas():
-    lattice = load_leech()
-    a, b = load_generators(lattice=lattice)
-    gens = (a.matrix, b.matrix)
-    # the recorded search words, with the seeds and budgets that found them
-    certs = json.loads((resolve_data_dir() / "isometry_words.json").read_text())
-    assert certs["generators"] == ["co0_gen_a.txt", "co0_gen_b.txt"]
-    for p in (3, 5, 7, 13):
-        entry = certs["sigma"][str(p)]
-        product = tuple(tuple(int(i == j) for j in range(24)) for i in range(24))
-        for idx in entry["word"]:
-            g = gens[idx]
-            product = tuple(
-                tuple(sum(product[i][k] * g[k][j] for k in range(24))
-                      for j in range(24))
-                for i in range(24))
-        assert product == load_sigma(p, lattice=lattice).matrix
+def test_package_data_holds_only_what_datafiles_loads():
+    # the word search's generators and words live in tools/data
+    packaged = Path(datafiles.__file__).parent / "data"
+    assert {path.name for path in packaged.iterdir()} == {
+        datafiles.LEECH_FILE, *(f"sigma_p{p}.txt" for p in datafiles.SUPPORTED_P)}

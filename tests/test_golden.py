@@ -39,7 +39,6 @@ COMMANDS = {
     "lattice-theta-n4.json": ["lattice", "theta", GRAM, "--max-norm", "4"],
     "isometry-verify-p13.json": ["isometry", "verify", GRAM, SIGMA],
     "isometry-profile-p13.json": ["isometry", "profile", GRAM, SIGMA],
-    "isometry-search-p13.json": ["isometry", "search", "--p", "13"],
     "fusion-isotropic-n26.json": ["fusion", "isotropic", "--n", "26"],
     "ising-chars-c4.json": ["ising", "chars", "--cutoff", "4"],
     "ising-extension-check.json": ["ising", "extension-check"],

@@ -1,4 +1,4 @@
-"""Imports in src/orbifoldry/.
+"""Imports in src/orbifoldry/, and in tools/ for the two static checks.
 
 Every module-level import is read somewhere in its module: a parameter
 deleted from a signature must not leave the import it needed behind, and
@@ -19,6 +19,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "orbifoldry"
+SOURCES = sorted([*PACKAGE.glob("*.py"), *(SRC.parent / "tools").glob("*.py")])
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py")
                  if not path.stem.startswith("__"))
 
@@ -41,8 +42,7 @@ def unused_imports(source):
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -77,8 +77,7 @@ def undefined_exports(source):
     return [name for name in listed if name not in defined]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_all_lists_only_defined_names(path):
     assert undefined_exports(path.read_text()) == []
 
@@ -126,13 +125,6 @@ def test_data_layer_loads_only_what_it_reads():
     assert loaded_after("import orbifoldry.datafiles") == (
         {"orbifoldry", "orbifoldry.datafiles", "orbifoldry.isometry",
          "orbifoldry.lattice"}, set())
-
-
-def test_command_line_does_not_load_the_word_search():
-    # only `isometry search` runs it, and imports it when called
-    modules, _ = loaded_after("import orbifoldry.cli")
-    assert "orbifoldry.cli" in modules
-    assert "orbifoldry.search" not in modules
 
 
 def test_the_probe_sees_heavy_modules():

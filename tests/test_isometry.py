@@ -1,4 +1,4 @@
-"""Isometry validation, cyclotomic spectra, eigenspace tables, word search."""
+"""Isometry validation, cyclotomic spectra, eigenspace tables."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,7 @@ import pytest
 from faddeev_leverrier import charpoly as reference_charpoly
 from integer_det import det_int
 from orbifoldry import isometry
-from orbifoldry.datafiles import load_generators, load_leech, load_sigma, sigma_profile
+from orbifoldry.datafiles import load_leech, load_sigma, sigma_profile
 from orbifoldry.fusion import orbifold_character
 from orbifoldry.isometry import (
     CHARPOLY_PRIME,
@@ -20,6 +20,7 @@ from orbifoldry.isometry import (
     NotGramPreserving,
     OrderDoesNotDivide,
     _charpoly,
+    _lifted_profile,
     cyclotomic_polynomial,
     cyclotomic_profile,
     eigenspace_dims,
@@ -31,8 +32,8 @@ from orbifoldry.isometry import (
 )
 from orbifoldry.lattice import Lattice, SingularMatrix, quotient_invariants
 from orbifoldry.modular import unimodular_theta_rank24
-from orbifoldry.search import NotFound, _mat_power, _profile_of_matrix, search_isometry
 from orbifoldry.sectors import sector_invariants
+from tools_search import search
 
 
 @pytest.fixture(scope="module")
@@ -111,15 +112,18 @@ def test_cyclotomic_orders_sieve_matches_euler_phi():
 def test_non_cyclotomic_factor_detected():
     # golden-ratio companion matrix has eigenvalues off the unit circle
     with pytest.raises(NonCyclotomicFactor):
-        _profile_of_matrix([[0, 1], [1, 1]], 2)
+        _lifted_profile(_charpoly([[0, 1], [1, 1]]))
 
 
 def test_certificate_rejects_a_lift_that_only_looks_cyclotomic():
     # companion matrix of x^2 - 2x + 1 + P: Phi_1^2 mod P, infinite order
     companion = [[0, -(1 + CHARPOLY_PRIME)], [1, 2]]
     assert _charpoly(companion) == [1, -2, 1]
-    with pytest.raises(NonCyclotomicFactor):
-        _profile_of_matrix(companion, 2)
+    # the lift alone would say order 1, yet the matrix is not I; only the
+    # Gram check lets a matrix reach the charpoly, and it refuses this one
+    assert _lifted_profile(_charpoly(companion)) == CycloProfile.of({1: 2})
+    with pytest.raises(NotGramPreserving):
+        verify_isometry(Lattice(gram=((2, 1), (1, 2))), companion)
 
 
 def test_charpoly_refuses_ranks_past_the_single_prime_bound():
@@ -139,7 +143,7 @@ def test_charpoly_matches_reference_on_every_shipped_power(sigmas):
 
 
 def test_charpoly_matches_reference_on_generator_words(leech):
-    gens = load_generators(lattice=leech)
+    gens = search.load_generators(leech)
     rng = random.Random(4111)
     words = [(0,), (1,)] + [tuple(rng.randrange(2) for _ in range(rng.randint(2, 9)))
                             for _ in range(4)]
@@ -174,16 +178,23 @@ def test_each_spectral_fact_is_computed_once(leech, monkeypatch):
     assert sigma.power(-1) is sigma.power(25)
 
 
+def mat_power(matrix, k):
+    """matrix^k by k plain products from I: the slow reference for power()."""
+    n = len(matrix)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return reduce(isometry._mat_mul, [matrix] * k, identity)
+
+
 def assert_order_certified(g):
     """M^order = I for the order of the profile read off the lifted
     charpoly: the certificate the Gram check makes redundant at run time."""
     n = g.lattice.rank
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    assert _mat_power(g.matrix, multiplicative_order(g)) == identity
+    assert mat_power(g.matrix, multiplicative_order(g)) == identity
 
 
 def test_gram_verified_roots_have_the_order_of_their_profile(leech, sigmas):
-    roots = [*sigmas.values(), *load_generators(lattice=leech),
+    roots = [*sigmas.values(), *search.load_generators(leech),
              negation_isometry(leech), identity_isometry(leech)]
     for g in roots:
         assert_order_certified(g)
@@ -193,8 +204,10 @@ def test_power_matrices_match_repeated_products(leech):
     # the profile shortcut to +-I at sigma^0, sigma^p and sigma^2p included
     for p in (3, 5, 7, 13):
         sigma = load_sigma(p, lattice=leech)
+        product = mat_power(sigma.matrix, 0)
         for k in range(2 * p + 1):
-            assert sigma.power(k).matrix == tuple(map(tuple, _mat_power(sigma.matrix, k))), (p, k)
+            assert sigma.power(k).matrix == tuple(map(tuple, product)), (p, k)
+            product = isometry._mat_mul(product, sigma.matrix)
 
 
 def one_minus(matrix):
@@ -351,7 +364,7 @@ def test_power_profile_matches_direct_computation(sigmas):
     for p, sigma in sigmas.items():
         prof = cyclotomic_profile(sigma)
         for k in (2, p, p + 1):
-            direct = _profile_of_matrix(sigma.power(k).matrix, 24)
+            direct = cyclotomic_profile(Isometry(sigma.lattice, sigma.power(k).matrix))
             assert power_profile(prof, k) == direct
             assert cyclotomic_profile(sigma.power(k)) == direct
 
@@ -370,7 +383,7 @@ def test_lazy_power_equals_the_isometry_of_its_matrix(leech):
     sigma = load_sigma(7, lattice=leech)
     # compared before anything reads its matrix, which equality builds
     power = sigma.power(3)
-    built = verify_isometry(leech, _mat_power(sigma.matrix, 3))
+    built = verify_isometry(leech, mat_power(sigma.matrix, 3))
     assert power == built and hash(power) == hash(built)
     assert power != sigma.power(5) and power != sigma
 
@@ -384,34 +397,12 @@ def test_lattice_equality_ignores_the_coinvariant_cache(sigmas):
     assert Lattice(fresh.gram, label="other") != fresh
 
 
-# ----- word search -----------------------------------------------------------
-
-
-def test_search_singleton_negation(leech):
-    neg = negation_isometry(leech)
-    result = search_isometry([neg], CycloProfile.of({2: 24}), budget=10, seed=1)
-    assert result.word == (0,)
-    assert result.isometry.matrix == neg.matrix
-
-
-def test_search_not_found(leech):
-    ident = identity_isometry(leech)
-    with pytest.raises(NotFound):
-        search_isometry([ident], CycloProfile.of({6: 12}), budget=25, seed=1)
-
-
-def test_search_finds_sigma_from_generator_pair(leech):
-    a, b = load_generators(lattice=leech)
-    result = search_isometry([a, b], sigma_profile(3), budget=300, seed=20260818)
-    assert cyclotomic_profile(result.isometry) == sigma_profile(3)
-    assert eigenspace_dims(result.isometry, 6) == (0, 12, 0, 0, 0, 12)
-
-
 def test_random_powers_of_shipped_sigma_have_consistent_profiles(sigmas):
     rng = random.Random(905)
     for _ in range(10):
         p = rng.choice((3, 5, 7, 13))
         k = rng.randint(1, 4 * p)
-        sigma = sigmas[p]
-        assert cyclotomic_profile(sigma.power(k)) == \
-            _profile_of_matrix(sigma.power(k).matrix, 24)
+        power = sigmas[p].power(k)
+        # the reference certifies the power's matrix as a root of its own
+        assert cyclotomic_profile(power) == \
+            cyclotomic_profile(Isometry(power.lattice, power.matrix))

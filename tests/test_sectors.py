@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from direct_products import direct_grading_product
-from orbifoldry.datafiles import SUPPORTED_P, load_generators, load_leech, load_sigma
+from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma
 from orbifoldry.isometry import OrderDoesNotDivide, negation_isometry
 from orbifoldry.lattice import quotient_invariants, theta_series
 from orbifoldry.modular import unimodular_theta_rank24
@@ -28,6 +28,7 @@ from orbifoldry.sectors import (
     twined_untwisted_character,
     twisted_character,
 )
+from tools_search import search
 
 # Graded dimensions of the untwisted space and its sign split under -1.
 # Regression anchors; the same numbers fall out of the modular-function
@@ -267,7 +268,7 @@ def test_twined_weight_one_is_trace(leech, sigmas, theta2, p):
 
 
 def test_twined_rejects_fixed_sublattice(leech, theta2):
-    gen_a, _ = load_generators(lattice=leech)
+    gen_a, _ = search.load_generators(leech)
     with pytest.raises(UnsupportedFixedSublattice):
         twined_untwisted_character(gen_a, 1, Fraction(2), theta2)
 

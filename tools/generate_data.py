@@ -1,4 +1,6 @@
-"""Regenerate every data file shipped under src/orbifoldry/data.
+"""Regenerate the package data under src/orbifoldry/data (the Gram matrix
+and the four sigmas) and the word-search data under tools/data (the
+generator pair and the recorded words).
 
 Pipeline, fully deterministic:
   1. Build the [24,12,8] binary code as the extended quadratic-residue
@@ -37,13 +39,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from orbifoldry.datafiles import sigma_profile
 from orbifoldry.isometry import (
-    cyclotomic_profile,
+    _mat_mul as mat_mul,
     eigenspace_dims,
     multiplicative_order,
     verify_isometry,
 )
 from orbifoldry.lattice import Lattice
-from orbifoldry.search import search_isometry
+# tools/ is on the path as this script's own directory
+from search import DATA_DIR as SEARCH_DIR, GENERATOR_FILES, search_isometry
 
 OUT_DIR = ROOT / "src" / "orbifoldry" / "data"
 PRIMES = (3, 5, 7, 13)
@@ -245,11 +248,6 @@ def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(99, 100)):
 # ----- step 4: automorphisms in basis coordinates -----------------------
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_inv_frac(a):
     n = len(a)
     aug = [[Fraction(a[i][j]) for j in range(n)] +
@@ -339,6 +337,7 @@ def write_matrix(path: Path, matrix, header: list[str]) -> None:
 def main() -> None:
     t0 = time.time()
     OUT_DIR.mkdir(parents=True, exist_ok=True)
+    SEARCH_DIR.mkdir(parents=True, exist_ok=True)
 
     code = build_code()
     check_code(code)
@@ -404,11 +403,11 @@ def main() -> None:
         "Built from the extended quadratic-residue [24,12,8] code and LLL-reduced",
         "with an exact unimodular transform.  Regenerate: tools/generate_data.py",
     ])
-    for name, iso, desc in (
-        ("co0_gen_a.txt", iso_a, "cyclic coordinate shift composed with an octad sign flip"),
-        ("co0_gen_b.txt", iso_b, "sextet block map (I - J/2 per tetrad, one negated) composed with a coordinate inversion"),
-    ):
-        write_matrix(OUT_DIR / name, iso.matrix, [
+    for name, iso, desc in zip(GENERATOR_FILES, (iso_a, iso_b), (
+        "cyclic coordinate shift composed with an octad sign flip",
+        "sextet block map (I - J/2 per tetrad, one negated) composed with a coordinate inversion",
+    )):
+        write_matrix(SEARCH_DIR / name, iso.matrix, [
             "lattice: leech",
             f"Automorphism generator: {desc}.",
             "Column-vector convention: matrix.T @ gram @ matrix = gram.",
@@ -424,15 +423,15 @@ def main() -> None:
             "Column-vector convention: matrix.T @ gram @ matrix = gram.",
             "Regenerate: tools/generate_data.py",
         ])
-    (OUT_DIR / "isometry_words.json").write_text(json.dumps({
-        "generators": ["co0_gen_a.txt", "co0_gen_b.txt"],
+    (SEARCH_DIR / "isometry_words.json").write_text(json.dumps({
+        "generators": list(GENERATOR_FILES),
         "comment": "sigma_pP.txt equals the product of the generator matrices "
                    "at these indices, applied left to right; found by "
                    "search_isometry with the recorded seed and budget",
         "sigma": words,
     }, indent=2) + "\n")
-    print(f"[5/5] wrote {2 + 2 + len(PRIMES)} data files to {OUT_DIR} "
-          f"({time.time() - t0:.1f}s)", flush=True)
+    print(f"[5/5] wrote {1 + len(PRIMES)} data files to {OUT_DIR} and 3 to "
+          f"{SEARCH_DIR} ({time.time() - t0:.1f}s)", flush=True)
 
 
 if __name__ == "__main__":
