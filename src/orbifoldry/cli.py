@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, gcd
 from pathlib import Path
 from typing import Any, Callable
@@ -37,11 +38,10 @@ from .isometry import (
     cyclotomic_profile,
     multiplicative_order,
     negation_isometry,
-    verify_isometry,
 )
 from .lattice import (
     DEFAULT_NODE_BUDGET,
-    load_lattice,
+    Lattice,
     parse_matrix,
     theta_series,
 )
@@ -99,34 +99,31 @@ class _Context:
     def __init__(self, p: int, data_dir: Path | None) -> None:
         self.p = p
         self.data_dir = data_dir
-        self._cache: dict[Any, Any] = {}
 
-    def _get(self, key: Any, build: Callable[[], Any]) -> Any:
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    @cached_property
+    def lattice(self) -> Lattice:
+        return load_leech(self.data_dir)
 
-    def lattice(self):
-        return self._get("lattice", lambda: load_leech(self.data_dir))
+    @cached_property
+    def sigma(self) -> Isometry:
+        return load_sigma(self.p, self.data_dir, lattice=self.lattice)
 
-    def sigma(self):
-        return self._get("sigma", lambda: load_sigma(
-            self.p, self.data_dir, lattice=self.lattice()))
+    @cached_property
+    def tau(self) -> Isometry:
+        return self.sigma.power(2)
 
-    def tau(self):
-        return self._get("tau", lambda: self.sigma().power(2))
-
-    def negation(self):
-        return self._get("negation", lambda: negation_isometry(self.lattice()))
+    @cached_property
+    def negation(self) -> Isometry:
+        return negation_isometry(self.lattice)
 
     def theta(self, depth: int) -> FracSeries:
-        return self._get(("theta", depth),
-                         lambda: unimodular_theta_rank24(depth))
+        """The theta series the claims read, exact through weight depth."""
+        return unimodular_theta_rank24(depth)
 
+    @cached_property
     def sectors(self) -> list[SectorInvariants]:
         """The invariants of the sigma^i-twisted sectors, i = 1..2p-1."""
-        return self._get("sectors", lambda: [
-            sector_invariants(self.sigma(), i) for i in range(1, 2 * self.p)])
+        return [sector_invariants(self.sigma, i) for i in range(1, 2 * self.p)]
 
 
 # ----- claim bodies ---------------------------------------------------------
@@ -165,7 +162,7 @@ def _witness_expected(cfg: RunConfig) -> Any:
 
 def _witness_computed(cfg: RunConfig, ctx: _Context) -> Any:
     # load_sigma verified the Gram preservation; a corrupt sigma raises there
-    g = ctx.sigma()
+    g = ctx.sigma
     profile = cyclotomic_profile(g)
     return {"order": multiplicative_order(g), "profile": profile.as_dict(),
             "fixed_sublattice_rank": profile.multiplicity(1),
@@ -177,7 +174,7 @@ def _dims_expected(cfg: RunConfig) -> Any:
 
 
 def _dims_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    return {i: inv.eig_dims for i, inv in enumerate(ctx.sectors(), 1)}
+    return {i: inv.eig_dims for i, inv in enumerate(ctx.sectors, 1)}
 
 
 def _weights_expected(cfg: RunConfig) -> Any:
@@ -185,7 +182,7 @@ def _weights_expected(cfg: RunConfig) -> Any:
 
 
 def _weights_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    return {i: inv.rho for i, inv in enumerate(ctx.sectors(), 1)}
+    return {i: inv.rho for i, inv in enumerate(ctx.sectors, 1)}
 
 
 def _defects_expected(cfg: RunConfig) -> Any:
@@ -199,10 +196,10 @@ def _defects_expected(cfg: RunConfig) -> Any:
 
 def _defects_computed(cfg: RunConfig, ctx: _Context) -> Any:
     out: dict[Any, Any] = {i: inv.defect_dim
-                           for i, inv in enumerate(ctx.sectors(), 1)}
+                           for i, inv in enumerate(ctx.sectors, 1)}
     # L/2L is the quotient by 1 - (-1) = 2
-    out["quotient_one_minus_tau"] = list(ctx.tau().coinvariant_divisors)
-    out["quotient_doubling"] = list(ctx.negation().coinvariant_divisors)
+    out["quotient_one_minus_tau"] = list(ctx.tau.coinvariant_divisors)
+    out["quotient_doubling"] = list(ctx.negation.coinvariant_divisors)
     return out
 
 
@@ -262,7 +259,7 @@ def _weight_one_table(g: Isometry) -> dict[str, Any]:
 
 
 def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    return _weight_one_table(ctx.sigma())
+    return _weight_one_table(ctx.sigma)
 
 
 def _moonshine_expected(cfg: RunConfig) -> Any:
@@ -275,12 +272,12 @@ def _moonshine_expected(cfg: RunConfig) -> Any:
 def _moonshine_computed(cfg: RunConfig, ctx: _Context) -> Any:
     c = cfg.cutoff
     theta = ctx.theta(ceil(c))
-    ch = orbifold_character(ctx.tau(), c, theta)
+    ch = orbifold_character(ctx.tau, c, theta)
     head = [ch.coefficient_at(w) for w in (0, 1, 2)]
     # the orbifold grading sits one power above the modular expansion
     shifted = ch.shift(-1)
     j = moonshine_j(int(c) - 1)
-    z2 = orbifold_character(ctx.negation(), c, theta)
+    z2 = orbifold_character(ctx.negation, c, theta)
     return {"head": head, "matches_j_expansion": shifted.agrees_with(j),
             "j_expansion_depth": min(shifted.weight_cutoff, j.weight_cutoff),
             "matches_involution_construction": z2.agrees_with(ch),
@@ -293,7 +290,7 @@ def _split_expected(cfg: RunConfig) -> Any:
 
 
 def _split_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    neg = ctx.negation()
+    neg = ctx.negation
     theta = ctx.theta(2)
     even = eigencomponent_character(neg, 2, 0, Fraction(2), theta)
     twined = twined_untwisted_character(neg, 1, Fraction(2), theta)
@@ -314,11 +311,11 @@ def _ground_truth_expected(cfg: RunConfig) -> Any:
 
 
 def _ground_truth_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    lat = ctx.lattice()
+    lat = ctx.lattice
     theta_enum = theta_series(lat, 3, budget=cfg.enumeration_budget)
     counts = [theta_enum.coefficient_at(w) for w in range(4)]
     modular = ctx.theta(3)
-    untwisted = twined_untwisted_character(ctx.negation(), 0, Fraction(2),
+    untwisted = twined_untwisted_character(ctx.negation, 0, Fraction(2),
                                            theta_enum)
     w2 = untwisted.coefficient_at(2)
     return {"rank": lat.rank, "determinant": lat.determinant(),
@@ -515,7 +512,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 
 def _cmd_lattice_check(args: argparse.Namespace, config: dict[str, str]) -> int:
-    lat = load_lattice(Path(args.file).read_text(), label=args.file)
+    lat = Lattice(parse_matrix(Path(args.file).read_text()), label=args.file)
     _emit({"file": args.file, "rank": lat.rank,
            "determinant": lat.determinant(),
            "even": True, "unimodular": lat.determinant() in (1, -1)})
@@ -523,7 +520,7 @@ def _cmd_lattice_check(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 
 def _cmd_lattice_theta(args: argparse.Namespace, config: dict[str, str]) -> int:
-    lat = load_lattice(Path(args.file).read_text(), label=args.file)
+    lat = Lattice(parse_matrix(Path(args.file).read_text()), label=args.file)
     budget = _resolve(args, config, "budget", DEFAULT_NODE_BUDGET, _budget)
     if args.max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
@@ -538,15 +535,14 @@ def _cmd_lattice_theta(args: argparse.Namespace, config: dict[str, str]) -> int:
     return 0
 
 
-def _load_isometry_args(args: argparse.Namespace):
-    lat = load_lattice(Path(args.lattice).read_text(), label=args.lattice)
-    matrix = parse_matrix(Path(args.matrix).read_text())
-    return lat, verify_isometry(lat, matrix)
+def _load_isometry_args(args: argparse.Namespace) -> Isometry:
+    lat = Lattice(parse_matrix(Path(args.lattice).read_text()), label=args.lattice)
+    return Isometry(lat, parse_matrix(Path(args.matrix).read_text()))
 
 
 def _cmd_isometry_verify(args: argparse.Namespace,
                          config: dict[str, str]) -> int:
-    _, iso = _load_isometry_args(args)
+    iso = _load_isometry_args(args)
     profile = cyclotomic_profile(iso)
     _emit({"gram_preserving": True, "order": multiplicative_order(iso),
            "profile": profile.as_dict()})
@@ -555,7 +551,7 @@ def _cmd_isometry_verify(args: argparse.Namespace,
 
 def _cmd_isometry_profile(args: argparse.Namespace,
                           config: dict[str, str]) -> int:
-    _, iso = _load_isometry_args(args)
+    iso = _load_isometry_args(args)
     profile = cyclotomic_profile(iso)
     order = multiplicative_order(iso)
     _emit({"order": order, "profile": profile.as_dict(),
@@ -567,7 +563,7 @@ def _cmd_sectors_table(args: argparse.Namespace, config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
     rows = [{"i": i, "eigenspace_dims": inv.eig_dims,
              "conformal_weight": inv.rho, "defect_dim": inv.defect_dim}
-            for i, inv in enumerate(ctx.sectors(), 1)]
+            for i, inv in enumerate(ctx.sectors, 1)]
     fmt = _resolve(args, config, "format", "json", str)
     if fmt == "json":
         _emit({"p": args.p, "sectors": rows})
@@ -589,7 +585,7 @@ def _cmd_sectors_character(args: argparse.Namespace,
                            config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
     cutoff = _resolve(args, config, "cutoff", Fraction(6), _fraction)
-    inv = sector_invariants(ctx.sigma(), args.i)
+    inv = sector_invariants(ctx.sigma, args.i)
     series = twisted_character(inv, cutoff)
     _emit({"p": args.p, "i": args.i, "conformal_weight": inv.rho,
            "defect_dim": inv.defect_dim,
@@ -611,7 +607,7 @@ def _cmd_fusion_orbifold(args: argparse.Namespace,
     ctx = _Context(args.p, _data_dir(args, config))
     cutoff = _resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, _fraction)
     # the lift of -1 is sigma^p, but building it reads no sigma
-    g = ctx.tau() if args.construction == "zp" else ctx.negation()
+    g = ctx.tau if args.construction == "zp" else ctx.negation
     series = orbifold_character(g, cutoff, ctx.theta(ceil(cutoff)))
     if args.shift_c24:
         series = series.shift(-1)
@@ -624,7 +620,7 @@ def _cmd_fusion_orbifold(args: argparse.Namespace,
 def _cmd_fusion_weight1(args: argparse.Namespace,
                         config: dict[str, str]) -> int:
     ctx = _Context(args.p, _data_dir(args, config))
-    _emit({"p": args.p, **_weight_one_table(ctx.sigma())})
+    _emit({"p": args.p, **_weight_one_table(ctx.sigma)})
     return 0
 
 

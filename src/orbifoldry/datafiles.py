@@ -10,8 +10,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .isometry import CycloProfile, Isometry, cyclotomic_profile, verify_isometry
-from .lattice import Lattice, load_lattice, parse_matrix
+from .isometry import CycloProfile, Isometry, cyclotomic_profile
+from .lattice import Lattice, parse_matrix
 
 SUPPORTED_P = (3, 5, 7, 13)
 
@@ -42,7 +42,7 @@ def _read(data_dir: str | os.PathLike | None, name: str) -> str:
 def load_leech(data_dir: str | os.PathLike | None = None) -> Lattice:
     """The rank-24 even unimodular lattice with minimal norm 4, as an
     LLL-reduced Gram matrix."""
-    lattice = load_lattice(_read(data_dir, LEECH_FILE), label="leech")
+    lattice = Lattice(parse_matrix(_read(data_dir, LEECH_FILE)), label="leech")
     if lattice.rank != 24 or lattice.determinant() != 1:
         raise ValueError("shipped lattice data is not unimodular of rank 24")
     return lattice
@@ -63,7 +63,7 @@ def load_sigma(p: int, data_dir: str | os.PathLike | None = None,
     if p not in SUPPORTED_P:
         raise ValueError(f"p must be one of {SUPPORTED_P}, got {p}")
     lat = lattice if lattice is not None else load_leech(data_dir)
-    g = verify_isometry(lat, parse_matrix(_read(data_dir, f"sigma_p{p}.txt")))
+    g = Isometry(lat, parse_matrix(_read(data_dir, f"sigma_p{p}.txt")))
     if cyclotomic_profile(g) != sigma_profile(p):
         raise ValueError(f"sigma data for p={p} has the wrong spectral profile")
     return g

@@ -171,10 +171,10 @@ def orbifold_character(g: Isometry, cutoff: Rational,
             raise NotSeparable(
                 f"sector {i} has integral-weight labels {sorted(labels)}")
     sectors = [sector_invariants(g, i) for i in range(1, n)]
-    for inv in sectors:
+    for i, inv in enumerate(sectors, 1):
         if (inv.rho * n).denominator != 1:
             raise WeightHypothesisFailed(
-                f"sector {inv.power} has conformal weight {inv.rho}, "
+                f"sector {i} has conformal weight {inv.rho}, "
                 f"not a multiple of 1/{n}")
     total = eigencomponent_character(g, n, 0, cutoff, theta)
     for inv in sectors:

@@ -2,7 +2,7 @@
 
 Validation against the Gram matrix, exact cyclotomic factorization of
 characteristic polynomials, and eigenspace dimensions of finite-order
-isometries.
+isometries, read off the factorization (CycloProfile.eigenspace_dims).
 
 Spectral facts are computed from a matrix only at a root: an Isometry
 built from outside.  The constructor's check M^T G M = G, with G
@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import IntMatrix, Lattice, _freeze, _identity, quotient_invariants
 
@@ -154,11 +154,6 @@ class Isometry:
         self.matrix = frozen = _freeze(matrix)
         return frozen
 
-    def is_identity(self) -> bool:
-        return all(self.matrix[i][j] == int(i == j)
-                   for i in range(self.lattice.rank)
-                   for j in range(self.lattice.rank))
-
     @cached_property
     def _profile(self) -> CycloProfile:
         root = self._root
@@ -209,11 +204,6 @@ class Isometry:
                          for r in range(n)]
             known[self.matrix] = tuple(quotient_invariants(self.lattice, one_minus))
         return known[self.matrix]
-
-
-def verify_isometry(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> Isometry:
-    """Check Gram preservation; return the wrapped isometry."""
-    return Isometry(lattice=lattice, matrix=matrix)
 
 
 def negation_isometry(lattice: Lattice) -> Isometry:
@@ -344,29 +334,15 @@ def _cyclotomic_orders(rank: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, top + 1) if phi[d] <= rank)
 
 
-class CycloProfile:
-    """Multiset of cyclotomic factors of a characteristic polynomial,
-    stored as sorted (d, multiplicity) pairs with all multiplicities >= 1."""
+class CycloProfile(NamedTuple):
+    """Multiset of cyclotomic factors of a characteristic polynomial: sorted
+    (d, multiplicity) pairs, all multiplicities >= 1, as `of` builds them."""
 
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: Iterable[tuple[int, int]]) -> None:
-        self.factors = tuple(sorted((int(d), int(e)) for d, e in factors))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycloProfile):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
-    def __repr__(self) -> str:
-        return f"CycloProfile(factors={self.factors!r})"
+    factors: tuple[tuple[int, int], ...]
 
     @staticmethod
     def of(factors: dict[int, int]) -> CycloProfile:
-        return CycloProfile(tuple((d, e) for d, e in factors.items() if e))
+        return CycloProfile(tuple(sorted((d, e) for d, e in factors.items() if e)))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
@@ -430,8 +406,3 @@ def power_profile(profile: CycloProfile, k: int) -> CycloProfile:
         out[d2] = out.get(d2, 0) + e * euler_phi(d) // euler_phi(d2)
     return CycloProfile.of(out)
 
-
-def eigenspace_dims(g: Isometry, modulus: int) -> tuple[int, ...]:
-    """Complex eigenspace dimensions of g for eigenvalues ζ_m^{-j}, j = 0..m-1
-    (CycloProfile.eigenspace_dims); requires g^m = identity."""
-    return cyclotomic_profile(g).eigenspace_dims(modulus)

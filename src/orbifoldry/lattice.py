@@ -184,12 +184,6 @@ def parse_matrix(source: str) -> IntMatrix:
     return tuple(matrix)
 
 
-def load_lattice(source: str, label: str = "") -> Lattice:
-    """Parse a Gram matrix in the parse_matrix text format and validate
-    all lattice invariants."""
-    return Lattice(gram=parse_matrix(source), label=label)
-
-
 # ----- Smith normal form ----------------------------------------------
 
 

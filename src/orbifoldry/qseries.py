@@ -125,14 +125,9 @@ class FracSeries:
         """Sorted (exponent, coefficient) pairs."""
         return [(Fraction(k, self.grain), v) for k, v in sorted(self.coeffs.items())]
 
-    def agrees_with(self, other: FracSeries, through: Fraction | int | None = None) -> bool:
-        """Coefficient-wise equality through min(weight cutoffs) or `through`."""
+    def agrees_with(self, other: FracSeries) -> bool:
+        """Coefficient-wise equality through min(weight cutoffs)."""
         bound = min(self.weight_cutoff, other.weight_cutoff)
-        if through is not None:
-            t = _as_fraction(through)
-            if t > bound:
-                raise BeyondCutoff(f"comparison through {t} exceeds common cutoff {bound}")
-            bound = t
         a, b = _aligned(self, other)
         kmax = int(bound * a.grain)
         keys = {k for k in a.coeffs if k <= kmax} | {k for k in b.coeffs if k <= kmax}
@@ -188,9 +183,6 @@ class FracSeries:
 
     def __sub__(self, other: FracSeries | int | Fraction) -> FracSeries:
         return self + (-other)
-
-    def __rsub__(self, other: int | Fraction) -> FracSeries:
-        return (-self) + other
 
     def __mul__(self, other: FracSeries | int | Fraction) -> FracSeries:
         if isinstance(other, (int, Fraction)):

@@ -14,13 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .isometry import (
     Isometry,
     OrderDoesNotDivide,
     cyclotomic_profile,
-    eigenspace_dims,
     euler_phi,
     multiplicative_order,
 )
@@ -77,46 +76,32 @@ def defect_dimension(g: Isometry, i: int) -> int:
     return root
 
 
-class SectorInvariants:
-    """Numeric data of the g^i-twisted sector: eigenspace dimensions for
-    eigenvalues zeta_m^{-j} (m = modulus), which fix the conformal weight
-    rho, and the defect dimension.
+class SectorInvariants(NamedTuple):
+    """Numeric data of the g^i-twisted sector: the defect dimension and the
+    eigenspace dimensions for eigenvalues zeta_m^{-j} (m = modulus), which
+    fix the conformal weight rho.  They depend only on the cyclic subgroup
+    <g^i>, so the sectors of one subgroup compare equal and share one
+    twisted character."""
 
-    These depend only on the cyclic subgroup <g^i>, so `power` is a label
-    that takes no part in equality or hashing: the sectors of one
-    subgroup compare equal and share one twisted character.
-    """
+    defect_dim: int
+    eig_dims: tuple[int, ...]
 
-    __slots__ = ("power", "defect_dim", "eig_dims", "modulus", "rho")
+    @property
+    def modulus(self) -> int:
+        return len(self.eig_dims)
 
-    def __init__(self, power: int, defect_dim: int, eig_dims: Sequence[int]) -> None:
-        self.power = power
-        self.defect_dim = defect_dim
-        self.eig_dims = dims = tuple(int(d) for d in eig_dims)
-        self.modulus = len(dims)
-        self.rho = conformal_weight(dims, len(dims))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SectorInvariants):
-            return NotImplemented
-        return self.defect_dim == other.defect_dim and self.eig_dims == other.eig_dims
-
-    def __hash__(self) -> int:
-        return hash((self.defect_dim, self.eig_dims))
-
-    def __repr__(self) -> str:
-        return (f"SectorInvariants(power={self.power!r}, defect_dim={self.defect_dim!r}, "
-                f"eig_dims={self.eig_dims!r}, modulus={self.modulus!r}, rho={self.rho!r})")
+    @property
+    def rho(self) -> Fraction:
+        return conformal_weight(self.eig_dims, self.modulus)
 
 
 def sector_invariants(g: Isometry, i: int) -> SectorInvariants:
     """Assemble the invariants of the g^i-twisted sector (i != 0 mod order)."""
     m = multiplicative_order(g)
-    dims = eigenspace_dims(g.power(i % m), m)
+    dims = cyclotomic_profile(g.power(i % m)).eigenspace_dims(m)
     # a fixed vector is reported as such, before 1 - g^i is found singular
     conformal_weight(dims, m)
-    return SectorInvariants(power=i % m, defect_dim=defect_dimension(g, i % m),
-                            eig_dims=dims)
+    return SectorInvariants(defect_dimension(g, i % m), dims)
 
 
 # ----- characters ---------------------------------------------------------
@@ -173,14 +158,15 @@ def twined_untwisted_character(g: Isometry, j: int, cutoff: Rational,
     top = int(c)
     gj = g.power(j)
     n_rank = g.lattice.rank
-    if gj.is_identity():
+    fixed = cyclotomic_profile(gj).multiplicity(1)
+    # g^j is diagonalisable, so all n eigenvalues 1 make it the identity
+    if fixed == n_rank:
         series = theta * _fock_product(n_rank, top)
+    elif fixed:
+        raise UnsupportedFixedSublattice(
+            "the power has a nonzero fixed sublattice; its character is "
+            "not determined at this level")
     else:
-        profile = cyclotomic_profile(gj)
-        if profile.multiplicity(1):
-            raise UnsupportedFixedSublattice(
-                "the power has a nonzero fixed sublattice; its character is "
-                "not determined at this level")
         # det(I - M x) has coefficient c_k at x^k when det(xI - M) = sum c_k x^{n-k}
         det_coeffs = gj.charpoly
         acc = FracSeries.one(top, grain=1)

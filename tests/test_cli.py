@@ -161,7 +161,8 @@ def counted_p13_report():
         patch.setattr(isometry, "_charpoly", counted_charpoly)
         patch.setattr(isometry, "_mat_mul", counted_mat_mul)
         report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(2)))
-    calls["twisted_misses"] = twisted_character.cache_info().misses
+    info = twisted_character.cache_info()
+    calls["twisted_hits"], calls["twisted_misses"] = info.hits, info.misses
     return report, calls
 
 
@@ -215,6 +216,15 @@ def test_suite_builds_one_twisted_character_per_cyclic_subgroup(
     # in <sigma>), tau's twelve sectors (all in <tau>) and the negation's
     # at the cutoff, and the negation's at weight 2 for the z2-split
     assert calls["twisted_misses"] <= 4
+
+
+def test_suite_reads_the_twisted_cache_as_often_as_before(counted_p13_report):
+    report, calls = counted_p13_report
+    assert report.all_passed
+    # the sector records of one cyclic subgroup are equal, so every
+    # sector after the first of its subgroup and cutoff is a hit; at
+    # cutoff 2 the z2-split shares the negation's character at the cutoff
+    assert (calls["twisted_hits"], calls["twisted_misses"]) == (35, 3)
 
 
 def test_suite_builds_only_the_power_matrices_it_reads(counted_p13_report):

@@ -26,7 +26,7 @@ from orbifoldry.fusion import (
     weight_one_by_sector,
     weight_one_dimension_H2,
 )
-from orbifoldry.isometry import negation_isometry, verify_isometry
+from orbifoldry.isometry import Isometry, negation_isometry
 from orbifoldry.lattice import Lattice, theta_series
 from orbifoldry.modular import moonshine_j, unimodular_theta_rank24
 from orbifoldry.sectors import (
@@ -236,9 +236,7 @@ def test_sectors_of_one_cyclic_subgroup_compare_equal(leech, sigmas):
     # subgroup, so their sectors agree in everything but the label
     g = sigmas[13]
     first, third, second = (sector_invariants(g, i) for i in (1, 3, 2))
-    assert (first.power, third.power) == (1, 3)
     assert first == third and hash(first) == hash(third)
-    assert "power=3" in repr(third)
     assert first != second
     assert twisted_character(first, Fraction(2)) is \
         twisted_character(third, Fraction(2))
@@ -292,6 +290,6 @@ def test_weight_one_certificate_failure():
     gram = ((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
     rot = ((0, -1, 0, 0), (1, 1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 1))
     small = Lattice(gram)
-    g = verify_isometry(small, rot)
+    g = Isometry(small, rot)
     with pytest.raises(WeightHypothesisFailed):
         weight_one_dimension_H2(g)

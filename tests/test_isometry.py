@@ -23,12 +23,10 @@ from orbifoldry.isometry import (
     _lifted_profile,
     cyclotomic_polynomial,
     cyclotomic_profile,
-    eigenspace_dims,
     euler_phi,
     multiplicative_order,
     negation_isometry,
     power_profile,
-    verify_isometry,
 )
 from orbifoldry.lattice import Lattice, SingularMatrix, quotient_invariants
 from orbifoldry.modular import unimodular_theta_rank24
@@ -49,13 +47,16 @@ def sigmas(leech):
 # ----- validation -----------------------------------------------------------
 
 
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def identity_isometry(lattice):
-    return verify_isometry(lattice, [[int(i == j) for j in range(lattice.rank)]
-                                     for i in range(lattice.rank)])
+    return Isometry(lattice, identity(lattice.rank))
 
 
 def test_identity_and_negation_are_isometries(leech):
-    assert identity_isometry(leech).is_identity()
+    assert identity_isometry(leech).matrix == identity(24)
     neg = negation_isometry(leech)
     assert multiplicative_order(neg) == 2
 
@@ -63,17 +64,17 @@ def test_identity_and_negation_are_isometries(leech):
 def test_scaling_is_not_gram_preserving(leech):
     two_i = [[2 * int(i == j) for j in range(24)] for i in range(24)]
     with pytest.raises(NotGramPreserving):
-        verify_isometry(leech, two_i)
+        Isometry(leech, two_i)
 
 
 def test_shape_mismatch_rejected(leech):
     with pytest.raises(ValueError):
-        verify_isometry(leech, [[1, 0], [0, 1]])
+        Isometry(leech, [[1, 0], [0, 1]])
 
 
 def test_rotation_on_small_lattice():
     lat = Lattice(gram=((2, 1), (1, 2)))
-    rot = verify_isometry(lat, [[0, -1], [1, 1]])  # 60-degree rotation
+    rot = Isometry(lat, [[0, -1], [1, 1]])  # 60-degree rotation
     assert multiplicative_order(rot) == 6
     assert cyclotomic_profile(rot) == CycloProfile.of({6: 1})
     assert cyclotomic_profile(rot.power(2)) == CycloProfile.of({3: 1})
@@ -123,7 +124,7 @@ def test_certificate_rejects_a_lift_that_only_looks_cyclotomic():
     # Gram check lets a matrix reach the charpoly, and it refuses this one
     assert _lifted_profile(_charpoly(companion)) == CycloProfile.of({1: 2})
     with pytest.raises(NotGramPreserving):
-        verify_isometry(Lattice(gram=((2, 1), (1, 2))), companion)
+        Isometry(Lattice(gram=((2, 1), (1, 2))), companion)
 
 
 def test_charpoly_refuses_ranks_past_the_single_prime_bound():
@@ -331,11 +332,11 @@ def test_orders_of_shipped_isometries(sigmas):
 
 def test_eigenspace_dims_examples(sigmas):
     sigma = sigmas[3]
-    assert eigenspace_dims(sigma, 6) == (0, 12, 0, 0, 0, 12)
-    assert eigenspace_dims(sigma.power(2), 6) == (0, 0, 12, 0, 12, 0)
+    assert cyclotomic_profile(sigma).eigenspace_dims(6) == (0, 12, 0, 0, 0, 12)
+    assert cyclotomic_profile(sigma.power(2)).eigenspace_dims(6) == (0, 0, 12, 0, 12, 0)
     for p, s in sigmas.items():
         theta = s.power(p)
-        dims = eigenspace_dims(theta, 2 * p)
+        dims = cyclotomic_profile(theta).eigenspace_dims(2 * p)
         assert dims[p] == 24 and sum(dims) == 24
 
 
@@ -343,20 +344,20 @@ def test_eigenspace_dims_symmetry_and_total(sigmas):
     for p, sigma in sigmas.items():
         m = 2 * p
         for i in range(1, m):
-            dims = eigenspace_dims(sigma.power(i), m)
+            dims = cyclotomic_profile(sigma.power(i)).eigenspace_dims(m)
             assert sum(dims) == 24
             assert all(dims[j] == dims[(m - j) % m] for j in range(m))
 
 
 def test_eigenspace_dims_requires_divisible_order(sigmas):
     with pytest.raises(OrderDoesNotDivide):
-        eigenspace_dims(sigmas[3], 5)
+        cyclotomic_profile(sigmas[3]).eigenspace_dims(5)
 
 
 def test_fixed_point_free_powers(sigmas):
     for p, sigma in sigmas.items():
         for i in range(1, 2 * p):
-            dims = eigenspace_dims(sigma.power(i), 2 * p)
+            dims = cyclotomic_profile(sigma.power(i)).eigenspace_dims(2 * p)
             assert dims[0] == 0
 
 
@@ -373,17 +374,28 @@ def test_powers_remain_isometries(sigmas):
     # power() trusts its products; the constructor's checks confirm them here
     for p, sigma in sigmas.items():
         for k in range(1, 2 * p):
-            verify_isometry(sigma.lattice, sigma.power(k).matrix)
-        assert sigma.power(2 * p).is_identity()
+            Isometry(sigma.lattice, sigma.power(k).matrix)
+        assert sigma.power(2 * p).matrix == identity(24)
     product = isometry._mat_mul(sigmas[5].matrix, sigmas[5].power(-1).matrix)
-    assert verify_isometry(sigmas[5].lattice, product).is_identity()
+    assert Isometry(sigmas[5].lattice, product).matrix == identity(24)
+
+
+def test_profile_says_identity_exactly_when_the_product_does(sigmas):
+    # twined_untwisted_character takes g^j = I from Phi_1^24 in the
+    # profile; the reference multiplies the power out from sigma
+    for p, sigma in sigmas.items():
+        for k in range(2 * p + 1):
+            by_profile = cyclotomic_profile(sigma.power(k)).multiplicity(1) == 24
+            by_product = mat_power(sigma.matrix, k) == [list(row) for row in identity(24)]
+            assert by_profile == by_product, (p, k)
+            assert by_profile == (k % (2 * p) == 0), (p, k)
 
 
 def test_lazy_power_equals_the_isometry_of_its_matrix(leech):
     sigma = load_sigma(7, lattice=leech)
     # compared before anything reads its matrix, which equality builds
     power = sigma.power(3)
-    built = verify_isometry(leech, mat_power(sigma.matrix, 3))
+    built = Isometry(leech, mat_power(sigma.matrix, 3))
     assert power == built and hash(power) == hash(built)
     assert power != sigma.power(5) and power != sigma
 

@@ -33,7 +33,6 @@ from orbifoldry.lattice import (
     _bareiss,
     _scaled_form,
     enumerate_vectors_by_norm,
-    load_lattice,
     parse_matrix,
     quotient_invariants,
     smith_normal_form,
@@ -126,26 +125,26 @@ def random_even_lattice(rng, rank, max_box=200_000):
 
 
 def test_load_one_dimensional_even():
-    lat = load_lattice("1\n2\n", label="a1")
+    lat = Lattice(parse_matrix("1\n2\n"), label="a1")
     assert lat.rank == 1 and lat.determinant() == 2
 
 
 def test_load_rejects_odd_diagonal():
     with pytest.raises(NotEven):
-        load_lattice("1\n1\n")
+        Lattice(parse_matrix("1\n1\n"))
 
 
 def test_load_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
-        load_lattice("2\n2 3\n3 2\n")
+        Lattice(parse_matrix("2\n2 3\n3 2\n"))
 
 
 def test_load_rejects_malformed():
     for text in ("", "x\n", "2\n2 0\n", "1\n2 0\n", "1\nzz\n", "1 1\n2\n"):
         with pytest.raises(ParseError):
-            load_lattice(text)
+            Lattice(parse_matrix(text))
     with pytest.raises(ParseError):
-        load_lattice("2\n2 1\n0 2\n")  # asymmetric
+        Lattice(parse_matrix("2\n2 1\n0 2\n"))  # asymmetric
 
 
 def test_parse_matrix_comments_and_blanks():

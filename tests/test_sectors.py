@@ -105,7 +105,7 @@ def test_sector_invariants_three_cases(leech, sigmas, p):
     g = sigmas[p]
     for i in range(1, 2 * p):
         inv = sector_invariants(g, i)
-        assert inv.modulus == 2 * p and inv.power == i
+        assert inv.modulus == 2 * p
         if i == p:
             assert inv.rho == Fraction(3, 2)
             assert inv.defect_dim == 2**12
@@ -149,18 +149,18 @@ def test_identity_power_rejected(leech, sigmas):
 
 
 def test_sector_invariants_validation():
-    good = SectorInvariants(power=1, defect_dim=4096, eig_dims=(0, 24))
+    good = SectorInvariants(defect_dim=4096, eig_dims=(0, 24))
     assert good.modulus == 2 and good.rho == Fraction(3, 2)
+    # the weight is defined only for a fixed-point-free sector
     with pytest.raises(FixedPointsPresent):
-        SectorInvariants(power=1, defect_dim=1, eig_dims=(1, 23))
+        SectorInvariants(defect_dim=1, eig_dims=(1, 23)).rho
 
 
-def test_sectors_differing_only_in_power_share_a_character():
-    dims = (0, 12, 0, 0, 0, 12)
-    first, fifth = (SectorInvariants(power=i, defect_dim=1, eig_dims=dims)
-                    for i in (1, 5))
+def test_sectors_differing_only_in_power_share_a_character(sigmas):
+    # sigma and sigma^5 generate one subgroup of the order-6 group
+    first, fifth = (sector_invariants(sigmas[3], i) for i in (1, 5))
     assert first == fifth and hash(first) == hash(fifth)
-    assert first != SectorInvariants(power=1, defect_dim=2, eig_dims=dims)
+    assert first != SectorInvariants(defect_dim=2, eig_dims=first.eig_dims)
     twisted_character.cache_clear()
     assert twisted_character(first, Fraction(3)) is twisted_character(fifth, Fraction(3))
     assert twisted_character.cache_info().misses == 1

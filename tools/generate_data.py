@@ -39,10 +39,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from orbifoldry.datafiles import sigma_profile
 from orbifoldry.isometry import (
+    Isometry,
     _mat_mul as mat_mul,
-    eigenspace_dims,
+    cyclotomic_profile,
     multiplicative_order,
-    verify_isometry,
 )
 from orbifoldry.lattice import Lattice
 # tools/ is on the path as this script's own directory
@@ -196,7 +196,11 @@ def gram_of(basis: list[list[int]]) -> list[list[int]]:
 
 
 def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(99, 100)):
-    """Returns (reduced_gram, transform) with reduced = T @ gram @ T.T."""
+    """Returns (reduced_gram, transform) with reduced = T @ gram @ T.T.
+
+    Gram-Schmidt runs in full at the top of each pass, that is after a
+    swap; a size reduction updates mu in place (Cohen, GTM 138, 2.6).
+    """
     n = len(gram)
     g = [[Fraction(x) for x in row] for row in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -231,7 +235,10 @@ def lll_gram(gram: list[list[int]], delta: Fraction = Fraction(99, 100)):
                         if t != k:
                             g[t][k] -= q * g[t][j]
                     g[k][k] -= q * g[k][j]
-                    mu, norms = gso()
+                    # b_k -= q b_j moves only row k of mu, and no norm
+                    for t in range(j):
+                        mu[k][t] -= q * mu[j][t]
+                    mu[k][j] -= q
         swapped = False
         for k in range(1, n):
             if norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
@@ -378,8 +385,8 @@ def main() -> None:
 
     gen_a = shipped(mat_mul(gen_s, gen_e))
     gen_b = shipped(mat_mul(gen_x, gen_t))
-    iso_a = verify_isometry(lattice, gen_a)
-    iso_b = verify_isometry(lattice, gen_b)
+    iso_a = Isometry(lattice, gen_a)
+    iso_b = Isometry(lattice, gen_b)
     print(f"[4/5] generator pair built and verified ({time.time() - t0:.1f}s)", flush=True)
 
     words: dict[str, dict] = {}
@@ -390,7 +397,7 @@ def main() -> None:
                                  budget=SEARCH_BUDGET, seed=seed)
         g = result.isometry
         assert multiplicative_order(g) == 2 * p
-        dims = eigenspace_dims(g, 2 * p)
+        dims = cyclotomic_profile(g).eigenspace_dims(2 * p)
         assert sum(dims) == N and dims[0] == 0
         sigmas[p] = g
         words[str(p)] = {"word": list(result.word), "seed": seed,
