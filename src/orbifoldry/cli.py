@@ -64,9 +64,6 @@ DEFAULT_SUITE_CUTOFF = Fraction(4)
 
 OUTPUT_FORMATS = ("json", "markdown")
 
-# every key a config file may set; anything else is a mistyped key
-CONFIG_KEYS = ("p", "cutoff", "budget", "format", "data_dir")
-
 
 class RunConfig:
     """Settings for one verification run."""
@@ -450,38 +447,6 @@ def run_verification_suite(cfg: RunConfig) -> Report:
     return Report(config=config, entries=entries)
 
 
-# ----- configuration file ---------------------------------------------------
-
-
-def load_config_file(path: Path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and '#' comments ignored."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                             f"expected one of {', '.join(CONFIG_KEYS)}")
-        values[key] = value.strip()
-    return values
-
-
-def _resolve(args: argparse.Namespace, config: dict[str, str], key: str,
-             default: Any, convert: Callable[[str], Any]) -> Any:
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    raw = config.get(key)
-    if raw is None:
-        return default
-    return convert(raw)
-
-
 # ----- subcommand handlers --------------------------------------------------
 
 
@@ -490,28 +455,16 @@ def _emit(payload: Any) -> None:
                      + "\n")
 
 
-def _data_dir(args: argparse.Namespace, config: dict[str, str]) -> Path | None:
-    return _resolve(args, config, "data_dir", None, Path)
-
-
-def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    p = _resolve(args, config, "p", None, _config_p)
-    if p is None:
-        raise ValueError("p is required: pass --p or set p in the config file")
-    cfg = RunConfig(
-        p=p,
-        cutoff=_resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, _fraction),
-        enumeration_budget=_resolve(args, config, "budget",
-                                    DEFAULT_NODE_BUDGET, _budget),
-        data_dir=_data_dir(args, config),
-        output=_resolve(args, config, "format", "json", str),
-    )
+def _cmd_verify(args: argparse.Namespace) -> int:
+    cfg = RunConfig(p=args.p, cutoff=args.cutoff,
+                    enumeration_budget=args.budget, data_dir=args.data_dir,
+                    output=args.format)
     report = run_verification_suite(cfg)
     sys.stdout.write(emit_report(report, cfg.output))
     return 0 if report.all_passed else 1
 
 
-def _cmd_lattice_check(args: argparse.Namespace, config: dict[str, str]) -> int:
+def _cmd_lattice_check(args: argparse.Namespace) -> int:
     lat = Lattice(parse_matrix(Path(args.file).read_text()), label=args.file)
     _emit({"file": args.file, "rank": lat.rank,
            "determinant": lat.determinant(),
@@ -519,15 +472,14 @@ def _cmd_lattice_check(args: argparse.Namespace, config: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_lattice_theta(args: argparse.Namespace, config: dict[str, str]) -> int:
+def _cmd_lattice_theta(args: argparse.Namespace) -> int:
     lat = Lattice(parse_matrix(Path(args.file).read_text()), label=args.file)
-    budget = _resolve(args, config, "budget", DEFAULT_NODE_BUDGET, _budget)
     if args.max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
     if args.max_norm % 2:
         raise ValueError("max_norm must be even for an even lattice")
     theta = theta_series(lat, Fraction(args.max_norm, 2),
-                         budget=budget).rescaled(2)
+                         budget=args.budget).rescaled(2)
     counts = {str(m): theta.coefficient_at(Fraction(m, 2))
               for m in range(0, args.max_norm + 1, 2)}
     _emit({"file": args.file, "max_norm": args.max_norm, "counts": counts,
@@ -540,8 +492,7 @@ def _load_isometry_args(args: argparse.Namespace) -> Isometry:
     return Isometry(lat, parse_matrix(Path(args.matrix).read_text()))
 
 
-def _cmd_isometry_verify(args: argparse.Namespace,
-                         config: dict[str, str]) -> int:
+def _cmd_isometry_verify(args: argparse.Namespace) -> int:
     iso = _load_isometry_args(args)
     profile = cyclotomic_profile(iso)
     _emit({"gram_preserving": True, "order": multiplicative_order(iso),
@@ -549,8 +500,7 @@ def _cmd_isometry_verify(args: argparse.Namespace,
     return 0
 
 
-def _cmd_isometry_profile(args: argparse.Namespace,
-                          config: dict[str, str]) -> int:
+def _cmd_isometry_profile(args: argparse.Namespace) -> int:
     iso = _load_isometry_args(args)
     profile = cyclotomic_profile(iso)
     order = multiplicative_order(iso)
@@ -559,15 +509,14 @@ def _cmd_isometry_profile(args: argparse.Namespace,
     return 0
 
 
-def _cmd_sectors_table(args: argparse.Namespace, config: dict[str, str]) -> int:
-    ctx = _Context(args.p, _data_dir(args, config))
+def _cmd_sectors_table(args: argparse.Namespace) -> int:
+    ctx = _Context(args.p, args.data_dir)
     rows = [{"i": i, "eigenspace_dims": inv.eig_dims,
              "conformal_weight": inv.rho, "defect_dim": inv.defect_dim}
             for i, inv in enumerate(ctx.sectors, 1)]
-    fmt = _resolve(args, config, "format", "json", str)
-    if fmt == "json":
+    if args.format == "json":
         _emit({"p": args.p, "sectors": rows})
-    elif fmt == "markdown":
+    else:
         lines = [f"# Twisted sectors, order {2 * args.p}", "",
                  "| i | eigenspace dims | conformal weight | defect dim |",
                  "| --- | --- | --- | --- |"]
@@ -576,25 +525,20 @@ def _cmd_sectors_table(args: argparse.Namespace, config: dict[str, str]) -> int:
             lines.append(f"| {row['i']} | {dims} | {row['conformal_weight']} "
                          f"| {row['defect_dim']} |")
         sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     return 0
 
 
-def _cmd_sectors_character(args: argparse.Namespace,
-                           config: dict[str, str]) -> int:
-    ctx = _Context(args.p, _data_dir(args, config))
-    cutoff = _resolve(args, config, "cutoff", Fraction(6), _fraction)
+def _cmd_sectors_character(args: argparse.Namespace) -> int:
+    ctx = _Context(args.p, args.data_dir)
     inv = sector_invariants(ctx.sigma, args.i)
-    series = twisted_character(inv, cutoff)
+    series = twisted_character(inv, args.cutoff)
     _emit({"p": args.p, "i": args.i, "conformal_weight": inv.rho,
            "defect_dim": inv.defect_dim,
            "series": series.to_dict()})
     return 0
 
 
-def _cmd_fusion_isotropic(args: argparse.Namespace,
-                          config: dict[str, str]) -> int:
+def _cmd_fusion_isotropic(args: argparse.Namespace) -> int:
     groups = maximal_isotropic_subgroups(args.n)
     _emit({"n": args.n, "count": len(groups), "subgroups": [
         {"order": g.order, "generators": g.generators,
@@ -602,39 +546,35 @@ def _cmd_fusion_isotropic(args: argparse.Namespace,
     return 0
 
 
-def _cmd_fusion_orbifold(args: argparse.Namespace,
-                         config: dict[str, str]) -> int:
-    ctx = _Context(args.p, _data_dir(args, config))
-    cutoff = _resolve(args, config, "cutoff", DEFAULT_SUITE_CUTOFF, _fraction)
+def _cmd_fusion_orbifold(args: argparse.Namespace) -> int:
+    ctx = _Context(args.p, args.data_dir)
     # the lift of -1 is sigma^p, but building it reads no sigma
     g = ctx.tau if args.construction == "zp" else ctx.negation
-    series = orbifold_character(g, cutoff, ctx.theta(ceil(cutoff)))
+    series = orbifold_character(g, args.cutoff,
+                                ctx.theta(ceil(args.cutoff)))
     if args.shift_c24:
         series = series.shift(-1)
     _emit({"p": args.p, "construction": args.construction,
-           "cutoff": cutoff, "shifted": bool(args.shift_c24),
+           "cutoff": args.cutoff, "shifted": bool(args.shift_c24),
            "series": series.to_dict()})
     return 0
 
 
-def _cmd_fusion_weight1(args: argparse.Namespace,
-                        config: dict[str, str]) -> int:
-    ctx = _Context(args.p, _data_dir(args, config))
+def _cmd_fusion_weight1(args: argparse.Namespace) -> int:
+    ctx = _Context(args.p, args.data_dir)
     _emit({"p": args.p, **_weight_one_table(ctx.sigma)})
     return 0
 
 
-def _cmd_ising_chars(args: argparse.Namespace, config: dict[str, str]) -> int:
-    cutoff = _resolve(args, config, "cutoff", Fraction(6), _fraction)
+def _cmd_ising_chars(args: argparse.Namespace) -> int:
     payload = {}
     for h in ALLOWED_WEIGHTS:
-        payload[str(h)] = c12_character(h, cutoff).to_dict()
-    _emit({"cutoff": cutoff, "characters": payload})
+        payload[str(h)] = c12_character(h, args.cutoff).to_dict()
+    _emit({"cutoff": args.cutoff, "characters": payload})
     return 0
 
 
-def _cmd_ising_extension(args: argparse.Namespace,
-                         config: dict[str, str]) -> int:
+def _cmd_ising_extension(args: argparse.Namespace) -> int:
     value = extension_weight_one_check(2)
     _emit({"weight_one_coefficient": value, "passed": value == 1})
     return 0
@@ -644,7 +584,7 @@ def _cmd_ising_extension(args: argparse.Namespace,
 
 
 def _budget(text: str) -> int:
-    """A budget flag or config value: a positive integer."""
+    """A budget flag: a positive integer."""
     try:
         if int(text) > 0:
             return int(text)
@@ -655,30 +595,20 @@ def _budget(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    """A rational flag or config value.  argparse turns only ValueError and
-    TypeError into usage errors, so a zero denominator is made one here too."""
+    """A rational flag.  argparse turns only ValueError and TypeError into
+    usage errors, so a zero denominator is made one here too."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from None
 
 
-def _add_p(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--p", type=int, required=required, choices=SUPPORTED_P)
-
-
-def _config_p(text: str) -> int:
-    """A config-file p, read by the --p flag's type, choices and messages."""
-    probe = argparse.ArgumentParser(exit_on_error=False)
-    _add_p(probe, required=False)
-    return probe.parse_args([f"--p={text}"]).p
+def _add_p(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p", type=int, required=True, choices=SUPPORTED_P)
 
 
 def _add_data_dir(parser: argparse.ArgumentParser) -> None:
-    # SUPPRESS keeps a subcommand-level absence from clobbering the
-    # top-level --data-dir value already in the namespace
-    parser.add_argument("--data-dir", dest="data_dir", type=Path,
-                        default=argparse.SUPPRESS,
+    parser.add_argument("--data-dir", dest="data_dir", type=Path, default=None,
                         help="directory with the shipped data "
                         "(also via ORBIFOLDRY_DATA)")
 
@@ -688,18 +618,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="orbifoldry",
         description="Exact-arithmetic checks for cyclic orbifold "
                     "constructions on the Leech lattice.")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="flat key=value configuration file")
-    parser.add_argument("--data-dir", dest="data_dir", type=Path,
-                        default=None, help="directory with the shipped data "
-                        "(also via ORBIFOLDRY_DATA)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the verification suite")
-    _add_p(verify, required=False)
-    verify.add_argument("--cutoff", type=_fraction, default=None)
-    verify.add_argument("--budget", type=_budget, default=None)
-    verify.add_argument("--format", dest="format", default=None,
+    _add_p(verify)
+    verify.add_argument("--cutoff", type=_fraction,
+                        default=DEFAULT_SUITE_CUTOFF)
+    verify.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
+    verify.add_argument("--format", dest="format", default="json",
                         choices=OUTPUT_FORMATS)
     _add_data_dir(verify)
     verify.set_defaults(handler=_cmd_verify)
@@ -712,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
     theta = lattice_sub.add_parser("theta")
     theta.add_argument("file")
     theta.add_argument("--max-norm", dest="max_norm", type=int, required=True)
-    theta.add_argument("--budget", type=_budget, default=None)
+    theta.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     theta.set_defaults(handler=_cmd_lattice_theta)
 
     isometry = sub.add_parser("isometry", help="isometry utilities")
@@ -730,14 +656,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sectors_sub = sectors.add_subparsers(dest="subcommand", required=True)
     table = sectors_sub.add_parser("table")
     _add_p(table)
-    table.add_argument("--format", dest="format", default=None,
+    table.add_argument("--format", dest="format", default="json",
                        choices=OUTPUT_FORMATS)
     _add_data_dir(table)
     table.set_defaults(handler=_cmd_sectors_table)
     character = sectors_sub.add_parser("character")
     _add_p(character)
     character.add_argument("--i", type=int, required=True)
-    character.add_argument("--cutoff", type=_fraction, default=None)
+    character.add_argument("--cutoff", type=_fraction, default=Fraction(6))
     _add_data_dir(character)
     character.set_defaults(handler=_cmd_sectors_character)
 
@@ -756,7 +682,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="zp: the Z_p orbifold by tau = sigma^2 "
                           "(default); z2: the Z_2 orbifold by the lift of "
                           "-1, which reads no sigma")
-    orbifold.add_argument("--cutoff", type=_fraction, default=None)
+    orbifold.add_argument("--cutoff", type=_fraction,
+                          default=DEFAULT_SUITE_CUTOFF)
     orbifold.add_argument("--shift-c24", dest="shift_c24",
                           action="store_true",
                           help="emit q^(-1) times the character, aligning "
@@ -771,7 +698,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ising = sub.add_parser("ising", help="c = 1/2 character utilities")
     ising_sub = ising.add_subparsers(dest="subcommand", required=True)
     chars = ising_sub.add_parser("chars")
-    chars.add_argument("--cutoff", type=_fraction, default=None)
+    chars.add_argument("--cutoff", type=_fraction, default=Fraction(6))
     chars.set_defaults(handler=_cmd_ising_chars)
     extension = ising_sub.add_parser("extension-check")
     extension.set_defaults(handler=_cmd_ising_extension)
@@ -783,13 +710,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config_file(args.config) if args.config else {}
-        return args.handler(args, config)
-    except DataMissing as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.handler(args)
     except (ValueError, ArithmeticError, RuntimeError, LookupError,
-            OSError, argparse.ArgumentError, argparse.ArgumentTypeError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .isometry import Isometry, multiplicative_order
-from .qseries import FracSeries, Rational
+from .qseries import FracSeries
 from .sectors import eigencomponent_character, sector_invariants, twisted_character
 
 __all__ = [
@@ -152,7 +152,7 @@ def integral_weight_labels(n: int, i: int) -> set[int]:
     return {j for j in range(n) if _q((i, j), n) == 0}
 
 
-def orbifold_character(g: Isometry, cutoff: Rational,
+def orbifold_character(g: Isometry, cutoff: Fraction | int,
                        theta: FracSeries) -> FracSeries:
     """Character of the orbifold extension along the subgroup {(i, 0)},
     n the order of g: the j = 0 eigencomponent of the untwisted space

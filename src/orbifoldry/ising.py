@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .qseries import FracSeries, Rational, euler_product
+from .qseries import FracSeries, euler_product
 
 __all__ = [
     "ALLOWED_WEIGHTS",
@@ -42,7 +42,7 @@ def _fermion_product(first: Fraction, cutoff: Fraction, sign: int,
     return FracSeries(grain, dict(enumerate(euler_product(multiplicities, n))), n)
 
 
-def c12_character(h: Rational, cutoff: Rational) -> FracSeries:
+def c12_character(h: Fraction | int, cutoff: Fraction | int) -> FracSeries:
     """Character of the simple module of highest weight h in {0, 1/2, 1/16},
     1 * q^h + (counts at higher weights) through the cutoff."""
     hw = Fraction(h)
@@ -61,7 +61,7 @@ def c12_character(h: Rational, cutoff: Rational) -> FracSeries:
     return (plus + minus) * half if hw == 0 else (plus - minus) * half
 
 
-def extension_weight_one_check(cutoff: Rational = 2) -> Fraction:
+def extension_weight_one_check(cutoff: Fraction | int = 2) -> Fraction:
     """Weight-one coefficient of ch_0^2 + ch_{1/2}^2: the two-module
     extension acquires a weight-one vector, so it cannot embed in a
     space with none."""

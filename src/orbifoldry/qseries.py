@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 
 class ZeroLeadingTerm(ArithmeticError):
     """Inversion requires a nonzero leading coefficient."""

@@ -24,7 +24,7 @@ from .isometry import (
     multiplicative_order,
 )
 from .lattice import SingularMatrix
-from .qseries import FracSeries, Rational, grading_product
+from .qseries import FracSeries, grading_product
 
 
 class FixedPointsPresent(ValueError):
@@ -108,7 +108,7 @@ def sector_invariants(g: Isometry, i: int) -> SectorInvariants:
 
 
 @lru_cache(maxsize=None)
-def twisted_character(sector: SectorInvariants, cutoff: Rational) -> FracSeries:
+def twisted_character(sector: SectorInvariants, cutoff: Fraction | int) -> FracSeries:
     """defect_dim * q^rho * prod_{j=1}^{m-1} prod_{k>=0} (1-q^{j/m+k})^{-dim_j}.
 
     Cached by sector, that is once per cyclic subgroup <g^i> and cutoff.
@@ -138,7 +138,7 @@ def _fock_product(rank: int, cutoff: int) -> FracSeries:
     return grading_product([(1, rank)], cutoff=cutoff, grain=1)
 
 
-def twined_untwisted_character(g: Isometry, j: int, cutoff: Rational,
+def twined_untwisted_character(g: Isometry, j: int, cutoff: Fraction | int,
                                theta: FracSeries) -> FracSeries:
     """Graded trace of g^j on the untwisted space, in the weight grading.
 
@@ -205,7 +205,7 @@ def ramanujan_sum(q: int, n: int) -> int:
     return moebius(q // g) * (euler_phi(q) // euler_phi(q // g))
 
 
-def eigencomponent_character(g: Isometry, m: int, j: int, cutoff: Rational,
+def eigencomponent_character(g: Isometry, m: int, j: int, cutoff: Fraction | int,
                              theta: FracSeries) -> FracSeries:
     """Character of the zeta_m^j eigencomponent of the untwisted space:
     (1/m) sum_{j'} zeta_m^{-j j'} tr(g^{j'} q^{L0}).

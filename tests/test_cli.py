@@ -1,6 +1,8 @@
-"""Command-line layer: suite registry, configuration resolution, report
+"""Command-line layer: suite registry, option inventory, report
 determinism, error capture, and subcommand smoke tests."""
 
+import argparse
+import importlib
 import json
 import shutil
 import subprocess
@@ -15,7 +17,7 @@ from orbifoldry.cli import (
     CLAIM_REGISTRY,
     DEFAULT_SUITE_CUTOFF,
     RunConfig,
-    load_config_file,
+    _build_parser,
     main,
     run_verification_suite,
 )
@@ -276,17 +278,6 @@ def test_verify_exit_codes(corrupted_data, tmp_path, capsys):
     assert "missing" in captured.err
 
 
-def test_config_file_parsing(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 3\n\n# comment\ncutoff = 5/2  # inline\nformat=json\n")
-    assert load_config_file(cfg) == {"p": "3", "cutoff": "5/2",
-                                     "format": "json"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just-a-token\n")
-    with pytest.raises(ValueError):
-        load_config_file(bad)
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "--p", "3"],
     ["sectors", "character", "--p", "3", "--i", "1"],
@@ -320,69 +311,39 @@ def test_nonpositive_budget_is_a_usage_error(argv, budget):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify"],
-    ["lattice", "theta", str(resolve_data_dir() / "leech_gram.txt"),
-     "--max-norm", "0"],
-], ids=["verify", "lattice-theta"])
-def test_nonpositive_budget_in_config_file(tmp_path, capsys, argv):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 3\nbudget = -1\n")
-    assert main(["--config", str(cfg), *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == \
-        "error: budget must be a positive integer, got '-1'\n"
-
-
-def test_zero_denominator_cutoff_in_config_file(tmp_path, capsys):
-    # a config value is read as the flag is, with the flag's message
-    cfg = tmp_path / "run.cfg"
-    for value in ("1/0", "abc"):
-        cfg.write_text(f"p = 3\ncutoff = {value}\n")
-        assert main(["--config", str(cfg), "verify"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: invalid fraction '{value}'\n"
-
-
 @pytest.mark.parametrize("value", ["abc", "4"])
-def test_bad_p_in_config_file_gets_the_flag_message(tmp_path, capsys, value):
+def test_bad_p_is_a_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--p", value])
     assert exc.value.code == 2
-    flag_error = capsys.readouterr().err.splitlines()[-1]
-    assert flag_error.startswith("orbifoldry verify: error: argument --p: ")
-    assert value in flag_error
-    # the config value is read by the same type and choices
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"p = {value}\n")
-    assert main(["--config", str(cfg), "verify"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == \
-        f"error: {flag_error.split(': error: ', 1)[1]}\n"
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith("orbifoldry verify: error: argument --p: ")
+    assert value in error
 
 
-def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
-    cfg = tmp_path / "typo.cfg"
-    cfg.write_text("p = 3\ncutof = 3\n")
-    with pytest.raises(ValueError, match="cutof"):
-        load_config_file(cfg)
-    assert main(["--config", str(cfg), "verify"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unknown key 'cutof'" in captured.err
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "run.cfg", "verify", "--p", "3"],
+     "invalid choice: 'run.cfg'"),
+    (["--data-dir", "D", "verify", "--p", "3"], "invalid choice: 'D'"),
+    (["verify"], "the following arguments are required: --p"),
+], ids=["config", "top-level-data-dir", "bare-verify"])
+def test_settings_come_only_from_the_command_flags(argv, message):
+    # the top level takes no option but -h, so the word after a stray
+    # option is read as the command
+    result = subprocess.run(
+        [sys.executable, "-m", "orbifoldry", *argv],
+        capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert message in result.stderr
 
 
-def test_flag_beats_config_beats_default(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("cutoff = 3\n")
+def test_ising_chars_cutoff_default_and_flag(capsys):
     assert main(["ising", "chars"]) == 0
     assert json.loads(capsys.readouterr().out)["cutoff"] == 6
-    assert main(["--config", str(cfg), "ising", "chars"]) == 0
-    assert json.loads(capsys.readouterr().out)["cutoff"] == 3
-    assert main(["--config", str(cfg), "ising", "chars", "--cutoff", "2"]) == 0
+    assert main(["ising", "chars", "--cutoff", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["cutoff"] == 2
 
 
@@ -534,6 +495,58 @@ def test_module_entry_point_subprocess():
         cwd=Path(__file__).resolve().parents[1])
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["all_passed"] is True
+
+
+OPTIONS = {
+    (): set(),
+    ("verify",): {"--p", "--cutoff", "--budget", "--format", "--data-dir"},
+    ("lattice",): set(),
+    ("lattice", "check"): set(),
+    ("lattice", "theta"): {"--max-norm", "--budget"},
+    ("isometry",): set(),
+    ("isometry", "verify"): set(),
+    ("isometry", "profile"): set(),
+    ("sectors",): set(),
+    ("sectors", "table"): {"--p", "--format", "--data-dir"},
+    ("sectors", "character"): {"--p", "--i", "--cutoff", "--data-dir"},
+    ("fusion",): set(),
+    ("fusion", "isotropic"): {"--n"},
+    ("fusion", "orbifold"): {"--p", "--construction", "--cutoff",
+                             "--shift-c24", "--data-dir"},
+    ("fusion", "weight1"): {"--p", "--data-dir"},
+    ("ising",): set(),
+    ("ising", "chars"): {"--cutoff"},
+    ("ising", "extension-check"): set(),
+}
+
+
+def _options(parser: argparse.ArgumentParser,
+             prefix: tuple[str, ...] = ()):
+    """Each command path, the bare top level included, with its options
+    other than -h/--help."""
+    yield prefix, {option for action in parser._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _options(child, prefix + (name,))
+
+
+def test_every_command_has_exactly_its_options():
+    # adding or dropping a knob edits this table
+    assert dict(_options(_build_parser())) == OPTIONS
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="tomllib needs Python 3.11")
+def test_console_script_names_cli_main():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, attr = scripts["orbifoldry"].partition(":")
+    assert (module, attr) == ("orbifoldry.cli", "main")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 @pytest.mark.skipif(shutil.which("orbifoldry") is None,
