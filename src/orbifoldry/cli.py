@@ -248,15 +248,9 @@ def _weight_one_expected(cfg: RunConfig) -> Any:
     return {"total": 24, "per_sector": per}
 
 
-def _weight_one_table(g: Isometry) -> dict[str, Any]:
-    """Weight-one dimension of the order-2p extension and the weight-one
-    coefficient of each odd sector other than p."""
-    return {"total": weight_one_dimension_H2(g),
-            "per_sector": weight_one_by_sector(g)}
-
-
 def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    return _weight_one_table(ctx.sigma)
+    return {"total": weight_one_dimension_H2(ctx.sigma),
+            "per_sector": weight_one_by_sector(ctx.sigma)}
 
 
 def _moonshine_expected(cfg: RunConfig) -> Any:
@@ -356,7 +350,7 @@ def _ising_computed(cfg: RunConfig, ctx: _Context) -> Any:
         and ch_half.coefficient_at(Fraction(u, 2)) == oracle[u][1]
         for u in range(21))
     return {"leading_exponents": leading,
-            "extension_weight_one": extension_weight_one_check(2),
+            "extension_weight_one": extension_weight_one_check(),
             "ns_characters_match_fermion_oracle": matches}
 
 
@@ -487,44 +481,13 @@ def _cmd_lattice_theta(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_isometry_args(args: argparse.Namespace) -> Isometry:
-    lat = Lattice(parse_matrix(Path(args.lattice).read_text()), label=args.lattice)
-    return Isometry(lat, parse_matrix(Path(args.matrix).read_text()))
-
-
-def _cmd_isometry_verify(args: argparse.Namespace) -> int:
-    iso = _load_isometry_args(args)
-    profile = cyclotomic_profile(iso)
-    _emit({"gram_preserving": True, "order": multiplicative_order(iso),
-           "profile": profile.as_dict()})
-    return 0
-
-
 def _cmd_isometry_profile(args: argparse.Namespace) -> int:
-    iso = _load_isometry_args(args)
+    lat = Lattice(parse_matrix(Path(args.lattice).read_text()), label=args.lattice)
+    iso = Isometry(lat, parse_matrix(Path(args.matrix).read_text()))
     profile = cyclotomic_profile(iso)
     order = multiplicative_order(iso)
     _emit({"order": order, "profile": profile.as_dict(),
            "eigenspace_dims": profile.eigenspace_dims(order)})
-    return 0
-
-
-def _cmd_sectors_table(args: argparse.Namespace) -> int:
-    ctx = _Context(args.p, args.data_dir)
-    rows = [{"i": i, "eigenspace_dims": inv.eig_dims,
-             "conformal_weight": inv.rho, "defect_dim": inv.defect_dim}
-            for i, inv in enumerate(ctx.sectors, 1)]
-    if args.format == "json":
-        _emit({"p": args.p, "sectors": rows})
-    else:
-        lines = [f"# Twisted sectors, order {2 * args.p}", "",
-                 "| i | eigenspace dims | conformal weight | defect dim |",
-                 "| --- | --- | --- | --- |"]
-        for row in rows:
-            dims = " ".join(str(d) for d in row["eigenspace_dims"])
-            lines.append(f"| {row['i']} | {dims} | {row['conformal_weight']} "
-                         f"| {row['defect_dim']} |")
-        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -560,23 +523,11 @@ def _cmd_fusion_orbifold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fusion_weight1(args: argparse.Namespace) -> int:
-    ctx = _Context(args.p, args.data_dir)
-    _emit({"p": args.p, **_weight_one_table(ctx.sigma)})
-    return 0
-
-
 def _cmd_ising_chars(args: argparse.Namespace) -> int:
     payload = {}
     for h in ALLOWED_WEIGHTS:
         payload[str(h)] = c12_character(h, args.cutoff).to_dict()
     _emit({"cutoff": args.cutoff, "characters": payload})
-    return 0
-
-
-def _cmd_ising_extension(args: argparse.Namespace) -> int:
-    value = extension_weight_one_check(2)
-    _emit({"weight_one_coefficient": value, "passed": value == 1})
     return 0
 
 
@@ -643,10 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     isometry = sub.add_parser("isometry", help="isometry utilities")
     isometry_sub = isometry.add_subparsers(dest="subcommand", required=True)
-    iso_verify = isometry_sub.add_parser("verify")
-    iso_verify.add_argument("lattice")
-    iso_verify.add_argument("matrix")
-    iso_verify.set_defaults(handler=_cmd_isometry_verify)
     iso_profile = isometry_sub.add_parser("profile")
     iso_profile.add_argument("lattice")
     iso_profile.add_argument("matrix")
@@ -654,12 +601,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sectors = sub.add_parser("sectors", help="twisted-sector tables")
     sectors_sub = sectors.add_subparsers(dest="subcommand", required=True)
-    table = sectors_sub.add_parser("table")
-    _add_p(table)
-    table.add_argument("--format", dest="format", default="json",
-                       choices=OUTPUT_FORMATS)
-    _add_data_dir(table)
-    table.set_defaults(handler=_cmd_sectors_table)
     character = sectors_sub.add_parser("character")
     _add_p(character)
     character.add_argument("--i", type=int, required=True)
@@ -690,18 +631,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           "it with the modular J-expansion")
     _add_data_dir(orbifold)
     orbifold.set_defaults(handler=_cmd_fusion_orbifold)
-    weight1 = fusion_sub.add_parser("weight1")
-    _add_p(weight1)
-    _add_data_dir(weight1)
-    weight1.set_defaults(handler=_cmd_fusion_weight1)
 
     ising = sub.add_parser("ising", help="c = 1/2 character utilities")
     ising_sub = ising.add_subparsers(dest="subcommand", required=True)
     chars = ising_sub.add_parser("chars")
     chars.add_argument("--cutoff", type=_fraction, default=Fraction(6))
     chars.set_defaults(handler=_cmd_ising_chars)
-    extension = ising_sub.add_parser("extension-check")
-    extension.set_defaults(handler=_cmd_ising_extension)
 
     return parser
 

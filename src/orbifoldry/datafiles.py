@@ -60,10 +60,10 @@ def load_sigma(p: int, data_dir: str | os.PathLike | None = None,
                lattice: Lattice | None = None) -> Isometry:
     """The shipped order-2p fixed-point-free isometry for p in {3,5,7,13},
     verified on load: Gram preservation, unimodularity, spectral profile."""
-    if p not in SUPPORTED_P:
-        raise ValueError(f"p must be one of {SUPPORTED_P}, got {p}")
+    # an unsupported p is rejected here, before any file is read
+    expected = sigma_profile(p)
     lat = lattice if lattice is not None else load_leech(data_dir)
     g = Isometry(lat, parse_matrix(_read(data_dir, f"sigma_p{p}.txt")))
-    if cyclotomic_profile(g) != sigma_profile(p):
+    if cyclotomic_profile(g) != expected:
         raise ValueError(f"sigma data for p={p} has the wrong spectral profile")
     return g

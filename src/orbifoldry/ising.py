@@ -61,13 +61,10 @@ def c12_character(h: Fraction | int, cutoff: Fraction | int) -> FracSeries:
     return (plus + minus) * half if hw == 0 else (plus - minus) * half
 
 
-def extension_weight_one_check(cutoff: Fraction | int = 2) -> Fraction:
+def extension_weight_one_check() -> Fraction:
     """Weight-one coefficient of ch_0^2 + ch_{1/2}^2: the two-module
     extension acquires a weight-one vector, so it cannot embed in a
     space with none."""
-    c = Fraction(cutoff)
-    if c < 1:
-        raise ValueError("cutoff must reach weight one")
-    ch0 = c12_character(0, c)
-    ch_half = c12_character(Fraction(1, 2), c)
+    ch0 = c12_character(0, 1)
+    ch_half = c12_character(Fraction(1, 2), 1)
     return (ch0 * ch0 + ch_half * ch_half).coefficient_at(1)

@@ -48,10 +48,12 @@ class UnsupportedFixedSublattice(ValueError):
 # ----- numeric invariants ------------------------------------------------
 
 
-def conformal_weight(eig_dims: Sequence[int], m: int) -> Fraction:
-    """rho = (1/4m^2) sum_j j(m-j) dim_j over j = 1..m-1."""
-    if m < 1 or len(eig_dims) != m:
-        raise ValueError("eigenspace vector length must equal the modulus")
+def conformal_weight(eig_dims: Sequence[int]) -> Fraction:
+    """rho = (1/4m^2) sum_j j(m-j) dim_j over j = 1..m-1, where the modulus
+    m is the length of eig_dims."""
+    m = len(eig_dims)
+    if not m:
+        raise ValueError("eigenspace vector must be nonempty")
     if eig_dims[0] != 0:
         raise FixedPointsPresent("eigenvalue-1 multiplicity must vanish")
     total = sum(j * (m - j) * d for j, d in enumerate(eig_dims))
@@ -92,7 +94,7 @@ class SectorInvariants(NamedTuple):
 
     @property
     def rho(self) -> Fraction:
-        return conformal_weight(self.eig_dims, self.modulus)
+        return conformal_weight(self.eig_dims)
 
 
 def sector_invariants(g: Isometry, i: int) -> SectorInvariants:
@@ -100,7 +102,7 @@ def sector_invariants(g: Isometry, i: int) -> SectorInvariants:
     m = multiplicative_order(g)
     dims = cyclotomic_profile(g.power(i % m)).eigenspace_dims(m)
     # a fixed vector is reported as such, before 1 - g^i is found singular
-    conformal_weight(dims, m)
+    conformal_weight(dims)
     return SectorInvariants(defect_dimension(g, i % m), dims)
 
 

@@ -102,7 +102,7 @@ def test_conformal_weights(sigmas):
     for p in SUPPORTED_P:
         g, m = sigmas[p], 2 * p
         for i in range(1, m):
-            rho = conformal_weight(cyclotomic_profile(g.power(i)).eigenspace_dims(m), m)
+            rho = conformal_weight(cyclotomic_profile(g.power(i)).eigenspace_dims(m))
             if i == p:
                 assert rho == Fraction(3, 2)
             elif i % 2:
@@ -239,7 +239,7 @@ def test_ising_characters():
     chars = {h: c12_character(h, Fraction(10) + h) for h in ALLOWED_WEIGHTS}
     assert [chars[h].leading_term()[0] for h in ALLOWED_WEIGHTS] \
         == [Fraction(0), Fraction(1, 2), Fraction(1, 16)]
-    assert extension_weight_one_check(2) == 1
+    assert extension_weight_one_check() == 1
     oracle = fermion_parity_counts(20)
     ch0 = chars[Fraction(0)]
     ch_half = chars[Fraction(1, 2)]

@@ -36,9 +36,13 @@ def test_argument_overrides_env(tmp_path, monkeypatch):
     assert load_leech(data_dir=copy).rank == 24
 
 
-def test_unsupported_p_rejected():
+def test_unsupported_p_rejected(tmp_path):
     with pytest.raises(ValueError):
         load_sigma(11)
+    # the p check comes before any file is read: an empty directory
+    # would raise DataMissing, which is no ValueError
+    with pytest.raises(ValueError, match="p must be one of"):
+        load_sigma(11, data_dir=tmp_path)
     with pytest.raises(ValueError):
         sigma_profile(2)
 

@@ -27,21 +27,13 @@ COMMANDS = {
     **{f"fusion-orbifold-p13-{c}.json": ["fusion", "orbifold", "--p", "13",
                                          "--cutoff", "14", "--construction", c]
        for c in ("zp", "z2")},
-    **{f"sectors-table-p{p}.json": ["sectors", "table", "--p", str(p)]
-       for p in (3, 5, 7, 13)},
-    "sectors-table-p5.md": ["sectors", "table", "--p", "5",
-                            "--format", "markdown"],
     "sectors-character-p13-i3-c4.json": ["sectors", "character", "--p", "13",
                                          "--i", "3", "--cutoff", "4"],
-    **{f"fusion-weight1-p{p}.json": ["fusion", "weight1", "--p", str(p)]
-       for p in (3, 5, 7, 13)},
     "lattice-check.json": ["lattice", "check", GRAM],
     "lattice-theta-n4.json": ["lattice", "theta", GRAM, "--max-norm", "4"],
-    "isometry-verify-p13.json": ["isometry", "verify", GRAM, SIGMA],
     "isometry-profile-p13.json": ["isometry", "profile", GRAM, SIGMA],
     "fusion-isotropic-n26.json": ["fusion", "isotropic", "--n", "26"],
     "ising-chars-c4.json": ["ising", "chars", "--cutoff", "4"],
-    "ising-extension-check.json": ["ising", "extension-check"],
 }
 
 
@@ -78,3 +70,16 @@ def test_every_subcommand_has_a_golden_report():
     # the walk reaches both bare commands and subcommands
     assert {("verify",), ("lattice", "check")} <= paths
     assert sorted(paths - covered) == []
+
+
+def test_readme_command_line_names_every_subcommand():
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    argvs = [line.split()[1:] for line in section.splitlines()
+             if line.startswith("orbifoldry ")]
+    paths = set(_command_paths(_build_parser()))
+    named = [path for argv in argvs for path in paths
+             if tuple(argv[:len(path)]) == path]
+    # each example line names one command, and each command has a line
+    assert len(named) == len(argvs)
+    assert set(named) == paths

@@ -94,11 +94,9 @@ def test_unknown_highest_weight():
 
 
 def test_extension_weight_one_check():
-    assert extension_weight_one_check(2) == 1
+    assert extension_weight_one_check() == 1
     ch0 = c12_character(0, 2)
     ch_half = c12_character(Fraction(1, 2), 2)
     combined = ch0 * ch0 + ch_half * ch_half
     assert combined.coefficient_at(0) == 1
     assert combined.coefficient_at(Fraction(1, 2)) == 0
-    with pytest.raises(ValueError):
-        extension_weight_one_check(Fraction(1, 2))

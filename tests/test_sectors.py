@@ -13,11 +13,13 @@ import pytest
 from direct_products import direct_grading_product
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma
 from orbifoldry.isometry import OrderDoesNotDivide, negation_isometry
-from orbifoldry.lattice import quotient_invariants, theta_series
+from orbifoldry.lattice import Lattice, quotient_invariants, theta_series
 from orbifoldry.modular import unimodular_theta_rank24
 from orbifoldry.sectors import (
     FixedPointsPresent,
+    NotPerfectSquare,
     SectorInvariants,
+    SingularOneMinusG,
     UnsupportedFixedSublattice,
     conformal_weight,
     defect_dimension,
@@ -90,13 +92,13 @@ def mode_partition_counts(modes, grain, units):
 
 
 def test_conformal_weight_examples():
-    assert conformal_weight((0, 24), 2) == Fraction(3, 2)
-    assert conformal_weight((0, 12, 12), 3) == Fraction(4, 3)
-    assert conformal_weight((0, 12, 0, 0, 0, 12), 6) == Fraction(5, 6)
+    assert conformal_weight((0, 24)) == Fraction(3, 2)
+    assert conformal_weight((0, 12, 12)) == Fraction(4, 3)
+    assert conformal_weight((0, 12, 0, 0, 0, 12)) == Fraction(5, 6)
     with pytest.raises(ValueError):
-        conformal_weight((0, 24), 3)
+        conformal_weight(())
     with pytest.raises(FixedPointsPresent):
-        conformal_weight((1, 23), 2)
+        conformal_weight((1, 23))
 
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
@@ -170,6 +172,16 @@ def test_defect_dimension_direct(leech, sigmas):
     assert defect_dimension(negation_isometry(leech), 1) == 4096
     assert defect_dimension(sigmas[3], 1) == 1
     assert defect_dimension(sigmas[3], 2) == 729
+
+
+def test_defect_dimension_rejects_odd_and_infinite_quotients():
+    # -1 on the rank-one lattice of norm 4: |L/2L| = 2 is not a square,
+    # and g^0 = 1 makes 1 - g^0 = 0
+    minus_one = negation_isometry(Lattice(((4,),)))
+    with pytest.raises(NotPerfectSquare):
+        defect_dimension(minus_one, 1)
+    with pytest.raises(SingularOneMinusG):
+        defect_dimension(minus_one, 0)
 
 
 # ----- twisted characters ---------------------------------------------------
