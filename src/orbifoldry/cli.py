@@ -41,11 +41,12 @@ from .isometry import (
 )
 from .lattice import (
     DEFAULT_NODE_BUDGET,
+    BudgetExceeded,
     Lattice,
     parse_matrix,
     theta_series,
 )
-from .modular import moonshine_j, unimodular_theta_rank24
+from .modular import discriminant_form, moonshine_j, unimodular_theta_rank24
 from .qseries import FracSeries
 from .report import ClaimEntry, Report, emit_report, plain
 from .sectors import (
@@ -93,9 +94,11 @@ class _Context:
     loader errors surface inside whichever claim first touches the
     object."""
 
-    def __init__(self, p: int, data_dir: Path | None) -> None:
+    def __init__(self, p: int, data_dir: Path | None,
+                 budget: int = DEFAULT_NODE_BUDGET) -> None:
         self.p = p
         self.data_dir = data_dir
+        self.budget = budget
 
     @cached_property
     def lattice(self) -> Lattice:
@@ -113,9 +116,31 @@ class _Context:
     def negation(self) -> Isometry:
         return negation_isometry(self.lattice)
 
+    @cached_property
+    def _enumeration(self) -> FracSeries | BudgetExceeded:
+        # outside the try: a loader error is raised to each claim afresh
+        lattice = self.lattice
+        try:
+            return theta_series(lattice, 3, budget=self.budget)
+        except BudgetExceeded as exc:
+            return exc
+
+    def enumerated_theta(self) -> FracSeries:
+        """The loaded lattice's theta series through norm 6, enumerated
+        once per run; a budget failure is kept and raised to each reader."""
+        if isinstance(self._enumeration, BudgetExceeded):
+            raise self._enumeration
+        return self._enumeration
+
     def theta(self, depth: int) -> FracSeries:
-        """The theta series the claims read, exact through weight depth."""
-        return unimodular_theta_rank24(depth)
+        """The loaded lattice's theta series, exact through weight depth.
+
+        load_leech accepts only even unimodular lattices of rank 24, whose
+        theta series lie in M_12(SL_2(Z)) = <E4^3, Delta>; the constant
+        term 1 and the norm-2 count N_2 fix it as E4^3 + (N_2 - 720) Delta.
+        """
+        roots = self.enumerated_theta().coefficient_at(1)
+        return unimodular_theta_rank24(depth) + roots * discriminant_form(depth)
 
     @cached_property
     def sectors(self) -> list[SectorInvariants]:
@@ -303,9 +328,9 @@ def _ground_truth_expected(cfg: RunConfig) -> Any:
 
 def _ground_truth_computed(cfg: RunConfig, ctx: _Context) -> Any:
     lat = ctx.lattice
-    theta_enum = theta_series(lat, 3, budget=cfg.enumeration_budget)
+    theta_enum = ctx.enumerated_theta()
     counts = [theta_enum.coefficient_at(w) for w in range(4)]
-    modular = ctx.theta(3)
+    modular = unimodular_theta_rank24(3)
     untwisted = twined_untwisted_character(ctx.negation, 0, Fraction(2),
                                            theta_enum)
     w2 = untwisted.coefficient_at(2)
@@ -432,7 +457,7 @@ def _run_claim(spec: ClaimSpec, cfg: RunConfig, ctx: _Context) -> ClaimEntry:
 
 def run_verification_suite(cfg: RunConfig) -> Report:
     """Run every registered claim; entries appear in registry order."""
-    ctx = _Context(cfg.p, cfg.data_dir)
+    ctx = _Context(cfg.p, cfg.data_dir, cfg.enumeration_budget)
     config = {"p": cfg.p, "cutoff": cfg.cutoff,
               "enumeration_budget": cfg.enumeration_budget,
               "data_dir": str(cfg.data_dir) if cfg.data_dir else None,
@@ -514,7 +539,7 @@ def _cmd_fusion_orbifold(args: argparse.Namespace) -> int:
     # the lift of -1 is sigma^p, but building it reads no sigma
     g = ctx.tau if args.construction == "zp" else ctx.negation
     series = orbifold_character(g, args.cutoff,
-                                ctx.theta(ceil(args.cutoff)))
+                                unimodular_theta_rank24(ceil(args.cutoff)))
     if args.shift_c24:
         series = series.shift(-1)
     _emit({"p": args.p, "construction": args.construction,

@@ -4,23 +4,23 @@ Validation against the Gram matrix, exact cyclotomic factorization of
 characteristic polynomials, and eigenspace dimensions of finite-order
 isometries, read off the factorization (CycloProfile.eigenspace_dims).
 
-Spectral facts are computed from a matrix only at a root: an Isometry
-built from outside.  The constructor's check M^T G M = G, with G
-positive definite, puts M in the finite group Aut(L); so M has finite
-order, is diagonalisable, and has roots of unity as eigenvalues.  Its
+Spectral facts are computed from a matrix only for an Isometry built
+from outside.  The constructor's check M^T G M = G, with G positive
+definite, puts M in the finite group Aut(L); so M has finite order, is
+diagonalisable, and has roots of unity as eigenvalues.  Its
 characteristic polynomial is then exactly the lift of a mod-prime
 Hessenberg reduction, a product of cyclotomic polynomials, and
 M^order = I for the order they give; no power of M is multiplied out
-to confirm it.  Every power g^k is made once and cached on g, so that
-a power of a power is the same object as the matching power of g, and
-it reads its facts off the root: its cyclotomic profile is
-power_profile(profile of g, k), its characteristic polynomial the
-product of that profile's factors, and its Smith invariants of 1 - g^k
-those of the generator g^gcd(k, order) of the same cyclic subgroup.  A
-power's matrix is multiplied out only when something reads it, and not
-at all when its profile is Phi_1^n or Phi_2^n: a diagonalisable matrix
-with every eigenvalue 1 (or -1) is I (or -I).  Matrices from outside
-are verified when an Isometry is constructed; powers are products of a
+to confirm it.  What a power g^k has of its own is profile arithmetic:
+its cyclotomic profile is power_profile(profile of g, k) and its
+characteristic polynomial that profile's product (CycloProfile.charpoly),
+so a sector or a twined trace reads g^k without building it.
+g.power(k) is for the callers that need the matrix: k is taken mod the
+order, the power is made once and cached on g, with its profile preset,
+and its matrix is built at once from g^(k // 2), or as I (or -I) when
+the profile is Phi_1^n (or Phi_2^n), since a diagonalisable matrix with
+every eigenvalue 1 (or -1) is I (or -I).  Matrices from outside are
+verified when an Isometry is constructed; powers are products of a
 verified matrix and are trusted.
 """
 
@@ -31,7 +31,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .lattice import IntMatrix, Lattice, _freeze, _identity, quotient_invariants
+from .lattice import Lattice, _freeze, quotient_invariants
 
 # characteristic polynomials are computed modulo this prime and lifted;
 # see _charpoly for why one prime is exact for finite-order matrices
@@ -69,19 +69,10 @@ class Isometry:
     The action convention is on column vectors: matrix.T @ gram @ matrix
     must equal gram, which is checked at construction.
     Isometries are equal when their lattices and matrices are.
-
-    Every constructed instance is the root of its own power cache.  The
-    powers that power() makes skip construction: a product of copies of
-    a verified isometry preserves the Gram and has determinant +-1, so
-    they are not checked again.  They record the root and exponent they
-    came from, delegate to the root's cache, and take their spectral
-    facts from the root's certified profile.  A power holds no matrix
-    until `.matrix` is first read; then it is built from the cached
-    root^(e // 2) and kept.
     """
 
     # __dict__ holds the cached_property values
-    __slots__ = ("lattice", "matrix", "_root", "_exponent", "_powers", "__dict__")
+    __slots__ = ("lattice", "matrix", "_powers", "__dict__")
 
     def __init__(self, lattice: Lattice, matrix: Sequence[Sequence[int]]) -> None:
         self.lattice = lattice
@@ -101,8 +92,6 @@ class Isometry:
         if _freeze(_mat_mul(mg, matrix)) != gram:
             raise NotGramPreserving("matrix.T @ gram @ matrix != gram")
         # det(M)^2 det(G) = det(G) > 0 then forces det(M) = +-1
-        self._root = self
-        self._exponent = 1
         self._powers = {}
 
     def __eq__(self, other: object) -> bool:
@@ -117,86 +106,44 @@ class Isometry:
         return f"Isometry(lattice={self.lattice!r}, matrix={self.matrix!r})"
 
     def power(self, k: int) -> Isometry:
-        """g^k, negative k taken mod the order; built once.
+        """g^k, k taken mod the order; built once and cached on g.
 
-        The powers of every power of a root g live in g's cache, so
-        g.power(i).power(j) is g.power(i * j).
-        """
-        if k < 0:
-            k %= multiplicative_order(self)
-        root, e = self._root, self._exponent * k
-        if e == 1:
-            return root
-        cached = root._powers.get(e)
-        if cached is None:
-            cached = object.__new__(Isometry)
-            cached.lattice, cached._root, cached._exponent = root.lattice, root, e
-            root._powers[e] = cached
-        return cached
-
-    def __getattr__(self, name: str) -> IntMatrix:
-        # power() makes a power without its matrix; the first read builds
-        # it from the cached root^(e // 2) and keeps it, unless the profile
-        # Phi_1^n or Phi_2^n already says that it is I or -I
-        if name != "matrix":
-            raise AttributeError(name)
-        root, e = self._root, self._exponent
-        n = root.lattice.rank
-        if e == 0 or self._profile.factors == ((1, n),):
-            matrix = _identity(n)
-        elif self._profile.factors == ((2, n),):
-            matrix = [[-int(i == j) for j in range(n)] for i in range(n)]
-        else:
-            half = root.power(e // 2).matrix
-            matrix = _mat_mul(half, half)
-            if e & 1:
-                matrix = _mat_mul(matrix, root.matrix)
-        self.matrix = frozen = _freeze(matrix)
-        return frozen
+        A product of copies of a verified isometry preserves the Gram and
+        has determinant +-1, so the power is not checked again."""
+        profile = self._profile
+        k %= profile.order
+        if k == 1:
+            return self
+        power = self._powers.get(k)
+        if power is None:
+            power = object.__new__(Isometry)
+            power.lattice, power._powers = self.lattice, {}
+            power._profile = profile = power_profile(profile, k)
+            if len(profile.factors) <= 1 and profile.order <= 2:
+                # Phi_1^n or Phi_2^n: every eigenvalue is 1, or every one -1
+                n, sign = self.lattice.rank, 3 - 2 * profile.order
+                matrix = [[sign * int(i == j) for j in range(n)] for i in range(n)]
+            else:
+                half = self.power(k // 2).matrix
+                matrix = _mat_mul(half, half)
+                if k & 1:
+                    matrix = _mat_mul(matrix, self.matrix)
+            power.matrix = _freeze(matrix)
+            self._powers[k] = power
+        return power
 
     @cached_property
     def _profile(self) -> CycloProfile:
-        root = self._root
-        if root is not self:
-            # the eigenvalues of root^e are the e-th powers of the root's
-            return power_profile(root._profile, self._exponent)
         # the Gram check put g in the finite group Aut(L), so the lift is
-        # exact (_charpoly) and g^order = I holds without a product
+        # exact (_charpoly) and g^order = I holds without a product;
+        # power() presets the profile of every power it makes
         return _lifted_profile(_charpoly(self.matrix))
-
-    @cached_property
-    def charpoly(self) -> tuple[int, ...]:
-        """Coefficients of det(xI - M), highest power first: the product
-        of the certified cyclotomic factors."""
-        poly = [1]
-        for d, e in self._profile.factors:
-            factor = cyclotomic_polynomial(d)
-            for _ in range(e):
-                product = [0] * (len(poly) + len(factor) - 1)
-                for i, a in enumerate(poly):
-                    for j, b in enumerate(factor):
-                        product[i + j] += a * b
-                poly = product
-        return tuple(reversed(poly))
 
     @cached_property
     def coinvariant_divisors(self) -> tuple[int, ...]:
         """Elementary divisors > 1 of L/(1 - g)L; raises SingularMatrix
-        when 1 - g is singular.
-
-        One Smith form per cyclic subgroup: a power root^e delegates to
-        h = root^gcd(e, N), N the root's order.  Then root^e = h^j with j
-        prime to the order M of h, and (1 - h^j)L = (1 - h)L, since
-        1 - h^j = (1 - h)(1 + h + ... + h^(j-1)) and 1 - h = (1 - h^j)(1 +
-        h^j + ... + h^(j(k-1))) with jk = 1 mod M.  The result is kept per
-        lattice by matrix, so the negation and a power equal to -1 share
-        one Smith form.
-        """
-        root = self._root
-        if root is not self:
-            e = gcd(self._exponent, multiplicative_order(root))
-            if e != self._exponent:
-                return root.power(e).coinvariant_divisors
+        when 1 - g is singular.  The result is kept per lattice by matrix,
+        so the negation and a power equal to -1 share one Smith form."""
         known = self.lattice._coinvariants
         if self.matrix not in known:
             n = self.lattice.rank
@@ -359,6 +306,20 @@ class CycloProfile(NamedTuple):
 
     def multiplicity(self, d: int) -> int:
         return dict(self.factors).get(d, 0)
+
+    def charpoly(self) -> tuple[int, ...]:
+        """Coefficients of det(xI - M), highest power first, for an M with
+        this profile: the product of its cyclotomic factors."""
+        poly = [1]
+        for d, e in self.factors:
+            factor = cyclotomic_polynomial(d)
+            for _ in range(e):
+                product = [0] * (len(poly) + len(factor) - 1)
+                for i, a in enumerate(poly):
+                    for j, b in enumerate(factor):
+                        product[i + j] += a * b
+                poly = product
+        return tuple(reversed(poly))
 
     @property
     def order(self) -> int:

@@ -22,6 +22,7 @@ from .isometry import (
     cyclotomic_profile,
     euler_phi,
     multiplicative_order,
+    power_profile,
 )
 from .lattice import SingularMatrix
 from .qseries import FracSeries, grading_product
@@ -63,10 +64,13 @@ def conformal_weight(eig_dims: Sequence[int]) -> Fraction:
 def defect_dimension(g: Isometry, i: int) -> int:
     """sqrt of |L/(1-g^i)L|, L the lattice of g: an integer here.
 
-    The quotient depends only on the cyclic subgroup <g^i>, so its Smith
-    form is taken once per subgroup (Isometry.coinvariant_divisors)."""
+    The quotient depends only on the cyclic subgroup <g^i>, so the Smith
+    form is taken of its generator h = g^gcd(i, N), N the order of g.
+    Then g^i = h^j with j prime to the order M of h, and (1 - h^j)L =
+    (1 - h)L, since 1 - h^j = (1 - h)(1 + h + ... + h^(j-1)) and 1 - h =
+    (1 - h^j)(1 + h^j + ... + h^(j(k-1))) with jk = 1 mod M."""
     try:
-        divisors = g.power(i).coinvariant_divisors
+        divisors = g.power(gcd(i, multiplicative_order(g))).coinvariant_divisors
     except SingularMatrix as exc:
         raise SingularOneMinusG(f"1 - g^{i} is singular") from exc
     order = 1
@@ -100,7 +104,7 @@ class SectorInvariants(NamedTuple):
 def sector_invariants(g: Isometry, i: int) -> SectorInvariants:
     """Assemble the invariants of the g^i-twisted sector (i != 0 mod order)."""
     m = multiplicative_order(g)
-    dims = cyclotomic_profile(g.power(i % m)).eigenspace_dims(m)
+    dims = power_profile(cyclotomic_profile(g), i).eigenspace_dims(m)
     # a fixed vector is reported as such, before 1 - g^i is found singular
     conformal_weight(dims)
     return SectorInvariants(defect_dimension(g, i % m), dims)
@@ -158,9 +162,9 @@ def twined_untwisted_character(g: Isometry, j: int, cutoff: Fraction | int,
     if c < 0:
         raise ValueError("cutoff must be nonnegative")
     top = int(c)
-    gj = g.power(j)
     n_rank = g.lattice.rank
-    fixed = cyclotomic_profile(gj).multiplicity(1)
+    profile = power_profile(cyclotomic_profile(g), j)
+    fixed = profile.multiplicity(1)
     # g^j is diagonalisable, so all n eigenvalues 1 make it the identity
     if fixed == n_rank:
         series = theta * _fock_product(n_rank, top)
@@ -170,7 +174,7 @@ def twined_untwisted_character(g: Isometry, j: int, cutoff: Fraction | int,
             "not determined at this level")
     else:
         # det(I - M x) has coefficient c_k at x^k when det(xI - M) = sum c_k x^{n-k}
-        det_coeffs = gj.charpoly
+        det_coeffs = profile.charpoly()
         acc = FracSeries.one(top, grain=1)
         for n in range(1, top + 1):
             factor = {n * k: det_coeffs[k] for k in range(min(n_rank, top // n) + 1)}

@@ -118,6 +118,20 @@ def test_corrupted_isometry_becomes_failed_entries(corrupted_data):
         assert by_slug[slug].passed, slug
 
 
+@pytest.mark.parametrize("budget", [5000, None])
+def test_suite_enumerates_once(monkeypatch, budget):
+    calls = []
+    enumerate_vectors = lattice.enumerate_vectors_by_norm
+    monkeypatch.setattr(lattice, "enumerate_vectors_by_norm",
+                        lambda *args, **kwargs: calls.append(args[1])
+                        or enumerate_vectors(*args, **kwargs))
+    settings = {"enumeration_budget": budget} if budget else {}
+    report = run_verification_suite(RunConfig(p=3, **settings))
+    # through norm 6, kept with its failure: three claims read it
+    assert calls == [6]
+    assert report.all_passed == (budget is None)
+
+
 def test_enumeration_budget_failure_says_how_far_it_got():
     report = run_verification_suite(
         RunConfig(p=3, cutoff=Fraction(2), enumeration_budget=5000))
@@ -126,9 +140,12 @@ def test_enumeration_budget_failure_says_how_far_it_got():
     assert error.startswith(
         "BudgetExceeded: enumeration exceeded its budget of 5000 candidates (")
     assert int(error.split("(")[1].split()[0]) > 5000
-    # every other claim takes theta from the modular form
+    # the one enumeration's failure reaches every claim that reads theta
+    reads_theta = ("moonshine-character", "z2-split", "lattice-ground-truth")
+    assert all(by_slug[slug].computed == {"error": error}
+               for slug in reads_theta)
     assert all(entry.passed for slug, entry in by_slug.items()
-               if slug != "lattice-ground-truth")
+               if slug not in reads_theta)
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,229 @@
+"""The report is a function of the lattice and the class of sigma.
+
+Invariance tests change what must not matter (the generator of <sigma>,
+the basis of the lattice) and expect the shipped report byte for byte.
+Falsifiability tests change what must matter (the lattice, the class of
+sigma, one Gram entry) and expect named claims to fail.  Every data
+directory is built in the test from the shipped files or from the E8
+Cartan matrix; no data file is added.
+"""
+
+import random
+import shutil
+from functools import reduce
+from math import gcd
+
+import pytest
+
+from orbifoldry.cli import CLAIM_REGISTRY, RunConfig, run_verification_suite
+from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma, resolve_data_dir
+from orbifoldry.isometry import _mat_mul
+from orbifoldry.report import Report, emit_report
+
+# ----- data directories -------------------------------------------------------
+
+
+def write_matrix(path, matrix):
+    path.write_text(f"{len(matrix)}\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in matrix))
+
+
+def shipped_copy(tmp_path_factory, name):
+    dest = tmp_path_factory.mktemp(name) / "data"
+    shutil.copytree(resolve_data_dir(), dest)
+    return dest
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def block_diagonal(block, copies):
+    n = len(block)
+    return [[block[r % n][c % n] if r // n == c // n else 0
+             for c in range(n * copies)] for r in range(n * copies)]
+
+
+# E8 in Bourbaki's labels: the chain 1-3-4-5-6-7-8 with 2 on node 4
+E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))
+E8_CARTAN = [[2 if i == j else -int((i, j) in E8_EDGES or (j, i) in E8_EDGES)
+              for j in range(8)] for i in range(8)]
+
+
+def e8_coxeter_element():
+    """c = s_1 ... s_8, of order 30, where the simple reflection s_i sends
+    e_j to e_j - G_ij e_i (column convention, so s_i^T G s_i = G)."""
+    reflections = [[[int(r == j) - int(r == i) * E8_CARTAN[i][j]
+                     for j in range(8)] for r in range(8)] for i in range(8)]
+    return reduce(_mat_mul, reflections)
+
+
+def e8_cubed(tmp_path_factory, p, k):
+    """E8^3 with sigma = three copies of c^k, of profile Phi_2p^(24/(p-1))."""
+    dest = tmp_path_factory.mktemp(f"e8cubed_p{p}")
+    write_matrix(dest / "leech_gram.txt", block_diagonal(E8_CARTAN, 3))
+    c_k = reduce(_mat_mul, [e8_coxeter_element()] * k)
+    write_matrix(dest / f"sigma_p{p}.txt", block_diagonal(c_k, 3))
+    return dest
+
+
+def seeded_unimodular(rng, n, factors):
+    """U and U^-1 for U a product of elementary matrices I +- E_ab."""
+    u, u_inv = identity(n), identity(n)
+    for _ in range(factors):
+        a, b = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        # U <- U (I + s E_ab): column b += s column a; the inverse factor
+        # I - s E_ab multiplies U^-1 from the left: row a -= s row b
+        for row in u:
+            row[b] += s * row[a]
+        u_inv[a] = [x - s * y for x, y in zip(u_inv[a], u_inv[b])]
+    return u, u_inv
+
+
+def report_bytes(report):
+    """The emitted JSON report with config.data_dir cleared."""
+    return emit_report(Report({**report.config, "data_dir": None},
+                              report.entries), "json")
+
+
+@pytest.fixture(scope="module")
+def basis_change():
+    """A seeded U of 10 elementary factors, and U^-1."""
+    u, u_inv = seeded_unimodular(random.Random(11), 24, 10)
+    assert _mat_mul(u, u_inv) == identity(24)
+    return u, u_inv
+
+
+@pytest.fixture(scope="module")
+def shipped_reports():
+    return {p: report_bytes(run_verification_suite(RunConfig(p=p)))
+            for p in SUPPORTED_P}
+
+
+# ----- invariance -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", SUPPORTED_P)
+def test_report_is_invariant_under_another_generator_of_sigmas_group(
+        tmp_path_factory, shipped_reports, p):
+    units = [k for k in range(2, 2 * p) if gcd(k, 2 * p) == 1]
+    k = random.Random(2600 + p).choice(units)
+    dest = shipped_copy(tmp_path_factory, f"sigma_power_p{p}")
+    write_matrix(dest / f"sigma_p{p}.txt", load_sigma(p).power(k).matrix)
+    report = run_verification_suite(RunConfig(p=p, data_dir=dest))
+    assert report.config["data_dir"] == str(dest)
+    assert report_bytes(report) == shipped_reports[p], k
+
+
+@pytest.mark.parametrize("p", SUPPORTED_P)
+def test_report_is_invariant_under_a_change_of_basis(
+        tmp_path_factory, basis_change, shipped_reports, p):
+    gram, sigma = load_leech().gram, load_sigma(p).matrix
+    u, u_inv = basis_change
+    dest = shipped_copy(tmp_path_factory, f"basis_p{p}")
+    write_matrix(dest / "leech_gram.txt",
+                 _mat_mul(_mat_mul(list(zip(*u)), gram), u))
+    write_matrix(dest / f"sigma_p{p}.txt",
+                 _mat_mul(_mat_mul(u_inv, sigma), u))
+    report = run_verification_suite(RunConfig(p=p, data_dir=dest))
+    assert report_bytes(report) == shipped_reports[p]
+
+
+# ----- falsifiability ---------------------------------------------------------
+
+
+def sigma_squared(tmp_path_factory):
+    """Leech with sigma replaced by sigma^2, of order p."""
+    dest = shipped_copy(tmp_path_factory, "sigma_squared")
+    write_matrix(dest / "sigma_p5.txt", load_sigma(5).power(2).matrix)
+    return dest
+
+
+def gram_pair_changed(tmp_path_factory):
+    """Leech with G_01 = G_10 raised by one."""
+    dest = shipped_copy(tmp_path_factory, "gram_pair")
+    gram = [list(row) for row in load_leech().gram]
+    gram[0][1] += 1
+    gram[1][0] += 1
+    write_matrix(dest / "leech_gram.txt", gram)
+    return dest
+
+
+# mutant name: (p, builder of its data directory)
+MUTANTS = {
+    "e8cubed-p3": (3, lambda factory: e8_cubed(factory, 3, 5)),
+    "e8cubed-p5": (5, lambda factory: e8_cubed(factory, 5, 3)),
+    "sigma-squared": (5, sigma_squared),
+    "gram-pair": (5, gram_pair_changed),
+}
+
+SECOND_HALF = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP direction 1, second half: the claim reads no count of "
+    "norm-2 vectors yet"))
+
+# claims whose inputs are the lattice and sigma only through p
+CANNOT_FAIL_ON_DATA = ("isotropic-subgroups", "integral-weight-labels",
+                       "ising-characters")
+
+READS_SIGMA = ("isometry-witness", "eigenspace-dims", "conformal-weights",
+               "defect-dims", "weight-one-dim", "moonshine-character")
+
+FALSIFIABILITY = [
+    *(pytest.param(mutant, slug, id=f"{mutant}-{slug}")
+      for mutant in ("e8cubed-p3", "e8cubed-p5")
+      for slug in ("moonshine-character", "lattice-ground-truth")),
+    *(pytest.param(mutant, slug, id=f"{mutant}-{slug}", marks=SECOND_HALF)
+      for mutant in ("e8cubed-p3", "e8cubed-p5")
+      for slug in ("weight-one-dim", "z2-split")),
+    *(pytest.param("sigma-squared", slug, id=f"sigma-squared-{slug}")
+      for slug in READS_SIGMA),
+    pytest.param("gram-pair", "lattice-ground-truth",
+                 id="gram-pair-lattice-ground-truth"),
+]
+
+
+@pytest.fixture(scope="module")
+def mutant_reports(tmp_path_factory):
+    """The suite on each mutant, run once: a Report, or the exception
+    that the command line turns into exit 2."""
+    reports = {}
+
+    def run(mutant):
+        if mutant not in reports:
+            p, build = MUTANTS[mutant]
+            try:
+                reports[mutant] = run_verification_suite(
+                    RunConfig(p=p, data_dir=build(tmp_path_factory)))
+            except (ValueError, ArithmeticError, RuntimeError, LookupError,
+                    OSError) as exc:
+                reports[mutant] = exc
+        return reports[mutant]
+
+    return run
+
+
+@pytest.mark.parametrize("mutant, slug", FALSIFIABILITY)
+def test_changed_data_fails_the_claims_that_read_it(mutant_reports, mutant,
+                                                     slug):
+    report = mutant_reports(mutant)
+    if isinstance(report, Exception):
+        return
+    entry = next(e for e in report.entries if e.claim == slug)
+    assert not entry.passed, entry.computed
+
+
+def test_every_claim_is_falsifiable_or_listed_as_data_free():
+    rows = {param.values[1] for param in FALSIFIABILITY}
+    slugs = [spec.slug for spec in CLAIM_REGISTRY]
+    assert sorted(rows | set(CANNOT_FAIL_ON_DATA)) == sorted(slugs)
+    assert not rows & set(CANNOT_FAIL_ON_DATA)
+
+
+def test_e8_cubed_theta_reaches_the_character(mutant_reports):
+    # the character's weight-one coefficient is N_2 / p: 720/3 and 720/5
+    for mutant, head in (("e8cubed-p3", [1, 240, 196884]),
+                         ("e8cubed-p5", [1, 144, 196884])):
+        entry = next(e for e in mutant_reports(mutant).entries
+                     if e.claim == "moonshine-character")
+        assert entry.computed["head"] == head

@@ -6,14 +6,21 @@ Smith invariants of explicit integer matrices, and frozen integer
 tables for the classical graded dimensions.
 """
 
+import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
 from direct_products import direct_grading_product
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma
-from orbifoldry.isometry import OrderDoesNotDivide, negation_isometry
-from orbifoldry.lattice import Lattice, quotient_invariants, theta_series
+from orbifoldry.isometry import (
+    Isometry,
+    OrderDoesNotDivide,
+    multiplicative_order,
+    negation_isometry,
+)
+from orbifoldry.lattice import Lattice, SingularMatrix, quotient_invariants, theta_series
 from orbifoldry.modular import unimodular_theta_rank24
 from orbifoldry.sectors import (
     FixedPointsPresent,
@@ -174,6 +181,36 @@ def test_defect_dimension_direct(leech, sigmas):
     assert defect_dimension(sigmas[3], 2) == 729
 
 
+def test_defect_dimension_matches_the_smith_form_of_every_power():
+    # defect_dimension reads the generator g^gcd(i, N) of <g^i>; the
+    # reference takes the Smith form of 1 - g^i itself, for signed
+    # permutations of (2Z)^n, whose 1 - g^i is often singular or of
+    # non-square order
+    rng = random.Random(2609)
+    for n in range(2, 9):
+        lattice = Lattice([[2 * int(r == c) for c in range(n)] for r in range(n)])
+        for _ in range(6):
+            perm, signs = rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)]
+            m = [[signs[c] * int(perm[c] == r) for c in range(n)] for r in range(n)]
+            g, power = Isometry(lattice, m), m
+            for i in range(1, multiplicative_order(g) + 1):
+                one_minus = [[int(r == c) - power[r][c] for c in range(n)]
+                             for r in range(n)]
+                try:
+                    size = prod(quotient_invariants(lattice, one_minus))
+                except SingularMatrix:
+                    with pytest.raises(SingularOneMinusG):
+                        defect_dimension(g, i)
+                else:
+                    if isqrt(size) ** 2 == size:
+                        assert defect_dimension(g, i) == isqrt(size), (m, i)
+                    else:
+                        with pytest.raises(NotPerfectSquare):
+                            defect_dimension(g, i)
+                power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)]
+                         for row in power]
+
+
 def test_defect_dimension_rejects_odd_and_infinite_quotients():
     # -1 on the rank-one lattice of norm 4: |L/2L| = 2 is not a square,
     # and g^0 = 1 makes 1 - g^0 = 0
@@ -243,7 +280,23 @@ def test_twisted_character_rejects_negative_cutoff(leech):
         twisted_character(sector, Fraction(-1))
 
 
+def test_twisted_character_at_its_leading_weight(sigmas):
+    # a cutoff equal to rho keeps the one term defect_dim q^rho
+    sector = sector_invariants(sigmas[3], 2)
+    assert (sector.rho, sector.defect_dim) == (Fraction(4, 3), 729)
+    ch = twisted_character(sector, sector.rho)
+    assert ch.terms() == [(Fraction(4, 3), 729)]
+    assert ch.weight_cutoff == Fraction(4, 3)
+
+
 # ----- twined and plain untwisted characters --------------------------------
+
+
+def test_twined_character_at_cutoff_zero(leech, sigmas, theta2):
+    # the fixed-point-free and the identity route both stop at q^0
+    for g, j in ((sigmas[3], 1), (negation_isometry(leech), 0)):
+        ch = twined_untwisted_character(g, j, 0, theta2)
+        assert ch.terms() == [(0, 1)] and ch.weight_cutoff == 0, j
 
 
 def test_untwisted_character(leech, theta4):
@@ -338,6 +391,16 @@ def test_eigencomponents_complete_larger_orders(leech, sigmas, theta2, p):
     for piece in comps:
         for _, value in piece.terms():
             assert value.denominator == 1 and value >= 0
+
+
+def test_eigencomponent_of_the_identity_is_the_untwisted_character(leech,
+                                                                   theta4):
+    # m = 1: the one component is theta * prod (1 - q^n)^-24
+    identity = Isometry(leech, [[int(r == c) for c in range(24)]
+                                for r in range(24)])
+    ch = eigencomponent_character(identity, 1, 0, Fraction(4), theta4)
+    assert ch == theta4 * direct_grading_product([(1, 24)], 4)
+    assert tuple(ch.coefficient_at(w) for w in range(5)) == UNTWISTED
 
 
 def test_eigencomponent_wrong_modulus(leech, sigmas, theta2):
