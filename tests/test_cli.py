@@ -12,15 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from orbifoldry import isometry, lattice, sectors
-from orbifoldry.cli import (
-    CLAIM_REGISTRY,
-    DEFAULT_SUITE_CUTOFF,
-    RunConfig,
-    _build_parser,
-    main,
-    run_verification_suite,
-)
+from orbifoldry import cli, isometry, lattice, sectors
+from orbifoldry.cli import CLAIM_REGISTRY, RunConfig, run_verification_suite
+from orbifoldry.commands import DEFAULT_SUITE_CUTOFF, _build_parser, main
 from orbifoldry.datafiles import load_leech, resolve_data_dir
 from orbifoldry.isometry import Isometry
 from orbifoldry.report import emit_report
@@ -404,6 +398,16 @@ def test_sectors_character_rejects_negative_cutoff(capsys):
     assert "cutoff must be nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("i", [0, 6, -12])
+def test_sectors_character_rejects_the_untwisted_power(capsys, i):
+    # sigma has order 2p = 6, so these powers twist nothing
+    assert main(["sectors", "character", "--p", "3", "--i", str(i)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --i must not be a multiple of 2p = 6: "
+                            f"sigma^{i} is the identity\n")
+
+
 def test_isometry_profile_subcommand(capsys):
     data = resolve_data_dir()
     assert main(["isometry", "profile", str(data / "leech_gram.txt"),
@@ -551,8 +555,10 @@ def test_console_script_names_cli_main():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     module, _, attr = scripts["orbifoldry"].partition(":")
-    assert (module, attr) == ("orbifoldry.cli", "main")
+    assert (module, attr) == ("orbifoldry.commands", "main")
     assert getattr(importlib.import_module(module), attr) is main
+    # the span tracer enters through cli.main: the same function, not a copy
+    assert cli.main is main
 
 
 @pytest.mark.skipif(shutil.which("orbifoldry") is None,

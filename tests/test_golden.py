@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifoldry.cli import _build_parser, main
+from orbifoldry.commands import _build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"

@@ -6,7 +6,8 @@ listing a name in __all__ is not a use, so no module re-exports another's
 names.  Every name in a module's __all__ is one the module defines, so a
 deleted name cannot linger there.  Importing the package loads nothing else, and each module
 imports on its own; those checks run in fresh interpreters, since this
-process has already imported every module.
+process has already imported every module.  The same probe runs each
+command through the front end: only `verify` loads the suite in `cli`.
 """
 
 import ast
@@ -135,3 +136,54 @@ def test_the_probe_sees_heavy_modules():
 def test_each_module_imports_alone(module):
     modules, _ = loaded_after(f"import orbifoldry.{module}")
     assert f"orbifoldry.{module}" in modules
+
+
+# ----- what each command loads ------------------------------------------------
+
+GRAM = str(PACKAGE / "data" / "leech_gram.txt")
+
+PASSTHROUGHS = {
+    "sectors-character": ["sectors", "character", "--p", "3", "--i", "1",
+                          "--cutoff", "2"],
+    "lattice-check": ["lattice", "check", GRAM],
+    "lattice-theta": ["lattice", "theta", GRAM, "--max-norm", "4"],
+    "isometry-profile": ["isometry", "profile", GRAM,
+                         str(PACKAGE / "data" / "sigma_p3.txt")],
+    "fusion-isotropic": ["fusion", "isotropic", "--n", "6"],
+    "ising-chars": ["ising", "chars", "--cutoff", "2"],
+}
+
+
+def loaded_by_command(argv):
+    """loaded_after one command run through the front end, its output
+    discarded."""
+    return loaded_after(
+        "import contextlib, io\n"
+        "from orbifoldry.commands import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n")
+
+
+@pytest.mark.parametrize("argv", PASSTHROUGHS.values(), ids=PASSTHROUGHS)
+def test_passthroughs_load_no_suite(argv):
+    modules, heavy = loaded_by_command(argv)
+    assert "orbifoldry.cli" not in modules
+    assert heavy.isdisjoint({"dataclasses", "inspect"})
+
+
+@pytest.mark.parametrize("construction", ["zp", "z2"])
+def test_fusion_orbifold_loads_only_its_layers(construction):
+    argv = ["fusion", "orbifold", "--p", "3", "--cutoff", "2",
+            "--construction", construction]
+    assert loaded_by_command(argv) == (
+        {"orbifoldry", "orbifoldry.commands", "orbifoldry.datafiles",
+         "orbifoldry.fusion", "orbifoldry.isometry", "orbifoldry.lattice",
+         "orbifoldry.modular", "orbifoldry.qseries", "orbifoldry.report",
+         "orbifoldry.sectors"},
+        {"argparse", "fractions", "json"})
+
+
+def test_verify_loads_the_suite():
+    modules, heavy = loaded_by_command(["verify", "--p", "3", "--cutoff", "2"])
+    assert "orbifoldry.cli" in modules
+    assert "dataclasses" in heavy
