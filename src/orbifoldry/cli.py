@@ -33,7 +33,6 @@ from .fusion import (
     integral_weight_labels,
     maximal_isotropic_subgroups,
     orbifold_character,
-    weight_one_by_sector,
     weight_one_dimension_H2,
 )
 from .ising import ALLOWED_WEIGHTS, c12_character, extension_weight_one_check
@@ -270,8 +269,11 @@ def _weight_one_expected(cfg: RunConfig) -> Any:
 
 
 def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    return {"total": weight_one_dimension_H2(ctx.sigma),
-            "per_sector": weight_one_by_sector(ctx.sigma)}
+    # the odd sectors other than p sit below weight one; the rest above it
+    per = {i: twisted_character(inv, 1).coefficient_at(1)
+           for i, inv in enumerate(ctx.sectors, 1) if i % 2 and i != cfg.p}
+    return {"total": weight_one_dimension_H2(ctx.sigma, ctx.theta(1)),
+            "per_sector": per}
 
 
 def _moonshine_expected(cfg: RunConfig) -> Any:
@@ -297,7 +299,8 @@ def _moonshine_computed(cfg: RunConfig, ctx: _Context) -> Any:
 
 
 def _split_expected(cfg: RunConfig) -> Any:
-    return {"even_weight2": 98580, "twisted_integral_weight2": 98304,
+    return {"even_weight1": 0, "twisted_integral_weight1": 0,
+            "even_weight2": 98580, "twisted_integral_weight2": 98304,
             "sum": 196884, "twined_trace_weight2": 276}
 
 
@@ -310,7 +313,9 @@ def _split_computed(cfg: RunConfig, ctx: _Context) -> Any:
     tw = twisted_character(sector, Fraction(2)).extract_weight_class(0)
     even_w2 = even.coefficient_at(2)
     tw_w2 = tw.coefficient_at(2)
-    return {"even_weight2": even_w2, "twisted_integral_weight2": tw_w2,
+    return {"even_weight1": even.coefficient_at(1),
+            "twisted_integral_weight1": tw.coefficient_at(1),
+            "even_weight2": even_w2, "twisted_integral_weight2": tw_w2,
             "sum": even_w2 + tw_w2,
             "twined_trace_weight2": twined.coefficient_at(2)}
 
@@ -411,8 +416,9 @@ CLAIM_REGISTRY: tuple[ClaimSpec, ...] = (
               "p.",
               _labels_expected, _labels_computed),
     ClaimSpec("weight-one-dim",
-              "The order-2p extension has weight-one dimension 24, each odd "
-              "sector contributing 24/(p-1).",
+              "The order-2p extension has weight-one dimension 24: the "
+              "untwisted fixed part has no weight-one vector, and each odd "
+              "sector other than p contributes 24/(p-1).",
               _weight_one_expected, _weight_one_computed),
     ClaimSpec("moonshine-character",
               "The order-p orbifold character starts 1, 0, 196884, matches "
@@ -420,8 +426,9 @@ CLAIM_REGISTRY: tuple[ClaimSpec, ...] = (
               "involution orbifold character.",
               _moonshine_expected, _moonshine_computed),
     ClaimSpec("z2-split",
-              "Weight-2 split under the involution: 98580 fixed + 98304 "
-              "twisted-integral = 196884, with twined trace 276.",
+              "Split under the involution: no weight-one vector in the fixed "
+              "or the twisted-integral part; at weight 2, 98580 fixed + "
+              "98304 twisted-integral = 196884, with twined trace 276.",
               _split_expected, _split_computed),
     ClaimSpec("lattice-ground-truth",
               "The shipped lattice is even unimodular of rank 24 with "

@@ -25,14 +25,12 @@ from .sectors import eigencomponent_character, sector_invariants, twisted_charac
 __all__ = [
     "IsotropicSubgroup",
     "MAX_ISOTROPIC_MODULUS",
-    "MismatchedModulus",
     "ModulusTooLarge",
     "NotSeparable",
     "WeightHypothesisFailed",
     "integral_weight_labels",
     "maximal_isotropic_subgroups",
     "orbifold_character",
-    "weight_one_by_sector",
     "weight_one_dimension_H2",
 ]
 
@@ -41,10 +39,6 @@ __all__ = [
 MAX_ISOTROPIC_MODULUS = 30
 
 Label = tuple[int, int]
-
-
-class MismatchedModulus(ValueError):
-    """An isometry of odd order where the weight-one count needs 2p."""
 
 
 class ModulusTooLarge(ValueError):
@@ -158,61 +152,32 @@ def orbifold_character(g: Isometry, cutoff: Fraction | int,
     n the order of g: the j = 0 eigencomponent of the untwisted space
     plus the integral-weight class of every twisted sector.
 
-    Each nonzero sector must have a unique integral-weight label
-    (necessarily j = 0); otherwise the extracted class aggregates
-    several simple modules and the sum is not the extension character,
-    which is reported as NotSeparable.  theta is the theta series of the
-    lattice of g, which the untwisted part reads.
+    A sector whose unique integral-weight label is j = 0 adds its class.
+    A sector with several labels aggregates several simple modules in
+    that class, so it is reported as NotSeparable unless its conformal
+    weight lies above the cutoff, where it adds nothing.  theta is the
+    theta series of the lattice of g, which the untwisted part reads.
     """
     n = multiplicative_order(g)
+    total = eigencomponent_character(g, n, 0, cutoff, theta)
     for i in range(1, n):
-        labels = integral_weight_labels(n, i)
-        if labels != {0}:
-            raise NotSeparable(
-                f"sector {i} has integral-weight labels {sorted(labels)}")
-    sectors = [sector_invariants(g, i) for i in range(1, n)]
-    for i, inv in enumerate(sectors, 1):
+        inv = sector_invariants(g, i)
         if (inv.rho * n).denominator != 1:
             raise WeightHypothesisFailed(
                 f"sector {i} has conformal weight {inv.rho}, "
                 f"not a multiple of 1/{n}")
-    total = eigencomponent_character(g, n, 0, cutoff, theta)
-    for inv in sectors:
-        twisted = twisted_character(inv, Fraction(cutoff))
-        total = total + twisted.extract_weight_class(0)
+        labels = integral_weight_labels(n, i)
+        if labels == {0}:
+            twisted = twisted_character(inv, Fraction(cutoff))
+            total = total + twisted.extract_weight_class(0)
+        elif inv.rho <= cutoff:
+            raise NotSeparable(
+                f"sector {i} has integral-weight labels {sorted(labels)} "
+                f"at conformal weight {inv.rho}, within the cutoff")
     return total
 
 
-def weight_one_by_sector(g: Isometry) -> dict[int, int]:
-    """Weight-one coefficient of the integral-weight class of each twisted
-    sector i that reaches weight one in the extension along {(i, 0)},
-    for an isometry of even order 2p: these are the odd sectors other
-    than p, each contributing its count of 1/2p-weight modes.
-
-    The even and p sectors are certified absent by their conformal
-    weights exceeding one.
-    """
-    p, odd = divmod(multiplicative_order(g), 2)
-    if odd:
-        raise MismatchedModulus(f"isometry has odd order {2 * p + 1}")
-    per: dict[int, int] = {}
-    for i in range(1, 2 * p):
-        inv = sector_invariants(g, i)
-        if i % 2 == 0 or i == p:
-            if inv.rho <= 1:
-                raise WeightHypothesisFailed(
-                    f"sector {i} reaches weight one (rho = {inv.rho})")
-            continue
-        integral = twisted_character(inv, Fraction(1)).extract_weight_class(0)
-        contribution = integral.coefficient_at(1)
-        if contribution.denominator != 1:
-            raise WeightHypothesisFailed(
-                f"sector {i} has non-integer weight-one coefficient")
-        per[i] = int(contribution)
-    return per
-
-
-def weight_one_dimension_H2(g: Isometry) -> int:
-    """Weight-one dimension of the extension along {(i, 0)} for an
-    isometry of even order 2p: the sum of weight_one_by_sector."""
-    return sum(weight_one_by_sector(g).values())
+def weight_one_dimension_H2(g: Isometry, theta: FracSeries) -> int:
+    """Weight-one dimension of the extension along {(i, 0)}, theta the
+    theta series of the lattice of g."""
+    return orbifold_character(g, 1, theta).coefficient_at(1)

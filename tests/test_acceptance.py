@@ -163,10 +163,10 @@ def test_integral_weight_labels():
 
 
 @criterion(6, "weight-one-dimension")
-def test_weight_one_dimension(leech, sigmas):
+def test_weight_one_dimension(leech, sigmas, theta24):
     for p in SUPPORTED_P:
         g = sigmas[p]
-        assert weight_one_dimension_H2(g) == 24
+        assert weight_one_dimension_H2(g, theta24) == 24
         for i in range(1, 2 * p):
             if i % 2 == 0 or i == p:
                 continue

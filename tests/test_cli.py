@@ -121,7 +121,7 @@ def test_suite_enumerates_once(monkeypatch, budget):
                         or enumerate_vectors(*args, **kwargs))
     settings = {"enumeration_budget": budget} if budget else {}
     report = run_verification_suite(RunConfig(p=3, **settings))
-    # through norm 6, kept with its failure: three claims read it
+    # through norm 6, kept with its failure: four claims read it
     assert calls == [6]
     assert report.all_passed == (budget is None)
 
@@ -135,7 +135,8 @@ def test_enumeration_budget_failure_says_how_far_it_got():
         "BudgetExceeded: enumeration exceeded its budget of 5000 candidates (")
     assert int(error.split("(")[1].split()[0]) > 5000
     # the one enumeration's failure reaches every claim that reads theta
-    reads_theta = ("moonshine-character", "z2-split", "lattice-ground-truth")
+    reads_theta = ("weight-one-dim", "moonshine-character", "z2-split",
+                   "lattice-ground-truth")
     assert all(by_slug[slug].computed == {"error": error}
                for slug in reads_theta)
     assert all(entry.passed for slug, entry in by_slug.items()
@@ -265,9 +266,10 @@ def test_suite_builds_one_fock_product_per_cutoff(monkeypatch):
     monkeypatch.setattr(sectors, "grading_product", counted)
     report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(10)))
     assert report.all_passed
-    # the moonshine-character untwisted parts at the cutoff, and the
-    # z2-split and lattice-ground-truth ones at weight 2
-    assert len(cutoffs) <= 2
+    # the weight-one-dim untwisted part at weight 1, the moonshine-character
+    # ones at the cutoff, and the z2-split and lattice-ground-truth ones at
+    # weight 2, each built once
+    assert sorted(cutoffs) == [1, 2, 10]
 
 
 def test_fusion_orbifold_builds_one_twisted_character(capsys):

@@ -158,10 +158,6 @@ MUTANTS = {
     "gram-pair": (5, gram_pair_changed),
 }
 
-SECOND_HALF = pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP direction 1, second half: the claim reads no count of "
-    "norm-2 vectors yet"))
-
 # claims whose inputs are the lattice and sigma only through p
 CANNOT_FAIL_ON_DATA = ("isotropic-subgroups", "integral-weight-labels",
                        "ising-characters")
@@ -172,10 +168,8 @@ READS_SIGMA = ("isometry-witness", "eigenspace-dims", "conformal-weights",
 FALSIFIABILITY = [
     *(pytest.param(mutant, slug, id=f"{mutant}-{slug}")
       for mutant in ("e8cubed-p3", "e8cubed-p5")
-      for slug in ("moonshine-character", "lattice-ground-truth")),
-    *(pytest.param(mutant, slug, id=f"{mutant}-{slug}", marks=SECOND_HALF)
-      for mutant in ("e8cubed-p3", "e8cubed-p5")
-      for slug in ("weight-one-dim", "z2-split")),
+      for slug in ("weight-one-dim", "moonshine-character", "z2-split",
+                   "lattice-ground-truth")),
     *(pytest.param("sigma-squared", slug, id=f"sigma-squared-{slug}")
       for slug in READS_SIGMA),
     pytest.param("gram-pair", "lattice-ground-truth",
@@ -221,9 +215,14 @@ def test_every_claim_is_falsifiable_or_listed_as_data_free():
 
 
 def test_e8_cubed_theta_reaches_the_character(mutant_reports):
-    # the character's weight-one coefficient is N_2 / p: 720/3 and 720/5
-    for mutant, head in (("e8cubed-p3", [1, 240, 196884]),
-                         ("e8cubed-p5", [1, 144, 196884])):
-        entry = next(e for e in mutant_reports(mutant).entries
-                     if e.claim == "moonshine-character")
-        assert entry.computed["head"] == head
+    # the character's weight-one coefficient is N_2 / p: 720/3 and 720/5;
+    # the order-2p extension adds N_2 / 2p untwisted vectors to its 24
+    for mutant, head, weight_one in (("e8cubed-p3", [1, 240, 196884], 144),
+                                     ("e8cubed-p5", [1, 144, 196884], 96)):
+        by_slug = {e.claim: e for e in mutant_reports(mutant).entries}
+        assert by_slug["moonshine-character"].computed["head"] == head
+        assert by_slug["weight-one-dim"].computed["total"] == weight_one
+        # the involution fixes e^a + e^-a for each of the N_2 / 2 root pairs
+        split = by_slug["z2-split"].computed
+        assert (split["even_weight1"], split["twisted_integral_weight1"]) \
+            == (360, 0)

@@ -16,14 +16,12 @@ from orbifoldry import fusion as fusion_module
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma
 from orbifoldry.fusion import (
     MAX_ISOTROPIC_MODULUS,
-    MismatchedModulus,
     ModulusTooLarge,
     NotSeparable,
     WeightHypothesisFailed,
     integral_weight_labels,
     maximal_isotropic_subgroups,
     orbifold_character,
-    weight_one_by_sector,
     weight_one_dimension_H2,
 )
 from orbifoldry.isometry import Isometry, negation_isometry
@@ -263,33 +261,45 @@ def test_axis_subgroup_resums_untwisted(leech, sigmas):
 
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
-def test_weight_one_dimension(leech, sigmas, p):
-    assert weight_one_dimension_H2(sigmas[p]) == 24
+def test_weight_one_dimension(leech, sigmas, theta3, p):
+    assert weight_one_dimension_H2(sigmas[p], theta3) == 24
     for i in range(1, 2 * p):
         if i % 2 == 0 or i == p:
             continue
         ch = twisted_character(sector_invariants(sigmas[p], i), Fraction(1))
-        assert ch.extract_weight_class(0).coefficient_at(1) == 24 // (p - 1)
+        c = ch.extract_weight_class(0).coefficient_at(1)
+        assert c == 24 // (p - 1) and type(c) is int
 
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
-def test_weight_one_by_sector_reads_the_odd_sectors(sigmas, p):
-    per = weight_one_by_sector(sigmas[p])
-    assert per == {i: 24 // (p - 1) for i in range(1, 2 * p, 2) if i != p}
-    assert all(type(c) is int for c in per.values())
+def test_moonshine_module_has_no_weight_one_vector(sigmas, p):
+    # the Z_p orbifold by tau = sigma^2 is the Moonshine module
+    theta = unimodular_theta_rank24(1)
+    assert weight_one_dimension_H2(sigmas[p].power(2), theta) == 0
 
 
-def test_weight_one_requires_matching_order(leech, sigmas):
-    # the order-3 power has no order-2p structure to read p from
-    with pytest.raises(MismatchedModulus, match="odd order 3"):
-        weight_one_dimension_H2(sigmas[3].power(2))
+def test_mixed_label_sector_is_refused_from_its_weight_on(sigmas):
+    # sigma_3 has order 6; its even sectors, of labels {0, 3}, start at
+    # weight 4/3 and sector 3 at 3/2, so they add nothing below 4/3
+    theta = unimodular_theta_rank24(2)
+    with pytest.raises(NotSeparable,
+                       match=r"^sector 2 has integral-weight labels \[0, 3\] "
+                             r"at conformal weight 4/3"):
+        orbifold_character(sigmas[3], Fraction(4, 3), theta)
+    for c in (Fraction(5, 4), 1):
+        ch = orbifold_character(sigmas[3], c, theta)
+        assert ch.weight_cutoff == c
+        assert ch.coefficient_at(1) == 24
 
 
 def test_weight_one_certificate_failure():
-    # order-6 rotation on A2 + A2: the even sectors sit below weight one
+    # order-6 rotation on A2 + A2: every twisted sector sits below weight
+    # one, at a weight off the 1/6 grid, and sector 1 is read first
     gram = ((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2))
     rot = ((0, -1, 0, 0), (1, 1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 1))
     small = Lattice(gram)
     g = Isometry(small, rot)
-    with pytest.raises(WeightHypothesisFailed):
-        weight_one_dimension_H2(g)
+    with pytest.raises(WeightHypothesisFailed,
+                       match="sector 1 has conformal weight 5/36, "
+                             "not a multiple of 1/6"):
+        weight_one_dimension_H2(g, theta_series(small, 1))
