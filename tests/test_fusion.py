@@ -263,12 +263,18 @@ def test_axis_subgroup_resums_untwisted(leech, sigmas):
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_weight_one_dimension(leech, sigmas, theta3, p):
     assert weight_one_dimension_H2(sigmas[p], theta3) == 24
-    for i in range(1, 2 * p):
-        if i % 2 == 0 or i == p:
+
+
+@pytest.mark.parametrize("p", SUPPORTED_P)
+def test_weight_one_by_sector_reads_the_odd_sectors(sigmas, p):
+    per = {}
+    for i in range(1, 2 * p, 2):
+        if i == p:
             continue
         ch = twisted_character(sector_invariants(sigmas[p], i), Fraction(1))
-        c = ch.extract_weight_class(0).coefficient_at(1)
-        assert c == 24 // (p - 1) and type(c) is int
+        per[i] = ch.extract_weight_class(0).coefficient_at(1)
+    assert per == {i: 24 // (p - 1) for i in range(1, 2 * p, 2) if i != p}
+    assert all(type(c) is int for c in per.values())
 
 
 @pytest.mark.parametrize("p", SUPPORTED_P)
