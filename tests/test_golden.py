@@ -24,6 +24,8 @@ SIGMA = "src/orbifoldry/data/sigma_p13.txt"
 
 COMMANDS = {
     **{f"verify-p{p}.json": ["verify", "--p", str(p)] for p in (3, 5, 7, 13)},
+    "verify-p13-c10.json": ["verify", "--p", "13", "--cutoff", "10"],
+    "verify-p5.md": ["verify", "--p", "5", "--format", "markdown"],
     **{f"fusion-orbifold-p13-{c}.json": ["fusion", "orbifold", "--p", "13",
                                          "--cutoff", "14", "--construction", c]
        for c in ("zp", "z2")},
