@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil, gcd
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .commands import DEFAULT_SUITE_CUTOFF, OUTPUT_FORMATS, main
 from .datafiles import (
@@ -86,22 +86,20 @@ class RunConfig:
 
 
 class _Context:
-    """The suite's lazy, cached access to the shipped data for one p: a
+    """The suite's lazy, cached access to the shipped data of one run: a
     loader error surfaces inside whichever claim first touches the object,
     and each object is built once for all the claims that read it."""
 
-    def __init__(self, p: int, data_dir: Path | None, budget: int) -> None:
-        self.p = p
-        self.data_dir = data_dir
-        self.budget = budget
+    def __init__(self, cfg: RunConfig) -> None:
+        self.cfg = cfg
 
     @cached_property
     def lattice(self) -> Lattice:
-        return load_leech(self.data_dir)
+        return load_leech(self.cfg.data_dir)
 
     @cached_property
     def sigma(self) -> Isometry:
-        return load_sigma(self.p, self.data_dir, lattice=self.lattice)
+        return load_sigma(self.cfg.p, self.cfg.data_dir, lattice=self.lattice)
 
     @cached_property
     def tau(self) -> Isometry:
@@ -116,7 +114,7 @@ class _Context:
         # outside the try: a loader error is raised to each claim afresh
         lattice = self.lattice
         try:
-            return theta_series(lattice, 3, budget=self.budget)
+            return theta_series(lattice, 3, budget=self.cfg.enumeration_budget)
         except BudgetExceeded as exc:
             return exc
 
@@ -127,48 +125,53 @@ class _Context:
             raise self._enumeration
         return self._enumeration
 
-    def theta(self, depth: int) -> FracSeries:
-        """The loaded lattice's theta series, exact through weight depth.
+    @cached_property
+    def theta(self) -> FracSeries:
+        """The loaded lattice's theta series, exact through weight
+        ceil(cutoff), the deepest any claim reads; a product with a
+        shallower series is cut off at that series' cutoff.
 
         load_leech accepts only even unimodular lattices of rank 24, whose
         theta series lie in M_12(SL_2(Z)) = <E4^3, Delta>; the constant
         term 1 and the norm-2 count N_2 fix it as E4^3 + (N_2 - 720) Delta.
         """
         roots = self.enumerated_theta().coefficient_at(1)
+        depth = ceil(self.cfg.cutoff)
         return unimodular_theta_rank24(depth) + roots * discriminant_form(depth)
 
     @cached_property
     def sectors(self) -> list[SectorInvariants]:
         """The invariants of the sigma^i-twisted sectors, i = 1..2p-1."""
-        return [sector_invariants(self.sigma, i) for i in range(1, 2 * self.p)]
+        return [sector_invariants(self.sigma, i) for i in range(1, 2 * self.cfg.p)]
 
 
 # ----- claim bodies ---------------------------------------------------------
 
 
-def _expected_dims(p: int, i: int) -> list[int]:
-    m = 2 * p
-    if i % m == p:
-        return [24 if j == p else 0 for j in range(m)]
-    if i % 2 == 1:
-        return [24 // (p - 1) if gcd(j, m) == 1 else 0 for j in range(m)]
-    return [24 // (p - 1) if gcd(j, m) == 2 else 0 for j in range(m)]
+class _ExpectedSector(NamedTuple):
+    eig_dims: list[int]
+    rho: Fraction
+    defect_dim: int
+    labels: list[int]
 
 
-def _expected_rho(p: int, i: int) -> Fraction:
-    if i % (2 * p) == p:
-        return Fraction(3, 2)
-    if i % 2 == 1:
-        return Fraction(2 * p - 1, 2 * p)
-    return Fraction(p + 1, p)
+def _expected_sector(p: int, i: int) -> _ExpectedSector:
+    """The paper's sigma^i-twisted sector, 0 < i < 2p, by the residue
+    class of i: i = p, i odd, i even."""
+    m, d = 2 * p, 24 // (p - 1)
+    if i == p:
+        return _ExpectedSector([24 if j == p else 0 for j in range(m)],
+                               Fraction(3, 2), 2**12, list(range(0, m, 2)))
+    if i % 2:
+        return _ExpectedSector([d if gcd(j, m) == 1 else 0 for j in range(m)],
+                               Fraction(m - 1, m), 1, [0])
+    return _ExpectedSector([d if gcd(j, m) == 2 else 0 for j in range(m)],
+                           Fraction(p + 1, p), p ** (12 // (p - 1)), [0, p])
 
 
-def _expected_defect(p: int, i: int) -> int:
-    if i % (2 * p) == p:
-        return 2**12
-    if i % 2 == 1:
-        return 1
-    return p ** (12 // (p - 1))
+def _per_sector(cfg: RunConfig, field: str) -> dict[str, Any]:
+    return {str(i): getattr(_expected_sector(cfg.p, i), field)
+            for i in range(1, 2 * cfg.p)}
 
 
 def _witness_expected(cfg: RunConfig) -> Any:
@@ -187,7 +190,7 @@ def _witness_computed(cfg: RunConfig, ctx: _Context) -> Any:
 
 
 def _dims_expected(cfg: RunConfig) -> Any:
-    return {str(i): _expected_dims(cfg.p, i) for i in range(1, 2 * cfg.p)}
+    return _per_sector(cfg, "eig_dims")
 
 
 def _dims_computed(cfg: RunConfig, ctx: _Context) -> Any:
@@ -195,7 +198,7 @@ def _dims_computed(cfg: RunConfig, ctx: _Context) -> Any:
 
 
 def _weights_expected(cfg: RunConfig) -> Any:
-    return {str(i): _expected_rho(cfg.p, i) for i in range(1, 2 * cfg.p)}
+    return _per_sector(cfg, "rho")
 
 
 def _weights_computed(cfg: RunConfig, ctx: _Context) -> Any:
@@ -203,10 +206,8 @@ def _weights_computed(cfg: RunConfig, ctx: _Context) -> Any:
 
 
 def _defects_expected(cfg: RunConfig) -> Any:
-    p = cfg.p
-    out: dict[str, Any] = {str(i): _expected_defect(p, i)
-                           for i in range(1, 2 * p)}
-    out["quotient_one_minus_tau"] = [p] * (24 // (p - 1))
+    out = _per_sector(cfg, "defect_dim")
+    out["quotient_one_minus_tau"] = [cfg.p] * (24 // (cfg.p - 1))
     out["quotient_doubling"] = [2] * 24
     return out
 
@@ -244,16 +245,7 @@ def _isotropic_computed(cfg: RunConfig, ctx: _Context) -> Any:
 
 
 def _labels_expected(cfg: RunConfig) -> Any:
-    p = cfg.p
-    out = {}
-    for i in range(1, 2 * p):
-        if i == p:
-            out[str(i)] = [j for j in range(2 * p) if j % 2 == 0]
-        elif i % 2 == 0:
-            out[str(i)] = [0, p]
-        else:
-            out[str(i)] = [0]
-    return out
+    return _per_sector(cfg, "labels")
 
 
 def _labels_computed(cfg: RunConfig, ctx: _Context) -> Any:
@@ -272,7 +264,7 @@ def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
     # the odd sectors other than p sit below weight one; the rest above it
     per = {i: twisted_character(inv, 1).coefficient_at(1)
            for i, inv in enumerate(ctx.sectors, 1) if i % 2 and i != cfg.p}
-    return {"total": weight_one_dimension_H2(ctx.sigma, ctx.theta(1)),
+    return {"total": weight_one_dimension_H2(ctx.sigma, ctx.theta),
             "per_sector": per}
 
 
@@ -284,8 +276,7 @@ def _moonshine_expected(cfg: RunConfig) -> Any:
 
 
 def _moonshine_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    c = cfg.cutoff
-    theta = ctx.theta(ceil(c))
+    c, theta = cfg.cutoff, ctx.theta
     ch = orbifold_character(ctx.tau, c, theta)
     head = [ch.coefficient_at(w) for w in (0, 1, 2)]
     # the orbifold grading sits one power above the modular expansion
@@ -305,9 +296,8 @@ def _split_expected(cfg: RunConfig) -> Any:
 
 
 def _split_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    neg = ctx.negation
-    theta = ctx.theta(2)
-    even = eigencomponent_character(neg, 2, 0, Fraction(2), theta)
+    neg, theta = ctx.negation, ctx.theta
+    even = eigencomponent_character(neg, 0, Fraction(2), theta)
     twined = twined_untwisted_character(neg, 1, Fraction(2), theta)
     sector = sector_invariants(neg, 1)
     tw = twisted_character(sector, Fraction(2)).extract_weight_class(0)
@@ -460,7 +450,7 @@ def _run_claim(spec: ClaimSpec, cfg: RunConfig, ctx: _Context) -> ClaimEntry:
 
 def run_verification_suite(cfg: RunConfig) -> Report:
     """Run every registered claim; entries appear in registry order."""
-    ctx = _Context(cfg.p, cfg.data_dir, cfg.enumeration_budget)
+    ctx = _Context(cfg)
     config = {"p": cfg.p, "cutoff": cfg.cutoff,
               "enumeration_budget": cfg.enumeration_budget,
               "data_dir": str(cfg.data_dir) if cfg.data_dir else None,

@@ -159,7 +159,7 @@ def orbifold_character(g: Isometry, cutoff: Fraction | int,
     theta series of the lattice of g, which the untwisted part reads.
     """
     n = multiplicative_order(g)
-    total = eigencomponent_character(g, n, 0, cutoff, theta)
+    total = eigencomponent_character(g, 0, cutoff, theta)
     for i in range(1, n):
         inv = sector_invariants(g, i)
         if (inv.rho * n).denominator != 1:

@@ -21,7 +21,8 @@ and its matrix is built at once from g^(k // 2), or as I (or -I) when
 the profile is Phi_1^n (or Phi_2^n), since a diagonalisable matrix with
 every eigenvalue 1 (or -1) is I (or -I).  Matrices from outside are
 verified when an Isometry is constructed; powers are products of a
-verified matrix and are trusted.
+verified matrix and are trusted, and so is -I (negation_isometry), which
+preserves every Gram matrix and is built with its profile Phi_2^n preset.
 """
 
 from __future__ import annotations
@@ -116,9 +117,7 @@ class Isometry:
             return self
         power = self._powers.get(k)
         if power is None:
-            power = object.__new__(Isometry)
-            power.lattice, power._powers = self.lattice, {}
-            power._profile = profile = power_profile(profile, k)
+            profile = power_profile(profile, k)
             if len(profile.factors) <= 1 and profile.order <= 2:
                 # Phi_1^n or Phi_2^n: every eigenvalue is 1, or every one -1
                 n, sign = self.lattice.rank, 3 - 2 * profile.order
@@ -128,8 +127,7 @@ class Isometry:
                 matrix = _mat_mul(half, half)
                 if k & 1:
                     matrix = _mat_mul(matrix, self.matrix)
-            power.matrix = _freeze(matrix)
-            self._powers[k] = power
+            power = self._powers[k] = _trusted(self.lattice, matrix, profile)
         return power
 
     @cached_property
@@ -153,9 +151,22 @@ class Isometry:
         return known[self.matrix]
 
 
+def _trusted(lattice: Lattice, matrix: Sequence[Sequence[int]],
+             profile: CycloProfile) -> Isometry:
+    """An Isometry of a matrix known to preserve the Gram, with its known
+    profile preset: no Gram check and no charpoly."""
+    g = object.__new__(Isometry)
+    g.lattice, g.matrix, g._powers = lattice, _freeze(matrix), {}
+    g._profile = profile
+    return g
+
+
 def negation_isometry(lattice: Lattice) -> Isometry:
+    """-I, which preserves every Gram matrix and has profile Phi_2^n, so
+    it is built without a check."""
     n = lattice.rank
-    return Isometry(lattice, [[-int(i == j) for j in range(n)] for i in range(n)])
+    return _trusted(lattice, [[-int(i == j) for j in range(n)] for i in range(n)],
+                    CycloProfile.of({2: n}))
 
 
 # ----- characteristic polynomial and cyclotomic factorization -----------

@@ -18,7 +18,6 @@ from typing import NamedTuple, Sequence
 
 from .isometry import (
     Isometry,
-    OrderDoesNotDivide,
     cyclotomic_profile,
     euler_phi,
     multiplicative_order,
@@ -211,20 +210,16 @@ def ramanujan_sum(q: int, n: int) -> int:
     return moebius(q // g) * (euler_phi(q) // euler_phi(q // g))
 
 
-def eigencomponent_character(g: Isometry, m: int, j: int, cutoff: Fraction | int,
+def eigencomponent_character(g: Isometry, j: int, cutoff: Fraction | int,
                              theta: FracSeries) -> FracSeries:
-    """Character of the zeta_m^j eigencomponent of the untwisted space:
-    (1/m) sum_{j'} zeta_m^{-j j'} tr(g^{j'} q^{L0}).
+    """Character of the zeta_m^j eigencomponent of the untwisted space, m
+    the order of g: (1/m) sum_{j'} zeta_m^{-j j'} tr(g^{j'} q^{L0}).
 
     The twined trace depends on j' only through gcd(j', m), so the sum
     collapses to one Ramanujan sum per divisor of m; the arithmetic stays
     in integers and exact series.
     """
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    order = multiplicative_order(g)
-    if m % order:
-        raise OrderDoesNotDivide(f"isometry order {order} does not divide {m}")
+    m = multiplicative_order(g)
     total: FracSeries | None = None
     for e in range(1, m + 1):
         if m % e:

@@ -193,7 +193,7 @@ def test_moonshine_character(leech, sigmas, theta24):
 @criterion(8, "involution-weight2-split")
 def test_involution_weight2_split(leech, theta24):
     neg = negation_isometry(leech)
-    fixed = eigencomponent_character(neg, 2, 0, Fraction(2), theta24)
+    fixed = eigencomponent_character(neg, 0, Fraction(2), theta24)
     twined = twined_untwisted_character(neg, 1, Fraction(2), theta24)
     sector = sector_invariants(neg, 1)
     twisted = twisted_character(sector, Fraction(2)).extract_weight_class(0)
@@ -328,7 +328,7 @@ def test_property_suites(leech, sigmas, theta24):
     g = sigmas[3].power(2)
     total = FracSeries.zero(2, 1)
     for j in range(3):
-        comp = eigencomponent_character(g, 3, j, Fraction(2), theta24)
+        comp = eigencomponent_character(g, j, Fraction(2), theta24)
         assert all(value >= 0 for _, value in comp.terms())
         total = total + comp
     full = twined_untwisted_character(g, 0, Fraction(2), theta24)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifoldry import cli, isometry, lattice, sectors
+from orbifoldry import cli, isometry, lattice, modular, sectors
 from orbifoldry.cli import CLAIM_REGISTRY, RunConfig, run_verification_suite
 from orbifoldry.commands import DEFAULT_SUITE_CUTOFF, _build_parser, main
 from orbifoldry.datafiles import load_leech, resolve_data_dir
@@ -143,37 +143,45 @@ def test_enumeration_budget_failure_says_how_far_it_got():
                if slug not in reads_theta)
 
 
+def _counted(calls, key, function):
+    def counted(*args):
+        calls[key] += 1
+        return function(*args)
+    return counted
+
+
+def _count_isometry_checks(patch, calls):
+    patch.setattr(Isometry, "__post_init__",
+                  _counted(calls, "verify", Isometry.__post_init__))
+    patch.setattr(isometry, "_charpoly",
+                  _counted(calls, "charpoly", isometry._charpoly))
+
+
 @pytest.fixture(scope="module")
 def counted_p13_report():
     """A p=13 suite run that records each Smith form's matrix and counts
-    isometry checks, charpoly reductions, matrix products and twisted
-    characters built."""
-    calls = {"snf": [], "verify": 0, "charpoly": 0, "mat_mul": 0}
-    kernel, check = lattice.smith_normal_form, Isometry.__post_init__
-    lift, product = isometry._charpoly, isometry._mat_mul
+    isometry checks, charpoly reductions, matrix products, modular forms
+    and twisted characters built."""
+    calls = {"snf": [], "verify": 0, "charpoly": 0, "mat_mul": 0,
+             "discriminant": 0, "theta24": 0}
+    kernel = lattice.smith_normal_form
 
     def counted_snf(matrix):
         calls["snf"].append(tuple(tuple(row) for row in matrix))
         return kernel(matrix)
 
-    def counted_check(*args):
-        calls["verify"] += 1
-        return check(*args)
-
-    def counted_charpoly(matrix):
-        calls["charpoly"] += 1
-        return lift(matrix)
-
-    def counted_mat_mul(a, b):
-        calls["mat_mul"] += 1
-        return product(a, b)
-
+    delta = _counted(calls, "discriminant", modular.discriminant_form)
+    theta24 = _counted(calls, "theta24", modular.unimodular_theta_rank24)
     twisted_character.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lattice, "smith_normal_form", counted_snf)
-        patch.setattr(Isometry, "__post_init__", counted_check)
-        patch.setattr(isometry, "_charpoly", counted_charpoly)
-        patch.setattr(isometry, "_mat_mul", counted_mat_mul)
+        _count_isometry_checks(patch, calls)
+        patch.setattr(isometry, "_mat_mul",
+                      _counted(calls, "mat_mul", isometry._mat_mul))
+        # cli binds both names itself; modular's own callers read modular's
+        for module in (modular, cli):
+            patch.setattr(module, "discriminant_form", delta)
+            patch.setattr(module, "unimodular_theta_rank24", theta24)
         report = run_verification_suite(RunConfig(p=13, cutoff=Fraction(2)))
     info = twisted_character.cache_info()
     calls["twisted_hits"], calls["twisted_misses"] = info.hits, info.misses
@@ -211,15 +219,26 @@ def test_each_smith_form_is_computed_once(counted_p13_report):
 def test_suite_reduces_only_the_loaded_matrices(counted_p13_report):
     report, calls = counted_p13_report
     assert report.all_passed
-    # sigma and the negation; every power reads its profile off sigma's
-    assert calls["charpoly"] <= 2
+    # sigma alone: every power reads its profile off sigma's, and the
+    # negation is built with its profile Phi_2^24 preset
+    assert calls["charpoly"] <= 1
 
 
 def test_suite_verifies_only_the_isometries_it_loads(counted_p13_report):
     report, calls = counted_p13_report
     assert report.all_passed
-    # sigma on load and the negation; the powers of sigma are trusted
-    assert calls["verify"] <= 2
+    # sigma on load; the powers of sigma and the negation are trusted
+    assert calls["verify"] <= 1
+
+
+def test_suite_builds_one_theta_per_run(counted_p13_report):
+    report, calls = counted_p13_report
+    assert report.all_passed
+    # E4^3 - 720 Delta once for the run's theta and once for the
+    # lattice-ground-truth oracle; Delta inside each, once more for the
+    # theta's (N_2 - 720) Delta term and once in the j-function
+    assert calls["theta24"] <= 2
+    assert calls["discriminant"] <= 4
 
 
 def test_suite_builds_one_twisted_character_per_cyclic_subgroup(
@@ -244,13 +263,13 @@ def test_suite_reads_the_twisted_cache_as_often_as_before(counted_p13_report):
 def test_suite_builds_only_the_power_matrices_it_reads(counted_p13_report):
     report, calls = counted_p13_report
     assert report.all_passed
-    # two products for each Gram check on load (sigma and the negation)
-    # and one for tau's matrix, which its Smith form reads; the Gram check
-    # certifies each order, so no power chain is multiplied out, the
+    # two products for the Gram check of sigma on load and one for tau's
+    # matrix, which its Smith form reads; the Gram check certifies each
+    # order, so no power chain is multiplied out, the negation and the
     # powers with profile Phi_1^24 or Phi_2^24 (sigma^13, sigma^26, (-1)^2)
     # are I or -I without a product, and eigenspace dimensions read
     # profiles, not matrices
-    assert calls["mat_mul"] <= 5
+    assert calls["mat_mul"] <= 3
 
 
 def test_suite_builds_one_fock_product_per_cutoff(monkeypatch):
@@ -270,6 +289,16 @@ def test_suite_builds_one_fock_product_per_cutoff(monkeypatch):
     # ones at the cutoff, and the z2-split and lattice-ground-truth ones at
     # weight 2, each built once
     assert sorted(cutoffs) == [1, 2, 10]
+
+
+def test_z2_fusion_orbifold_checks_no_isometry(monkeypatch, capsys):
+    calls = {"verify": 0, "charpoly": 0}
+    _count_isometry_checks(monkeypatch, calls)
+    assert main(["fusion", "orbifold", "--p", "13", "--cutoff", "14",
+                 "--construction", "z2"]) == 0
+    capsys.readouterr()
+    # -I is built with its profile preset, and no sigma is loaded
+    assert calls == {"verify": 0, "charpoly": 0}
 
 
 def test_fusion_orbifold_builds_one_twisted_character(capsys):

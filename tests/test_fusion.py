@@ -251,7 +251,7 @@ def test_axis_subgroup_resums_untwisted(leech, sigmas):
     axis = next(g for g in groups if set(g.elements) == {(0, 0), (0, 1)})
     total = None
     for _, j in axis.elements:
-        piece = eigencomponent_character(neg, 2, j, Fraction(2), theta2)
+        piece = eigencomponent_character(neg, j, Fraction(2), theta2)
         total = piece if total is None else total + piece
     untwisted = twined_untwisted_character(neg, 0, Fraction(2), theta2)
     assert total == untwisted

@@ -196,8 +196,9 @@ def assert_order_certified(g):
 
 def test_gram_verified_roots_have_the_order_of_their_profile(leech, sigmas):
     roots = [*sigmas.values(), *search.load_generators(leech),
-             negation_isometry(leech), identity_isometry(leech)]
-    for g in roots:
+             identity_isometry(leech)]
+    # -I is built unchecked, with its profile Phi_2^24 preset
+    for g in (*roots, negation_isometry(leech)):
         assert_order_certified(g)
 
 

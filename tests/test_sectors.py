@@ -16,7 +16,6 @@ from direct_products import direct_grading_product
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma
 from orbifoldry.isometry import (
     Isometry,
-    OrderDoesNotDivide,
     multiplicative_order,
     negation_isometry,
 )
@@ -353,8 +352,8 @@ def test_moebius_and_ramanujan():
 
 def test_sign_split_under_negation(leech, theta4):
     neg = negation_isometry(leech)
-    even = eigencomponent_character(neg, 2, 0, Fraction(4), theta4)
-    odd = eigencomponent_character(neg, 2, 1, Fraction(4), theta4)
+    even = eigencomponent_character(neg, 0, Fraction(4), theta4)
+    odd = eigencomponent_character(neg, 1, Fraction(4), theta4)
     assert tuple(even.coefficient_at(w) for w in range(5)) == EVEN_PART
     assert tuple(odd.coefficient_at(w) for w in range(5)) == ODD_PART
     total = twined_untwisted_character(neg, 0, Fraction(4), theta4)
@@ -364,7 +363,7 @@ def test_sign_split_under_negation(leech, theta4):
 def test_eigencomponents_complete_and_nonnegative(leech, sigmas):
     theta3 = unimodular_theta_rank24(3)
     g = sigmas[3]
-    comps = [eigencomponent_character(g, 6, j, Fraction(3), theta3)
+    comps = [eigencomponent_character(g, j, Fraction(3), theta3)
              for j in range(6)]
     assert comps[0].coefficient_at(1) == 0
     total = comps[0]
@@ -381,9 +380,8 @@ def test_eigencomponents_complete_and_nonnegative(leech, sigmas):
 @pytest.mark.parametrize("p", [5, 7, 13])
 def test_eigencomponents_complete_larger_orders(leech, sigmas, theta2, p):
     g = sigmas[p]
-    m = 2 * p
-    comps = [eigencomponent_character(g, m, j, Fraction(2), theta2)
-             for j in range(m)]
+    comps = [eigencomponent_character(g, j, Fraction(2), theta2)
+             for j in range(2 * p)]
     total = comps[0]
     for piece in comps[1:]:
         total = total + piece
@@ -398,13 +396,6 @@ def test_eigencomponent_of_the_identity_is_the_untwisted_character(leech,
     # m = 1: the one component is theta * prod (1 - q^n)^-24
     identity = Isometry(leech, [[int(r == c) for c in range(24)]
                                 for r in range(24)])
-    ch = eigencomponent_character(identity, 1, 0, Fraction(4), theta4)
+    ch = eigencomponent_character(identity, 0, Fraction(4), theta4)
     assert ch == theta4 * direct_grading_product([(1, 24)], 4)
     assert tuple(ch.coefficient_at(w) for w in range(5)) == UNTWISTED
-
-
-def test_eigencomponent_wrong_modulus(leech, sigmas, theta2):
-    with pytest.raises(OrderDoesNotDivide):
-        eigencomponent_character(sigmas[3], 5, 0, Fraction(2), theta2)
-    with pytest.raises(ValueError):
-        eigencomponent_character(sigmas[3], 0, 0, Fraction(2), theta2)
