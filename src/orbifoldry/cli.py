@@ -153,20 +153,22 @@ class _ExpectedSector(NamedTuple):
     rho: Fraction
     defect_dim: int
     labels: list[int]
+    weight_one: int
 
 
 def _expected_sector(p: int, i: int) -> _ExpectedSector:
     """The paper's sigma^i-twisted sector, 0 < i < 2p, by the residue
-    class of i: i = p, i odd, i even."""
+    class of i: i = p, i odd, i even.  Only the odd i other than p lie
+    below weight one; each of those adds 24/(p-1) weight-one states."""
     m, d = 2 * p, 24 // (p - 1)
     if i == p:
         return _ExpectedSector([24 if j == p else 0 for j in range(m)],
-                               Fraction(3, 2), 2**12, list(range(0, m, 2)))
+                               Fraction(3, 2), 2**12, list(range(0, m, 2)), 0)
     if i % 2:
         return _ExpectedSector([d if gcd(j, m) == 1 else 0 for j in range(m)],
-                               Fraction(m - 1, m), 1, [0])
+                               Fraction(m - 1, m), 1, [0], d)
     return _ExpectedSector([d if gcd(j, m) == 2 else 0 for j in range(m)],
-                           Fraction(p + 1, p), p ** (12 // (p - 1)), [0, p])
+                           Fraction(p + 1, p), p ** (12 // (p - 1)), [0, p], 0)
 
 
 def _per_sector(cfg: RunConfig, field: str) -> dict[str, Any]:
@@ -254,16 +256,14 @@ def _labels_computed(cfg: RunConfig, ctx: _Context) -> Any:
 
 
 def _weight_one_expected(cfg: RunConfig) -> Any:
-    p = cfg.p
-    per = {str(i): 24 // (p - 1)
-           for i in range(1, 2 * p) if i % 2 == 1 and i != p}
+    per = {i: n for i, n in _per_sector(cfg, "weight_one").items() if n}
     return {"total": 24, "per_sector": per}
 
 
 def _weight_one_computed(cfg: RunConfig, ctx: _Context) -> Any:
-    # the odd sectors other than p sit below weight one; the rest above it
+    # a sector adds to weight one only if its conformal weight is at most 1
     per = {i: twisted_character(inv, 1).coefficient_at(1)
-           for i, inv in enumerate(ctx.sectors, 1) if i % 2 and i != cfg.p}
+           for i, inv in enumerate(ctx.sectors, 1) if inv.rho <= 1}
     return {"total": weight_one_dimension_H2(ctx.sigma, ctx.theta),
             "per_sector": per}
 

@@ -54,18 +54,14 @@ def _cmd_lattice_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lattice_theta(args: argparse.Namespace) -> int:
-    from .lattice import Lattice, parse_matrix, theta_series
+    from .lattice import Lattice, enumerate_vectors_by_norm, parse_matrix
+    from .qseries import FracSeries
     lat = Lattice(parse_matrix(Path(args.file).read_text()), label=args.file)
-    if args.max_norm < 0:
-        raise ValueError("max_norm must be nonnegative")
-    if args.max_norm % 2:
-        raise ValueError("max_norm must be even for an even lattice")
-    theta = theta_series(lat, Fraction(args.max_norm, 2),
-                         budget=args.budget).rescaled(2)
-    counts = {str(m): theta.coefficient_at(Fraction(m, 2))
-              for m in range(0, args.max_norm + 1, 2)}
-    _emit({"file": args.file, "max_norm": args.max_norm, "counts": counts,
-           "theta": theta.to_dict()})
+    counts = enumerate_vectors_by_norm(lat, args.max_norm, budget=args.budget)
+    # at grain 2 the term q^(norm/2) sits at key norm
+    _emit({"file": args.file, "max_norm": args.max_norm,
+           "counts": {str(m): c for m, c in counts.items()},
+           "theta": FracSeries(2, counts, args.max_norm).to_dict()})
     return 0
 
 

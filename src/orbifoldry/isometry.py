@@ -241,7 +241,7 @@ def euler_phi(d: int) -> int:
     return result
 
 
-def _poly_try_div(num: list[int], den: list[int]) -> list[int] | None:
+def _poly_try_div(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
     """Exact quotient of integer polynomials (low-first), or None."""
     if len(num) < len(den):
         return None
@@ -261,10 +261,9 @@ def _poly_try_div(num: list[int], den: list[int]) -> list[int] | None:
     return out
 
 
-def cyclotomic_polynomial(d: int, _cache: dict[int, list[int]] = {}) -> list[int]:
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Coefficients of the d-th cyclotomic polynomial, low-first."""
-    if d in _cache:
-        return list(_cache[d])
     poly = [0] * d + [1]
     poly[0] = -1
     for e in range(1, d):
@@ -273,8 +272,7 @@ def cyclotomic_polynomial(d: int, _cache: dict[int, list[int]] = {}) -> list[int
             if quotient is None:
                 raise ArithmeticError("cyclotomic division failed")
             poly = quotient
-    _cache[d] = poly
-    return list(poly)
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,7 @@ def j_invariant(cutoff: int) -> FracSeries:
     """The modular j-function E4^3 / discriminant, from weight -1 up."""
     e4 = eisenstein_e4(cutoff + 2)
     delta = discriminant_form(cutoff + 2)
-    return ((e4 ** 3) * delta.inverse()).truncated(cutoff)
+    return (e4 * e4 * e4 * delta.inverse()).truncated(cutoff)
 
 
 def moonshine_j(cutoff: int) -> FracSeries:
@@ -63,4 +63,4 @@ def unimodular_theta_rank24(cutoff: int) -> FracSeries:
         raise ValueError("cutoff must be nonnegative")
     e4 = eisenstein_e4(cutoff)
     delta = discriminant_form(cutoff)
-    return e4 ** 3 - 720 * delta
+    return e4 * e4 * e4 - 720 * delta

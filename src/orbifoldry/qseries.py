@@ -200,19 +200,6 @@ class FracSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> FracSeries:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = FracSeries.one(Fraction(self.cutoff, self.grain), self.grain)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def shift(self, delta: Fraction | int) -> FracSeries:
         """Multiply by q^delta (delta may be negative)."""
         d = _as_fraction(delta)

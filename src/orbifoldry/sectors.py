@@ -17,9 +17,10 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple, Sequence
 
 from .isometry import (
+    CycloProfile,
     Isometry,
+    cyclotomic_polynomial,
     cyclotomic_profile,
-    euler_phi,
     multiplicative_order,
     power_profile,
 )
@@ -186,28 +187,13 @@ def twined_untwisted_character(g: Isometry, j: int, cutoff: Fraction | int,
     return series
 
 
-def moebius(n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = 1
-    x = n
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            x //= p
-            if x % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if x > 1:
-        result = -result
-    return result
-
-
 def ramanujan_sum(q: int, n: int) -> int:
-    """Sum of n-th powers of the primitive q-th roots of unity."""
-    g = gcd(n, q)
-    return moebius(q // g) * (euler_phi(q) // euler_phi(q // g))
+    """Sum of n-th powers of the primitive q-th roots of unity, that is
+    the trace of B^n for a Phi_q block B.  B^n has the profile
+    power_profile(Phi_q, n), and the roots of each Phi_d sum to minus its
+    second-highest coefficient.  The Moebius function is ramanujan_sum(n, 1)."""
+    blocks = power_profile(CycloProfile.of({q: 1}), n).factors
+    return -sum(e * cyclotomic_polynomial(d)[-2] for d, e in blocks)
 
 
 def eigencomponent_character(g: Isometry, j: int, cutoff: Fraction | int,

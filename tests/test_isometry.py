@@ -84,10 +84,10 @@ def test_rotation_on_small_lattice():
 
 
 def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == [-1, 1]
-    assert cyclotomic_polynomial(2) == [1, 1]
-    assert cyclotomic_polynomial(6) == [1, -1, 1]
-    assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    assert cyclotomic_polynomial(2) == (1, 1)
+    assert cyclotomic_polynomial(6) == (1, -1, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     # product over divisors of 12 reproduces x^12 - 1
     prod = [1]
     for d in (1, 2, 3, 4, 6, 12):

@@ -30,7 +30,6 @@ from orbifoldry.sectors import (
     conformal_weight,
     defect_dimension,
     eigencomponent_character,
-    moebius,
     ramanujan_sum,
     sector_invariants,
     twined_untwisted_character,
@@ -341,13 +340,21 @@ def test_twined_rejects_fixed_sublattice(leech, theta2):
 
 
 def test_moebius_and_ramanujan():
-    assert tuple(moebius(n) for n in range(1, 13)) == MOEBIUS_TABLE
     for q in range(1, 13):
         assert ramanujan_sum(q, 0) == sum(
             1 for a in range(1, q + 1) if __import__("math").gcd(a, q) == 1)
-        assert ramanujan_sum(q, 1) == moebius(q)
-    with pytest.raises(ValueError):
-        moebius(0)
+    assert tuple(ramanujan_sum(q, 1) for q in range(1, 13)) == MOEBIUS_TABLE
+
+
+def test_ramanujan_sum_matches_orthogonality_recursion():
+    # the q-th roots of unity are the primitive d-th roots over d | q, and
+    # their n-th powers sum to q when q | n and to 0 otherwise
+    for n in range(61):
+        exact: dict[int, int] = {}
+        for q in range(1, 31):
+            exact[q] = q * (n % q == 0) - sum(
+                exact[d] for d in range(1, q) if q % d == 0)
+            assert ramanujan_sum(q, n) == exact[q], (q, n)
 
 
 def test_sign_split_under_negation(leech, theta4):
