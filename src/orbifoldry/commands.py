@@ -7,7 +7,6 @@ loads the verification suite in `cli`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from math import ceil
@@ -16,7 +15,7 @@ from typing import Any
 
 from .datafiles import SUPPORTED_P
 from .lattice import DEFAULT_NODE_BUDGET
-from .report import plain
+from .report import json_text, plain
 
 # the acceptance depth: head coefficients to weight 2 plus cross-checks
 # through weight 4 are already decisive, and norm-6 theta data suffices
@@ -29,8 +28,7 @@ OUTPUT_FORMATS = ("json", "markdown")
 
 
 def _emit(payload: Any) -> None:
-    sys.stdout.write(json.dumps(plain(payload), indent=2, sort_keys=True)
-                     + "\n")
+    sys.stdout.write(json_text(plain(payload)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -46,7 +44,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_lattice_check(args: argparse.Namespace) -> int:
     from .lattice import Lattice, parse_matrix
-    lat = Lattice(parse_matrix(Path(args.file).read_text()), label=args.file)
+    lat = Lattice(parse_matrix(Path(args.file).read_text()))
     _emit({"file": args.file, "rank": lat.rank,
            "determinant": lat.determinant(),
            "even": True, "unimodular": lat.determinant() in (1, -1)})
@@ -56,7 +54,7 @@ def _cmd_lattice_check(args: argparse.Namespace) -> int:
 def _cmd_lattice_theta(args: argparse.Namespace) -> int:
     from .lattice import Lattice, enumerate_vectors_by_norm, parse_matrix
     from .qseries import FracSeries
-    lat = Lattice(parse_matrix(Path(args.file).read_text()), label=args.file)
+    lat = Lattice(parse_matrix(Path(args.file).read_text()))
     counts = enumerate_vectors_by_norm(lat, args.max_norm, budget=args.budget)
     # at grain 2 the term q^(norm/2) sits at key norm
     _emit({"file": args.file, "max_norm": args.max_norm,
@@ -68,7 +66,7 @@ def _cmd_lattice_theta(args: argparse.Namespace) -> int:
 def _cmd_isometry_profile(args: argparse.Namespace) -> int:
     from .isometry import Isometry, cyclotomic_profile, multiplicative_order
     from .lattice import Lattice, parse_matrix
-    lat = Lattice(parse_matrix(Path(args.lattice).read_text()), label=args.lattice)
+    lat = Lattice(parse_matrix(Path(args.lattice).read_text()))
     iso = Isometry(lat, parse_matrix(Path(args.matrix).read_text()))
     profile = cyclotomic_profile(iso)
     order = multiplicative_order(iso)
@@ -158,8 +156,7 @@ def _add_p(parser: argparse.ArgumentParser) -> None:
 
 def _add_data_dir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data-dir", dest="data_dir", type=Path, default=None,
-                        help="directory with the shipped data "
-                        "(also via ORBIFOLDRY_DATA)")
+                        help="directory with the shipped data")
 
 
 def _build_parser() -> argparse.ArgumentParser:

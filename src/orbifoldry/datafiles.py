@@ -1,7 +1,7 @@
 """Loaders for the matrices shipped with the package.
 
-The data directory resolves in order: explicit argument, the
-ORBIFOLDRY_DATA environment variable, then the packaged data/ folder.
+The data directory is the explicit argument, else the packaged data/
+folder.
 Shipped isometries are re-verified on every load.
 """
 
@@ -25,9 +25,6 @@ class DataMissing(FileNotFoundError):
 def resolve_data_dir(data_dir: str | os.PathLike | None = None) -> Path:
     if data_dir is not None:
         return Path(data_dir)
-    env = os.environ.get("ORBIFOLDRY_DATA")
-    if env:
-        return Path(env)
     return Path(__file__).parent / "data"
 
 
@@ -42,7 +39,7 @@ def _read(data_dir: str | os.PathLike | None, name: str) -> str:
 def load_leech(data_dir: str | os.PathLike | None = None) -> Lattice:
     """The rank-24 even unimodular lattice with minimal norm 4, as an
     LLL-reduced Gram matrix."""
-    lattice = Lattice(parse_matrix(_read(data_dir, LEECH_FILE)), label="leech")
+    lattice = Lattice(parse_matrix(_read(data_dir, LEECH_FILE)))
     if lattice.rank != 24 or lattice.determinant() != 1:
         raise ValueError("shipped lattice data is not unimodular of rank 24")
     return lattice

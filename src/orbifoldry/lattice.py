@@ -104,16 +104,15 @@ class Lattice:
 
     Invariants are checked at construction: the matrix must be square,
     symmetric, have even diagonal, and pass Sylvester's criterion.
-    Lattices are equal when their Gram matrices and labels are.
+    Lattices are equal when their Gram matrices are.
     """
 
     # _coinvariants: divisors of L/(1 - g)L by the matrix of g, filled by
     # Isometry.coinvariant_divisors
-    __slots__ = ("gram", "label", "_coinvariants", "_determinant")
+    __slots__ = ("gram", "_coinvariants", "_determinant")
 
-    def __init__(self, gram: Sequence[Sequence[int]], label: str = "") -> None:
+    def __init__(self, gram: Sequence[Sequence[int]]) -> None:
         self.gram = gram = _freeze(gram)
-        self.label = label
         self._coinvariants = {}
         n = len(gram)
         if any(len(row) != n for row in gram):
@@ -135,13 +134,13 @@ class Lattice:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented
-        return self.gram == other.gram and self.label == other.label
+        return self.gram == other.gram
 
     def __hash__(self) -> int:
-        return hash((self.gram, self.label))
+        return hash(self.gram)
 
     def __repr__(self) -> str:
-        return f"Lattice(gram={self.gram!r}, label={self.label!r})"
+        return f"Lattice(gram={self.gram!r})"
 
     @property
     def rank(self) -> int:

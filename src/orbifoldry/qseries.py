@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping
 
 
@@ -50,8 +50,8 @@ class FracSeries:
 
     coeffs maps k (grain units, possibly negative) to a nonzero coefficient,
     an int when integral and a Fraction otherwise; all keys satisfy
-    k <= cutoff.  Instances are value objects, equal and hashed
-    by their canonical (coarsest) grid; do not mutate one after construction.
+    k <= cutoff.  Instances are value objects, equal by weight cutoff and
+    coefficients whatever their grain; do not mutate one after construction.
     """
 
     __slots__ = ("grain", "coeffs", "cutoff")
@@ -142,20 +142,6 @@ class FracSeries:
         f = new_grain // self.grain
         return FracSeries(new_grain, {k * f: v for k, v in self.coeffs.items()}, self.cutoff * f)
 
-    def canonical(self) -> FracSeries:
-        """Coarsest equivalent grain (divides out common factors of the grid)."""
-        g = self.grain
-        for k in self.coeffs:
-            g = gcd(g, k)
-        if g <= 1 or self.grain == 1:
-            return self
-        # keep the cutoff exactly representable on the coarse grid
-        g = gcd(g, self.cutoff)
-        if g <= 1:
-            return self
-        return FracSeries(self.grain // g, {k // g: v for k, v in self.coeffs.items()},
-                          self.cutoff // g)
-
     def truncated(self, cutoff: Fraction | int) -> FracSeries:
         n = _to_grain_units(cutoff, self.grain)
         if n > self.cutoff:
@@ -176,8 +162,6 @@ class FracSeries:
         for k, v in b.coeffs.items():
             out[k] = out.get(k, 0) + v
         return FracSeries(a.grain, {k: v for k, v in out.items() if k <= n}, n)
-
-    __radd__ = __add__
 
     def __sub__(self, other: FracSeries | int | Fraction) -> FracSeries:
         return self + (-other)
@@ -258,12 +242,11 @@ class FracSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FracSeries):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a.grain == b.grain and a.cutoff == b.cutoff and a.coeffs == b.coeffs
+        return (self.weight_cutoff == other.weight_cutoff
+                and self.agrees_with(other))
 
     def __hash__(self) -> int:
-        c = self.canonical()
-        return hash((c.grain, c.cutoff))
+        return hash(self.weight_cutoff)
 
     def __repr__(self) -> str:
         parts = [f"{v}*q^({Fraction(k, self.grain)})" for k, v in sorted(self.coeffs.items())[:8]]

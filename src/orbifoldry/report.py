@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any, NamedTuple
 
-__all__ = ["ClaimEntry", "Report", "emit_report", "plain"]
+__all__ = ["ClaimEntry", "Report", "emit_report", "json_text", "plain"]
 
 
 def plain(value: Any) -> Any:
@@ -32,6 +32,11 @@ def plain(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+
+
+def json_text(value: Any) -> str:
+    """The one JSON byte format: two-space indent, sorted keys, newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class ClaimEntry(NamedTuple):
@@ -94,7 +99,7 @@ def _markdown(report: Report) -> str:
 def emit_report(report: Report, output_format: str = "json") -> str:
     """Render the report; 'json' or 'markdown', both deterministic."""
     if output_format == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(report.to_dict())
     if output_format == "markdown":
         return _markdown(report)
     raise ValueError(f"unknown report format {output_format!r}")

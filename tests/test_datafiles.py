@@ -1,11 +1,13 @@
 """Data directory resolution and shipped-data regression checks."""
 
+import json
 import shutil
 from pathlib import Path
 
 import pytest
 
 from orbifoldry import datafiles
+from orbifoldry.commands import main
 from orbifoldry.datafiles import (
     DataMissing,
     load_leech,
@@ -15,25 +17,27 @@ from orbifoldry.datafiles import (
 )
 
 
-def test_packaged_data_resolves_by_default(monkeypatch):
-    monkeypatch.delenv("ORBIFOLDRY_DATA", raising=False)
+def test_packaged_data_resolves_by_default():
     assert (resolve_data_dir() / "leech_gram.txt").exists()
 
 
-def test_env_var_overrides_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("ORBIFOLDRY_DATA", str(tmp_path))
-    assert resolve_data_dir() == tmp_path
-    with pytest.raises(DataMissing):
-        load_leech()
-
-
-def test_argument_overrides_env(tmp_path, monkeypatch):
+def test_argument_alone_selects_the_data_dir(tmp_path):
     packaged = resolve_data_dir()
-    copy = tmp_path / "copy"
-    copy.mkdir()
-    shutil.copy(packaged / "leech_gram.txt", copy / "leech_gram.txt")
-    monkeypatch.setenv("ORBIFOLDRY_DATA", str(tmp_path / "empty"))
-    assert load_leech(data_dir=copy).rank == 24
+    assert resolve_data_dir(tmp_path) == tmp_path
+    with pytest.raises(DataMissing):
+        load_leech(data_dir=tmp_path)
+    shutil.copy(packaged / "leech_gram.txt", tmp_path / "leech_gram.txt")
+    assert load_leech(data_dir=tmp_path).rank == 24
+    assert resolve_data_dir() == packaged
+
+
+def test_environment_does_not_move_the_data_dir(tmp_path, monkeypatch, capsys):
+    # the report records the data directory it read; a directory named
+    # only by the environment would be read but reported as null
+    monkeypatch.setenv("ORBIFOLDRY_DATA", str(tmp_path))
+    assert main(["verify", "--p", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] and report["config"]["data_dir"] is None
 
 
 def test_unsupported_p_rejected(tmp_path):

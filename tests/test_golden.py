@@ -58,7 +58,6 @@ def _command_paths(parser: argparse.ArgumentParser,
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_stdout_matches_the_golden_report(name, capsys, monkeypatch):
-    monkeypatch.delenv("ORBIFOLDRY_DATA", raising=False)
     monkeypatch.chdir(ROOT)
     assert main(COMMANDS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -352,14 +352,14 @@ def main() -> None:
 
     basis = build_basis(code)
     gram = gram_of(basis)
-    lattice_raw = Lattice(gram=tuple(tuple(r) for r in gram), label="raw")
+    lattice_raw = Lattice(gram=tuple(tuple(r) for r in gram))
     assert lattice_raw.determinant() == 1, "lattice must be unimodular"
     print(f"[2/5] basis and Gram matrix done ({time.time() - t0:.1f}s)", flush=True)
 
     gram_red, transform = lll_gram(gram)
     check = mat_mul(mat_mul(transform, gram), list(map(list, zip(*transform))))
     assert check == gram_red, "LLL transform mismatch"
-    lattice = Lattice(gram=tuple(tuple(r) for r in gram_red), label="leech")
+    lattice = Lattice(gram=tuple(tuple(r) for r in gram_red))
     assert lattice.determinant() == 1
     print(f"[3/5] exact LLL reduction done ({time.time() - t0:.1f}s)", flush=True)
 
