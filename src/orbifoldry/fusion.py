@@ -25,9 +25,6 @@ from .sectors import eigencomponent_character, sector_invariants, twisted_charac
 __all__ = [
     "IsotropicSubgroup",
     "MAX_ISOTROPIC_MODULUS",
-    "ModulusTooLarge",
-    "NotSeparable",
-    "WeightHypothesisFailed",
     "integral_weight_labels",
     "maximal_isotropic_subgroups",
     "orbifold_character",
@@ -39,18 +36,6 @@ __all__ = [
 MAX_ISOTROPIC_MODULUS = 30
 
 Label = tuple[int, int]
-
-
-class ModulusTooLarge(ValueError):
-    """Exhaustive enumeration refused beyond MAX_ISOTROPIC_MODULUS."""
-
-
-class NotSeparable(ValueError):
-    """A twisted sector's integral-weight class mixes several labels."""
-
-
-class WeightHypothesisFailed(ValueError):
-    """A sector's conformal weight does not lie in (1/n)Z."""
 
 
 def _q(a: Label, n: int) -> int:
@@ -112,7 +97,7 @@ def maximal_isotropic_subgroups(n: int) -> list[IsotropicSubgroup]:
     if n < 1:
         raise ValueError("modulus must be positive")
     if n > MAX_ISOTROPIC_MODULUS:
-        raise ModulusTooLarge(
+        raise ValueError(
             f"exhaustive enumeration is capped at n = {MAX_ISOTROPIC_MODULUS}")
     null = [(i, j) for i in range(n) for j in range(n) if _q((i, j), n) == 0]
     spans: list[frozenset[Label]] = []
@@ -154,8 +139,9 @@ def orbifold_character(g: Isometry, cutoff: Fraction | int,
 
     A sector whose unique integral-weight label is j = 0 adds its class.
     A sector with several labels aggregates several simple modules in
-    that class, so it is reported as NotSeparable unless its conformal
-    weight lies above the cutoff, where it adds nothing.  theta is the
+    that class, so it is refused with a ValueError unless its conformal
+    weight lies above the cutoff, where it adds nothing.  So is a sector
+    whose conformal weight is not a multiple of 1/n.  theta is the
     theta series of the lattice of g, which the untwisted part reads.
     """
     n = multiplicative_order(g)
@@ -163,7 +149,7 @@ def orbifold_character(g: Isometry, cutoff: Fraction | int,
     for i in range(1, n):
         inv = sector_invariants(g, i)
         if (inv.rho * n).denominator != 1:
-            raise WeightHypothesisFailed(
+            raise ValueError(
                 f"sector {i} has conformal weight {inv.rho}, "
                 f"not a multiple of 1/{n}")
         labels = integral_weight_labels(n, i)
@@ -171,7 +157,7 @@ def orbifold_character(g: Isometry, cutoff: Fraction | int,
             twisted = twisted_character(inv, Fraction(cutoff))
             total = total + twisted.extract_weight_class(0)
         elif inv.rho <= cutoff:
-            raise NotSeparable(
+            raise ValueError(
                 f"sector {i} has integral-weight labels {sorted(labels)} "
                 f"at conformal weight {inv.rho}, within the cutoff")
     return total

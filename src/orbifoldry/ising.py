@@ -16,16 +16,11 @@ from .qseries import FracSeries, euler_product
 
 __all__ = [
     "ALLOWED_WEIGHTS",
-    "UnknownHighestWeight",
     "c12_character",
     "extension_weight_one_check",
 ]
 
 ALLOWED_WEIGHTS = (Fraction(0), Fraction(1, 2), Fraction(1, 16))
-
-
-class UnknownHighestWeight(ValueError):
-    """Highest weight outside {0, 1/2, 1/16}."""
 
 
 def _fermion_product(first: Fraction, cutoff: Fraction, sign: int,
@@ -48,7 +43,7 @@ def c12_character(h: Fraction | int, cutoff: Fraction | int) -> FracSeries:
     hw = Fraction(h)
     c = Fraction(cutoff)
     if hw not in ALLOWED_WEIGHTS:
-        raise UnknownHighestWeight(f"no simple module of weight {h}")
+        raise ValueError(f"no simple module of weight {h}")
     if c < hw:
         raise ValueError(f"cutoff {c} is below the leading weight {hw}")
     if hw == Fraction(1, 16):

@@ -39,20 +39,6 @@ from .lattice import Lattice, _freeze, quotient_invariants
 CHARPOLY_PRIME = 2**61 - 1
 
 
-class NotGramPreserving(ValueError):
-    """The matrix does not preserve the lattice inner product."""
-
-
-class NonCyclotomicFactor(ArithmeticError):
-    """The matrix is not of finite order: its lifted characteristic
-    polynomial has a non-cyclotomic factor.  Unreachable for
-    Gram-verified isometries."""
-
-
-class OrderDoesNotDivide(ValueError):
-    """A modulus m was supplied with g^m != identity."""
-
-
 # ----- integer matrix helpers ------------------------------------------
 
 
@@ -91,7 +77,7 @@ class Isometry:
         mt = list(zip(*matrix))
         mg = _mat_mul(mt, gram)
         if _freeze(_mat_mul(mg, matrix)) != gram:
-            raise NotGramPreserving("matrix.T @ gram @ matrix != gram")
+            raise ValueError("matrix.T @ gram @ matrix != gram")
         # det(M)^2 det(G) = det(G) > 0 then forces det(M) = +-1
         self._powers = {}
 
@@ -139,7 +125,7 @@ class Isometry:
 
     @cached_property
     def coinvariant_divisors(self) -> tuple[int, ...]:
-        """Elementary divisors > 1 of L/(1 - g)L; raises SingularMatrix
+        """Elementary divisors > 1 of L/(1 - g)L; raises ArithmeticError
         when 1 - g is singular.  The result is kept per lattice by matrix,
         so the negation and a power equal to -1 share one Smith form."""
         known = self.lattice._coinvariants
@@ -309,7 +295,7 @@ class CycloProfile(NamedTuple):
         if modulus < 1:
             raise ValueError("modulus must be positive")
         if modulus % self.order:
-            raise OrderDoesNotDivide(f"isometry order {self.order} does not divide {modulus}")
+            raise ValueError(f"isometry order {self.order} does not divide {modulus}")
         table = self.as_dict()
         return tuple(table.get(modulus // gcd(j, modulus), 0) for j in range(modulus))
 
@@ -344,7 +330,8 @@ def cyclotomic_profile(g: Isometry) -> CycloProfile:
 
 def _lifted_profile(charpoly: Sequence[int]) -> CycloProfile:
     """Cyclotomic factorization of a lifted charpoly (highest power first);
-    NonCyclotomicFactor if it does not factor completely."""
+    ArithmeticError if it does not factor completely, which a Gram-verified
+    isometry, of finite order, cannot reach."""
     poly = list(reversed(charpoly))
     factors: dict[int, int] = {}
     for d in _cyclotomic_orders(len(charpoly) - 1):
@@ -358,7 +345,7 @@ def _lifted_profile(charpoly: Sequence[int]) -> CycloProfile:
         if len(poly) == 1:
             break
     if poly != [1]:
-        raise NonCyclotomicFactor("characteristic polynomial has a non-cyclotomic factor")
+        raise ArithmeticError("characteristic polynomial has a non-cyclotomic factor")
     return CycloProfile.of(factors)
 
 

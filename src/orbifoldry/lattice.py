@@ -27,22 +27,6 @@ DEFAULT_NODE_BUDGET = 10**9
 MEMO_MINOR_LIMIT = 1 << 12
 
 
-class ParseError(ValueError):
-    """Lattice text data is malformed (shape, tokens, or symmetry)."""
-
-
-class NotEven(ValueError):
-    """A Gram matrix has an odd diagonal entry."""
-
-
-class NotPositiveDefinite(ValueError):
-    """A Gram matrix fails Sylvester's criterion."""
-
-
-class SingularMatrix(ArithmeticError):
-    """A nonsingular matrix is required but the determinant is zero."""
-
-
 class BudgetExceeded(RuntimeError):
     """Enumeration hit its candidate budget; partial counts are discarded.
 
@@ -116,17 +100,17 @@ class Lattice:
         self._coinvariants = {}
         n = len(gram)
         if any(len(row) != n for row in gram):
-            raise ParseError("gram matrix must be square")
+            raise ValueError("gram matrix must be square")
         for i in range(n):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
-                    raise ParseError(f"gram matrix is not symmetric at ({i},{j})")
+                    raise ValueError(f"gram matrix is not symmetric at ({i},{j})")
         for i in range(n):
             if gram[i][i] % 2:
-                raise NotEven(f"diagonal entry {gram[i][i]} at index {i} is odd")
+                raise ValueError(f"diagonal entry {gram[i][i]} at index {i} is odd")
         minors = _bareiss(gram)[0]
         if len(minors) < n or any(m <= 0 for m in minors):
-            raise NotPositiveDefinite("a leading principal minor is not positive")
+            raise ValueError("a leading principal minor is not positive")
         # a positive definite Gram needs no row swaps: its determinant is
         # the last leading minor
         self._determinant = minors[-1] if n else 1
@@ -158,28 +142,28 @@ def parse_matrix(source: str) -> IntMatrix:
     lines = [text for text in (raw.split("#", 1)[0].strip()
                                for raw in source.splitlines()) if text]
     if not lines:
-        raise ParseError("empty matrix description")
+        raise ValueError("empty matrix description")
     head = lines[0].split()
     if len(head) != 1:
-        raise ParseError("first data line must contain the size alone")
+        raise ValueError("first data line must contain the size alone")
     try:
         size = int(head[0])
     except ValueError as exc:
-        raise ParseError(f"size is not an integer: {head[0]!r}") from exc
+        raise ValueError(f"size is not an integer: {head[0]!r}") from exc
     if size < 0:
-        raise ParseError("size must be nonnegative")
+        raise ValueError("size must be nonnegative")
     rows = lines[1:]
     if len(rows) != size:
-        raise ParseError(f"expected {size} matrix rows, found {len(rows)}")
+        raise ValueError(f"expected {size} matrix rows, found {len(rows)}")
     matrix = []
     for idx, line in enumerate(rows):
         parts = line.split()
         if len(parts) != size:
-            raise ParseError(f"row {idx} has {len(parts)} entries, expected {size}")
+            raise ValueError(f"row {idx} has {len(parts)} entries, expected {size}")
         try:
             matrix.append(tuple(int(p) for p in parts))
         except ValueError as exc:
-            raise ParseError(f"row {idx} contains a non-integer entry") from exc
+            raise ValueError(f"row {idx} contains a non-integer entry") from exc
     return tuple(matrix)
 
 
@@ -274,7 +258,7 @@ def quotient_invariants(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> li
         raise ValueError("matrix shape does not match lattice rank")
     form = smith_normal_form(matrix)
     if 0 in form.invariants:
-        raise SingularMatrix("matrix has determinant zero")
+        raise ArithmeticError("matrix has determinant zero")
     return [d for d in form.invariants if d > 1]
 
 

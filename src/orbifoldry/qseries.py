@@ -5,7 +5,7 @@ Coefficients are exact rationals, stored as ints where integral and as
 Fractions only otherwise; exponents are integers in grain units, and
 every series carries an explicit truncation cutoff: the coefficient of q^(k/D)
 is exact for all k <= cutoff and undefined past it.  Reading past the cutoff
-raises BeyondCutoff rather than returning a silent zero.
+raises LookupError rather than returning a silent zero.
 
 Finite Laurent tails (negative exponents) are allowed; infinite tails are not.
 All values are immutable: operations return new series.
@@ -19,18 +19,6 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
-
-
-class ZeroLeadingTerm(ArithmeticError):
-    """Inversion requires a nonzero leading coefficient."""
-
-
-class NonPositiveExponent(ValueError):
-    """Graded product modes must sit at strictly positive exponents."""
-
-
-class BeyondCutoff(LookupError):
-    """A coefficient past the stored truncation cutoff was requested."""
 
 
 def _as_fraction(x: int | Fraction) -> Fraction:
@@ -106,14 +94,14 @@ class FracSeries:
     def leading_term(self) -> tuple[Fraction, int | Fraction]:
         """(exponent, coefficient) of the lowest-order term."""
         if not self.coeffs:
-            raise ZeroLeadingTerm("zero series has no leading term")
+            raise ArithmeticError("zero series has no leading term")
         k = min(self.coeffs)
         return Fraction(k, self.grain), self.coeffs[k]
 
     def coefficient_at(self, exponent: Fraction | int) -> int | Fraction:
         e = _as_fraction(exponent)
         if e > self.weight_cutoff:
-            raise BeyondCutoff(f"coefficient at {e} requested, cutoff is {self.weight_cutoff}")
+            raise LookupError(f"coefficient at {e} requested, cutoff is {self.weight_cutoff}")
         scaled = e * self.grain
         if scaled.denominator != 1:
             return 0
@@ -145,7 +133,7 @@ class FracSeries:
     def truncated(self, cutoff: Fraction | int) -> FracSeries:
         n = _to_grain_units(cutoff, self.grain)
         if n > self.cutoff:
-            raise BeyondCutoff(f"cannot extend cutoff {self.weight_cutoff} to {cutoff}")
+            raise LookupError(f"cannot extend cutoff {self.weight_cutoff} to {cutoff}")
         return FracSeries(self.grain, {k: v for k, v in self.coeffs.items() if k <= n}, n)
 
     # ----- ring operations ----------------------------------------------
@@ -200,7 +188,7 @@ class FracSeries:
         self's coefficients through t + s.
         """
         if not self.coeffs:
-            raise ZeroLeadingTerm("cannot invert the zero series")
+            raise ArithmeticError("cannot invert the zero series")
         t = min(self.coeffs)
         n_inv = self.cutoff - 2 * t
         lead = self.coeffs[t]
@@ -283,7 +271,7 @@ def euler_product(multiplicities: Mapping[int, int], n: int) -> list[int]:
     c = [0] * (n + 1)
     for s, m in multiplicities.items():
         if s < 1:
-            raise NonPositiveExponent(f"factor exponent {s} must be positive")
+            raise ValueError(f"factor exponent {s} must be positive")
         for k in range(s, n + 1, s):
             c[k] += s * m
     steps = [(k, ck) for k, ck in enumerate(c) if ck]
@@ -305,13 +293,13 @@ def grading_product(modes: Iterable[tuple[Fraction | int, int]],
     with the given multiplicity.  Only modes with e + k <= cutoff matter.
     The towers become euler_product multiplicities in grain units.
 
-    Raises NonPositiveExponent if some mode exponent e is <= 0.
+    Raises ValueError if some mode exponent e is <= 0.
     """
     mode_list = [(_as_fraction(e), mult) for e, mult in modes]
     g = grain if grain is not None else 1
     for e, mult in mode_list:
         if e <= 0:
-            raise NonPositiveExponent(f"mode exponent {e} must be positive")
+            raise ValueError(f"mode exponent {e} must be positive")
         if mult < 0:
             raise ValueError(f"multiplicity {mult} must be nonnegative")
         g = lcm(g, e.denominator)

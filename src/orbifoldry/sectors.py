@@ -24,26 +24,7 @@ from .isometry import (
     multiplicative_order,
     power_profile,
 )
-from .lattice import SingularMatrix
 from .qseries import FracSeries, grading_product
-
-
-class FixedPointsPresent(ValueError):
-    """The eigenvalue-1 space is nonzero where a fixed-point-free action
-    is required."""
-
-
-class SingularOneMinusG(ArithmeticError):
-    """1 - g^i is singular, so the defect quotient is infinite."""
-
-
-class NotPerfectSquare(ArithmeticError):
-    """|L/(1-g^i)L| is not a perfect square; the input data is corrupt."""
-
-
-class UnsupportedFixedSublattice(ValueError):
-    """A twined trace was requested for a power with a nonzero fixed
-    sublattice; the lattice contribution is underdetermined there."""
 
 
 # ----- numeric invariants ------------------------------------------------
@@ -56,7 +37,7 @@ def conformal_weight(eig_dims: Sequence[int]) -> Fraction:
     if not m:
         raise ValueError("eigenspace vector must be nonempty")
     if eig_dims[0] != 0:
-        raise FixedPointsPresent("eigenvalue-1 multiplicity must vanish")
+        raise ValueError("eigenvalue-1 multiplicity must vanish")
     total = sum(j * (m - j) * d for j, d in enumerate(eig_dims))
     return Fraction(total, 4 * m * m)
 
@@ -69,16 +50,13 @@ def defect_dimension(g: Isometry, i: int) -> int:
     Then g^i = h^j with j prime to the order M of h, and (1 - h^j)L =
     (1 - h)L, since 1 - h^j = (1 - h)(1 + h + ... + h^(j-1)) and 1 - h =
     (1 - h^j)(1 + h^j + ... + h^(j(k-1))) with jk = 1 mod M."""
-    try:
-        divisors = g.power(gcd(i, multiplicative_order(g))).coinvariant_divisors
-    except SingularMatrix as exc:
-        raise SingularOneMinusG(f"1 - g^{i} is singular") from exc
+    divisors = g.power(gcd(i, multiplicative_order(g))).coinvariant_divisors
     order = 1
     for d in divisors:
         order *= d
     root = isqrt(order)
     if root * root != order:
-        raise NotPerfectSquare(f"|L/(1-g^{i})L| = {order} is not a square")
+        raise ArithmeticError(f"|L/(1-g^{i})L| = {order} is not a square")
     return root
 
 
@@ -169,7 +147,7 @@ def twined_untwisted_character(g: Isometry, j: int, cutoff: Fraction | int,
     if fixed == n_rank:
         series = theta * _fock_product(n_rank, top)
     elif fixed:
-        raise UnsupportedFixedSublattice(
+        raise ValueError(
             "the power has a nonzero fixed sublattice; its character is "
             "not determined at this level")
     else:

@@ -8,7 +8,7 @@ with qseries.euler_product beyond the series ring itself.
 from fractions import Fraction
 from math import comb, lcm
 
-from orbifoldry.qseries import FracSeries, NonPositiveExponent
+from orbifoldry.qseries import FracSeries
 
 
 def direct_product(multiplicities, grain, n):
@@ -37,7 +37,7 @@ def direct_grading_product(modes, cutoff, grain=None):
     for e, mult in modes:
         ef = Fraction(e)
         if ef <= 0:
-            raise NonPositiveExponent(f"mode exponent {ef} must be positive")
+            raise ValueError(f"mode exponent {ef} must be positive")
         g = lcm(g, ef.denominator)
         if mult:
             mode_list.append((ef, mult))

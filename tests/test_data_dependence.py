@@ -4,8 +4,8 @@ Invariance tests change what must not matter (the generator of <sigma>,
 the basis of the lattice) and expect the shipped report byte for byte.
 Falsifiability tests change what must matter (the lattice, the class of
 sigma, one Gram entry) and expect named claims to fail.  Every data
-directory is built in the test from the shipped files or from the E8
-Cartan matrix; no data file is added.
+directory is built in the test from the shipped files, from the E8
+Cartan matrix or from A_{p-1} and a glue code; no data file is added.
 """
 
 import random
@@ -18,6 +18,7 @@ import pytest
 from orbifoldry.cli import CLAIM_REGISTRY, RunConfig, run_verification_suite
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma, resolve_data_dir
 from orbifoldry.isometry import _mat_mul
+from orbifoldry.lattice import Lattice
 from orbifoldry.report import Report, emit_report
 
 # ----- data directories -------------------------------------------------------
@@ -64,6 +65,76 @@ def e8_cubed(tmp_path_factory, p, k):
     write_matrix(dest / "leech_gram.txt", block_diagonal(E8_CARTAN, 3))
     c_k = reduce(_mat_mul, [e8_coxeter_element()] * k)
     write_matrix(dest / f"sigma_p{p}.txt", block_diagonal(c_k, 3))
+    return dest
+
+
+def echelon_basis(rows):
+    """A basis of the span of integer rows, in row echelon form: row k is
+    zero left of its pivot, and the pivots move right."""
+    rows = [list(row) for row in rows if any(row)]
+    basis = []
+    while rows:
+        col = min(next(c for c, x in enumerate(row) if x) for row in rows)
+        active = [row for row in rows if row[col]]
+        rows = [row for row in rows if not row[col]]
+        # Euclid on column col: reduce every row by the smallest entry
+        while len(active) > 1:
+            pivot = min(active, key=lambda row: abs(row[col]))
+            rest = []
+            for row in active:
+                if row is not pivot:
+                    q = row[col] // pivot[col]
+                    row[:] = [x - q * y for x, y in zip(row, pivot)]
+                    if row[col]:
+                        rest.append(row)
+                    elif any(row):
+                        rows.append(row)
+            active = [pivot, *rest]
+        basis.append(active[0])
+    return basis
+
+
+def echelon_coordinates(basis, vector):
+    """x with sum x_k basis[k] = vector, by substitution from the left
+    pivot: only row k is nonzero at its pivot among rows k, k+1, ..."""
+    coords = []
+    for row in basis:
+        col = next(c for c, x in enumerate(row) if x)
+        q, r = divmod(vector[col], row[col])
+        assert r == 0
+        coords.append(q)
+        vector = [x - q * y for x, y in zip(vector, row)]
+    assert not any(vector)
+    return coords
+
+
+def niemeier(tmp_path_factory, p, glue):
+    """N_p = A_{p-1}^k (k = 24/(p-1)) glued by the words in glue, the
+    Niemeier lattice of Coxeter number p, with sigma = -(the cyclic shift
+    of the p coordinates of each A_{p-1} in Z^p), of profile Phi_2p^k.
+
+    Vectors are kept in p Z^(pk), p times their coordinates, so that the
+    glue vector [i] of A_{p-1}, (i/p)^(p-i) ((i-p)/p)^i, is integral.  The
+    shift is a Weyl group element, which fixes each glue class, and -1
+    maps the glue code to itself, so sigma preserves N_p."""
+    k = 24 // (p - 1)
+    roots = [[p * (int(c == b * p + a) - int(c == b * p + a + 1))
+              for c in range(p * k)] for b in range(k) for a in range(p - 1)]
+    glue_vectors = [[x for i in word for x in [i] * (p - i) + [i - p] * i]
+                    for word in glue]
+    basis = echelon_basis(roots + glue_vectors)
+    gram = [[sum(x * y for x, y in zip(u, v)) // (p * p) for v in basis]
+            for u in basis]
+    assert len(basis) == 24 and Lattice(gram).determinant() == 1
+
+    def sigma(v):
+        return [-v[b * p + (a - 1) % p] for b in range(k) for a in range(p)]
+
+    images = [echelon_coordinates(basis, sigma(u)) for u in basis]
+    dest = tmp_path_factory.mktemp(f"niemeier_p{p}")
+    write_matrix(dest / "leech_gram.txt", gram)
+    # column k of sigma's matrix holds the image of basis vector k
+    write_matrix(dest / f"sigma_p{p}.txt", [list(col) for col in zip(*images)])
     return dest
 
 
@@ -154,6 +225,10 @@ def gram_pair_changed(tmp_path_factory):
 MUTANTS = {
     "e8cubed-p3": (3, lambda factory: e8_cubed(factory, 3, 5)),
     "e8cubed-p5": (5, lambda factory: e8_cubed(factory, 5, 3)),
+    # A6^4 and A12^2 (Conway and Sloane, SPLAG, Table 16.1)
+    "niemeier-p7": (7, lambda factory: niemeier(
+        factory, 7, [(1, 2, 1, 6), (1, 6, 2, 1), (1, 1, 6, 2)])),
+    "niemeier-p13": (13, lambda factory: niemeier(factory, 13, [(1, 5)])),
     "sigma-squared": (5, sigma_squared),
     "gram-pair": (5, gram_pair_changed),
 }
@@ -167,7 +242,8 @@ READS_SIGMA = ("isometry-witness", "eigenspace-dims", "conformal-weights",
 
 FALSIFIABILITY = [
     *(pytest.param(mutant, slug, id=f"{mutant}-{slug}")
-      for mutant in ("e8cubed-p3", "e8cubed-p5")
+      for mutant in ("e8cubed-p3", "e8cubed-p5", "niemeier-p7",
+                     "niemeier-p13")
       for slug in ("weight-one-dim", "moonshine-character", "z2-split",
                    "lattice-ground-truth")),
     *(pytest.param("sigma-squared", slug, id=f"sigma-squared-{slug}")
@@ -179,19 +255,15 @@ FALSIFIABILITY = [
 
 @pytest.fixture(scope="module")
 def mutant_reports(tmp_path_factory):
-    """The suite on each mutant, run once: a Report, or the exception
-    that the command line turns into exit 2."""
+    """The suite's report on each mutant, run once.  A suite that raises
+    fails the row that asked for it: a broken fixture shows nothing."""
     reports = {}
 
     def run(mutant):
         if mutant not in reports:
             p, build = MUTANTS[mutant]
-            try:
-                reports[mutant] = run_verification_suite(
-                    RunConfig(p=p, data_dir=build(tmp_path_factory)))
-            except (ValueError, ArithmeticError, RuntimeError, LookupError,
-                    OSError) as exc:
-                reports[mutant] = exc
+            reports[mutant] = run_verification_suite(
+                RunConfig(p=p, data_dir=build(tmp_path_factory)))
         return reports[mutant]
 
     return run
@@ -201,8 +273,6 @@ def mutant_reports(tmp_path_factory):
 def test_changed_data_fails_the_claims_that_read_it(mutant_reports, mutant,
                                                      slug):
     report = mutant_reports(mutant)
-    if isinstance(report, Exception):
-        return
     entry = next(e for e in report.entries if e.claim == slug)
     assert not entry.passed, entry.computed
 
@@ -214,15 +284,28 @@ def test_every_claim_is_falsifiable_or_listed_as_data_free():
     assert not rows & set(CANNOT_FAIL_ON_DATA)
 
 
-def test_e8_cubed_theta_reaches_the_character(mutant_reports):
-    # the character's weight-one coefficient is N_2 / p: 720/3 and 720/5;
-    # the order-2p extension adds N_2 / 2p untwisted vectors to its 24
-    for mutant, head, weight_one in (("e8cubed-p3", [1, 240, 196884], 144),
-                                     ("e8cubed-p5", [1, 144, 196884], 96)):
-        by_slug = {e.claim: e for e in mutant_reports(mutant).entries}
-        assert by_slug["moonshine-character"].computed["head"] == head
-        assert by_slug["weight-one-dim"].computed["total"] == weight_one
-        # the involution fixes e^a + e^-a for each of the N_2 / 2 root pairs
-        split = by_slug["z2-split"].computed
-        assert (split["even_weight1"], split["twisted_integral_weight1"]) \
-            == (360, 0)
+# mutant: the counts of norms 0, 2, 4 and 6, and N_2 (the number of roots)
+THETA_READERS = {
+    "e8cubed-p3": ((1, 720, 179280, 16954560), 720),
+    "e8cubed-p5": ((1, 720, 179280, 16954560), 720),
+    "niemeier-p7": ((1, 168, 192528, 16815456), 168),
+    "niemeier-p13": ((1, 312, 189072, 16851744), 312),
+}
+
+
+@pytest.mark.parametrize("mutant", THETA_READERS)
+def test_the_lattice_theta_reaches_the_character(mutant_reports, mutant):
+    counts, roots = THETA_READERS[mutant]
+    p = MUTANTS[mutant][0]
+    by_slug = {e.claim: e for e in mutant_reports(mutant).entries}
+    assert by_slug["lattice-ground-truth"].computed["norm_counts"] == {
+        str(2 * w): c for w, c in enumerate(counts)}
+    # the character's weight-one coefficient is N_2 / p; the order-2p
+    # extension adds N_2 / 2p untwisted vectors to its 24
+    assert by_slug["moonshine-character"].computed["head"] == [
+        1, roots // p, 196884]
+    assert by_slug["weight-one-dim"].computed["total"] == 24 + roots // (2 * p)
+    # the involution fixes e^a + e^-a for each of the N_2 / 2 root pairs
+    split = by_slug["z2-split"].computed
+    assert (split["even_weight1"], split["twisted_integral_weight1"]) \
+        == (roots // 2, 0)

@@ -1,16 +1,20 @@
-"""Imports in src/orbifoldry/, and in tools/ for the two static checks.
+"""Imports and names in src/orbifoldry/, and in tools/ for the static checks.
 
 Every module-level import is read somewhere in its module: a parameter
 deleted from a signature must not leave the import it needed behind, and
 listing a name in __all__ is not a use, so no module re-exports another's
 names.  Every name in a module's __all__ is one the module defines, so a
-deleted name cannot linger there.  Importing the package loads nothing else, and each module
+deleted name cannot linger there.  Every exception class a module defines
+is caught by name somewhere: an error no handler tells apart is raised
+as the built-in it would extend, and its message says what went wrong.
+Importing the package loads nothing else, and each module
 imports on its own; those checks run in fresh interpreters, since this
 process has already imported every module.  The same probe runs each
 command through the front end: only `verify` loads the suite in `cli`.
 """
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -91,6 +95,63 @@ def test_the_check_sees_stale_and_imported_exports():
               "def f(): pass\n"
               "class Box: pass\n")
     assert undefined_exports(source) == ["Gone", "gcd"]
+
+
+def exception_classes(tree, known=frozenset()):
+    """Names of the classes in the module body that extend a built-in
+    exception or a name in known."""
+    def is_exception(base):
+        name = (base.id if isinstance(base, ast.Name)
+                else base.attr if isinstance(base, ast.Attribute) else None)
+        builtin = getattr(builtins, name or "", None)
+        return name in known or (isinstance(builtin, type)
+                                 and issubclass(builtin, BaseException))
+
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(map(is_exception, node.bases))}
+
+
+def caught_names(tree):
+    """Names in the except clauses of a module: `X`, `m.X`, or tuples."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            names.update(kind.id if isinstance(kind, ast.Name) else kind.attr
+                         for kind in kinds
+                         if isinstance(kind, (ast.Name, ast.Attribute)))
+    return names
+
+
+def uncaught_exception_classes(sources):
+    trees = [ast.parse(source) for source in sources]
+    # to a fixed point, for a class that extends one defined elsewhere
+    defined, grown = None, set()
+    while grown != defined:
+        defined, grown = grown, set().union(*(exception_classes(tree, grown)
+                                              for tree in trees))
+    caught = set().union(*map(caught_names, trees))
+    return sorted(defined - caught)
+
+
+def test_every_exception_class_is_caught_by_name():
+    assert uncaught_exception_classes(path.read_text() for path in SOURCES) == []
+
+
+def test_the_check_sees_uncaught_exception_classes():
+    sources = ("class Refused(ValueError): pass\n"
+               "class Deeper(Refused): pass\n"
+               "class Plain: pass\n"
+               "class Missing(LookupError): pass\n",
+               "class Further(m.Refused): pass\n"
+               "class Farther(Deeper): pass\n"
+               "try:\n"
+               "    pass\n"
+               "except (Refused, m.Missing):\n"
+               "    pass\n")
+    assert uncaught_exception_classes(sources) == ["Deeper", "Farther",
+                                                   "Further"]
 
 
 # standard modules that loading the data has no use for: argparse serves

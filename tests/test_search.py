@@ -38,7 +38,8 @@ def test_search_singleton_negation(leech):
 def test_search_not_found(leech):
     ident = Isometry(leech, [[int(i == j) for j in range(24)]
                              for i in range(24)])
-    with pytest.raises(search.NotFound):
+    with pytest.raises(LookupError,
+                       match="no generator word matched the target profile in 25 attempts"):
         search.search_isometry([ident], CycloProfile.of({6: 12}),
                                budget=25, seed=1)
 

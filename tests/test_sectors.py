@@ -7,6 +7,7 @@ tables for the classical graded dimensions.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -19,14 +20,10 @@ from orbifoldry.isometry import (
     multiplicative_order,
     negation_isometry,
 )
-from orbifoldry.lattice import Lattice, SingularMatrix, quotient_invariants, theta_series
+from orbifoldry.lattice import Lattice, quotient_invariants, theta_series
 from orbifoldry.modular import unimodular_theta_rank24
 from orbifoldry.sectors import (
-    FixedPointsPresent,
-    NotPerfectSquare,
     SectorInvariants,
-    SingularOneMinusG,
-    UnsupportedFixedSublattice,
     conformal_weight,
     defect_dimension,
     eigencomponent_character,
@@ -102,7 +99,7 @@ def test_conformal_weight_examples():
     assert conformal_weight((0, 12, 0, 0, 0, 12)) == Fraction(5, 6)
     with pytest.raises(ValueError):
         conformal_weight(())
-    with pytest.raises(FixedPointsPresent):
+    with pytest.raises(ValueError, match="eigenvalue-1 multiplicity must vanish"):
         conformal_weight((1, 23))
 
 
@@ -149,9 +146,9 @@ def test_lower_modulus_consistency(sigmas, leech, p):
 
 
 def test_identity_power_rejected(leech, sigmas):
-    with pytest.raises(FixedPointsPresent):
+    with pytest.raises(ValueError, match="eigenvalue-1 multiplicity must vanish"):
         sector_invariants(sigmas[3], 0)
-    with pytest.raises(FixedPointsPresent):
+    with pytest.raises(ValueError, match="eigenvalue-1 multiplicity must vanish"):
         sector_invariants(sigmas[3], 6)
 
 
@@ -159,7 +156,7 @@ def test_sector_invariants_validation():
     good = SectorInvariants(defect_dim=4096, eig_dims=(0, 24))
     assert good.modulus == 2 and good.rho == Fraction(3, 2)
     # the weight is defined only for a fixed-point-free sector
-    with pytest.raises(FixedPointsPresent):
+    with pytest.raises(ValueError, match="eigenvalue-1 multiplicity must vanish"):
         SectorInvariants(defect_dim=1, eig_dims=(1, 23)).rho
 
 
@@ -196,14 +193,17 @@ def test_defect_dimension_matches_the_smith_form_of_every_power():
                              for r in range(n)]
                 try:
                     size = prod(quotient_invariants(lattice, one_minus))
-                except SingularMatrix:
-                    with pytest.raises(SingularOneMinusG):
+                except ArithmeticError as exc:
+                    assert str(exc) == "matrix has determinant zero"
+                    with pytest.raises(ArithmeticError,
+                                       match="matrix has determinant zero"):
                         defect_dimension(g, i)
                 else:
                     if isqrt(size) ** 2 == size:
                         assert defect_dimension(g, i) == isqrt(size), (m, i)
                     else:
-                        with pytest.raises(NotPerfectSquare):
+                        with pytest.raises(ArithmeticError, match=re.escape(
+                                f"|L/(1-g^{i})L| = {size} is not a square")):
                             defect_dimension(g, i)
                 power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)]
                          for row in power]
@@ -213,9 +213,10 @@ def test_defect_dimension_rejects_odd_and_infinite_quotients():
     # -1 on the rank-one lattice of norm 4: |L/2L| = 2 is not a square,
     # and g^0 = 1 makes 1 - g^0 = 0
     minus_one = negation_isometry(Lattice(((4,),)))
-    with pytest.raises(NotPerfectSquare):
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("|L/(1-g^1)L| = 2 is not a square")):
         defect_dimension(minus_one, 1)
-    with pytest.raises(SingularOneMinusG):
+    with pytest.raises(ArithmeticError, match="matrix has determinant zero"):
         defect_dimension(minus_one, 0)
 
 
@@ -332,7 +333,8 @@ def test_twined_weight_one_is_trace(leech, sigmas, theta2, p):
 
 def test_twined_rejects_fixed_sublattice(leech, theta2):
     gen_a, _ = search.load_generators(leech)
-    with pytest.raises(UnsupportedFixedSublattice):
+    with pytest.raises(ValueError,
+                       match="the power has a nonzero fixed sublattice"):
         twined_untwisted_character(gen_a, 1, Fraction(2), theta2)
 
 

@@ -30,10 +30,6 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 GENERATOR_FILES = ("co0_gen_a.txt", "co0_gen_b.txt")
 
 
-class NotFound(LookupError):
-    """The word search exhausted its budget without hitting the target."""
-
-
 class SearchResult(NamedTuple):
     """Found isometry with the generator word that produces it (indices
     into the generator list, applied left to right as a matrix product)."""
@@ -79,4 +75,4 @@ def search_isometry(generators: Sequence[Isometry], target: CycloProfile,
                 if cyclotomic_profile(found) != target:
                     raise AssertionError("search result fails profile re-verification")
                 return SearchResult(isometry=found, word=word * k)
-    raise NotFound(f"no generator word matched the target profile in {budget} attempts")
+    raise LookupError(f"no generator word matched the target profile in {budget} attempts")
