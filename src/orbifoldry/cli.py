@@ -46,9 +46,9 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     Lattice,
-    theta_series,
+    enumerate_vectors_by_norm,
 )
-from .modular import discriminant_form, moonshine_j, unimodular_theta_rank24
+from .modular import moonshine_j, unimodular_theta_rank24
 from .qseries import FracSeries
 from .report import ClaimEntry, Report, plain
 from .sectors import (
@@ -110,16 +110,17 @@ class _Context:
         return negation_isometry(self.lattice)
 
     @cached_property
-    def _enumeration(self) -> FracSeries | BudgetExceeded:
+    def _enumeration(self) -> dict[int, int] | BudgetExceeded:
         # outside the try: a loader error is raised to each claim afresh
         lattice = self.lattice
         try:
-            return theta_series(lattice, 3, budget=self.cfg.enumeration_budget)
+            return enumerate_vectors_by_norm(
+                lattice, 6, budget=self.cfg.enumeration_budget)
         except BudgetExceeded as exc:
             return exc
 
-    def enumerated_theta(self) -> FracSeries:
-        """The loaded lattice's theta series through norm 6, enumerated
+    def norm_counts(self) -> dict[int, int]:
+        """The loaded lattice's vector counts by norm 0, 2, 4, 6, enumerated
         once per run; a budget failure is kept and raised to each reader."""
         if isinstance(self._enumeration, BudgetExceeded):
             raise self._enumeration
@@ -135,9 +136,8 @@ class _Context:
         theta series lie in M_12(SL_2(Z)) = <E4^3, Delta>; the constant
         term 1 and the norm-2 count N_2 fix it as E4^3 + (N_2 - 720) Delta.
         """
-        roots = self.enumerated_theta().coefficient_at(1)
-        depth = ceil(self.cfg.cutoff)
-        return unimodular_theta_rank24(depth) + roots * discriminant_form(depth)
+        return unimodular_theta_rank24(ceil(self.cfg.cutoff),
+                                       roots=self.norm_counts()[2])
 
     @cached_property
     def sectors(self) -> list[SectorInvariants]:
@@ -319,20 +319,21 @@ def _ground_truth_expected(cfg: RunConfig) -> Any:
 
 def _ground_truth_computed(cfg: RunConfig, ctx: _Context) -> Any:
     lat = ctx.lattice
-    theta_enum = ctx.enumerated_theta()
-    counts = [theta_enum.coefficient_at(w) for w in range(4)]
+    counts = ctx.norm_counts()
+    # at grain 2 the term q^(norm/2) sits at key norm
+    theta_enum = FracSeries(2, counts, 6)
     modular = unimodular_theta_rank24(3)
     untwisted = twined_untwisted_character(ctx.negation, 0, Fraction(2),
                                            theta_enum)
     w2 = untwisted.coefficient_at(2)
     return {"rank": lat.rank, "determinant": lat.determinant(),
             "even": all(lat.gram[i][i] % 2 == 0 for i in range(lat.rank)),
-            "norm_counts": {2 * w: c for w, c in enumerate(counts)},
+            "norm_counts": counts,
             "matches_modular_theta": theta_enum.agrees_with(modular),
             "modular_theta_depth": min(theta_enum.weight_cutoff,
                                        modular.weight_cutoff),
             "weight1": untwisted.coefficient_at(1), "weight2": w2,
-            "oscillator_weight2": w2 - counts[2]}
+            "oscillator_weight2": w2 - counts[4]}
 
 
 def _fermion_parity_counts(max_units: int) -> list[list[int]]:

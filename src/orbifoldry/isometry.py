@@ -261,21 +261,6 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_orders(rank: int) -> tuple[int, ...]:
-    """Every d with phi(d) <= rank, ascending: the orders of the cyclotomic
-    factors a rank-n characteristic polynomial can have."""
-    # phi(d) >= sqrt(d/2), so phi(d) <= rank forces d <= 2 rank^2; phi of
-    # every d up to there by a sieve over the primes
-    top = 2 * rank * rank
-    phi = list(range(top + 1))
-    for p in range(2, top + 1):
-        if phi[p] == p:
-            for d in range(p, top + 1, p):
-                phi[d] -= phi[d] // p
-    return tuple(d for d in range(1, top + 1) if phi[d] <= rank)
-
-
 class CycloProfile(NamedTuple):
     """Multiset of cyclotomic factors of a characteristic polynomial: sorted
     (d, multiplicity) pairs, all multiplicities >= 1, as `of` builds them."""
@@ -334,16 +319,16 @@ def _lifted_profile(charpoly: Sequence[int]) -> CycloProfile:
     isometry, of finite order, cannot reach."""
     poly = list(reversed(charpoly))
     factors: dict[int, int] = {}
-    for d in _cyclotomic_orders(len(charpoly) - 1):
-        cd = cyclotomic_polynomial(d)
-        while len(poly) > 1:
-            quotient = _poly_try_div(poly, cd)
-            if quotient is None:
-                break
-            poly = quotient
-            factors[d] = factors.get(d, 0) + 1
-        if len(poly) == 1:
-            break
+    d = 1
+    # phi(d) >= sqrt(d/2), so a factor Phi_d of the degree r left has
+    # d <= 2 r^2
+    while (r := len(poly) - 1) and d <= 2 * r * r:
+        if euler_phi(d) <= r:
+            cd = cyclotomic_polynomial(d)
+            while (quotient := _poly_try_div(poly, cd)) is not None:
+                poly = quotient
+                factors[d] = factors.get(d, 0) + 1
+        d += 1
     if poly != [1]:
         raise ArithmeticError("characteristic polynomial has a non-cyclotomic factor")
     return CycloProfile.of(factors)

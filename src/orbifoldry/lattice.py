@@ -1,20 +1,15 @@
 """Even positive definite integral lattices.
 
 Gram-matrix validation, Smith normal form with transformation matrices,
-quotient-group invariants, exact norm-bounded vector enumeration, and
-theta series.  All arithmetic is exact (integers and Fractions).
+quotient-group invariants and exact norm-bounded vector enumeration.  All
+arithmetic is exact, in integers.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .qseries import FracSeries
+from typing import NamedTuple, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -473,24 +468,3 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
     for norm in counts:
         counts[norm] += 2 * (hist >> norm * width & masks[0])
     return counts
-
-
-def theta_series(lattice: Lattice, cutoff: Fraction | int,
-                 budget: int = DEFAULT_NODE_BUDGET) -> FracSeries:
-    """Theta series sum_v q^{norm(v)/2} truncated at the given weight.
-
-    Norms are even, so the series enumerated through int(cutoff) is exact
-    through the requested cutoff and is stated there.
-    """
-    # imported here, so that loading a lattice leaves the series layer
-    # (and fractions, which imports decimal) unloaded
-    from fractions import Fraction
-
-    from .qseries import FracSeries
-
-    c = Fraction(cutoff)
-    if c < 0:
-        raise ValueError("cutoff must be nonnegative")
-    counts = enumerate_vectors_by_norm(lattice, 2 * int(c), budget=budget)
-    return FracSeries.from_terms({m // 2: cnt for m, cnt in counts.items()},
-                                 cutoff=c, grain=c.denominator)

@@ -1,11 +1,11 @@
 """Level-one modular form expansions used as independent character oracles.
 
 Everything is an exact FracSeries in integer weights: the Eisenstein
-series E4, the discriminant form, the j-function and its constant-free
-shift.  The rank-24 even unimodular theta series with zero norm-2
-coefficient is pinned inside the two-dimensional weight-12 space as
-E4^3 - 720*discriminant; its weight-2 coefficient 196560 is cross-checked
-against direct lattice enumeration in the test suite.
+series E4, the discriminant form and the constant-free j - 744.  The
+theta series of a rank-24 even unimodular lattice with N_2 norm-2
+vectors is pinned inside the two-dimensional weight-12 space as
+E4^3 + (N_2 - 720)*discriminant; the test suite checks it against direct
+lattice enumeration.
 """
 
 from __future__ import annotations
@@ -44,23 +44,20 @@ def discriminant_form(cutoff: int) -> FracSeries:
     return acc.shift(1)
 
 
-def j_invariant(cutoff: int) -> FracSeries:
-    """The modular j-function E4^3 / discriminant, from weight -1 up."""
+def moonshine_j(cutoff: int) -> FracSeries:
+    """j - 744, for the modular j-function E4^3 / discriminant: leading
+    exponent -1, constant term 0."""
     e4 = eisenstein_e4(cutoff + 2)
     delta = discriminant_form(cutoff + 2)
-    return (e4 * e4 * e4 * delta.inverse()).truncated(cutoff)
+    return (e4 * e4 * e4 * delta.inverse()).truncated(cutoff) - 744
 
 
-def moonshine_j(cutoff: int) -> FracSeries:
-    """j - 744: leading exponent -1, constant term 0."""
-    return j_invariant(cutoff) - 744
-
-
-def unimodular_theta_rank24(cutoff: int) -> FracSeries:
-    """Theta series of a rank-24 even unimodular lattice with no norm-2
-    vectors: the unique weight-12 form 1 + 0*q + ... is E4^3 - 720*delta."""
+def unimodular_theta_rank24(cutoff: int, roots: int = 0) -> FracSeries:
+    """Theta series of a rank-24 even unimodular lattice with `roots`
+    norm-2 vectors: the unique weight-12 form 1 + roots*q + ... is
+    E4^3 + (roots - 720)*delta."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     e4 = eisenstein_e4(cutoff)
     delta = discriminant_form(cutoff)
-    return e4 * e4 * e4 - 720 * delta
+    return e4 * e4 * e4 + (roots - 720) * delta

@@ -221,11 +221,23 @@ def gram_pair_changed(tmp_path_factory):
     return dest
 
 
+def cyclic_shifts(word, count):
+    return [word[-k:] + word[:-k] for k in range(count)]
+
+
+# the extended ternary Golay code: the cyclic code of length 11 generated
+# by x^5 + x^4 - x^3 + x^2 - 1, each word extended by minus its sum, mod 3
+TERNARY_GOLAY = [[x % 3 for x in word + [-sum(word)]] for word in
+                 cyclic_shifts([-1, 0, 1, -1, 1, 1, 0, 0, 0, 0, 0], 6)]
+
 # mutant name: (p, builder of its data directory)
 MUTANTS = {
     "e8cubed-p3": (3, lambda factory: e8_cubed(factory, 3, 5)),
     "e8cubed-p5": (5, lambda factory: e8_cubed(factory, 5, 3)),
-    # A6^4 and A12^2 (Conway and Sloane, SPLAG, Table 16.1)
+    # A2^12, A4^6, A6^4 and A12^2 (Conway and Sloane, SPLAG, Table 16.1)
+    "niemeier-p3": (3, lambda factory: niemeier(factory, 3, TERNARY_GOLAY)),
+    "niemeier-p5": (5, lambda factory: niemeier(
+        factory, 5, [[1, *word] for word in cyclic_shifts([0, 1, 4, 4, 1], 5)])),
     "niemeier-p7": (7, lambda factory: niemeier(
         factory, 7, [(1, 2, 1, 6), (1, 6, 2, 1), (1, 1, 6, 2)])),
     "niemeier-p13": (13, lambda factory: niemeier(factory, 13, [(1, 5)])),
@@ -242,8 +254,8 @@ READS_SIGMA = ("isometry-witness", "eigenspace-dims", "conformal-weights",
 
 FALSIFIABILITY = [
     *(pytest.param(mutant, slug, id=f"{mutant}-{slug}")
-      for mutant in ("e8cubed-p3", "e8cubed-p5", "niemeier-p7",
-                     "niemeier-p13")
+      for mutant in ("e8cubed-p3", "e8cubed-p5", "niemeier-p3",
+                     "niemeier-p5", "niemeier-p7", "niemeier-p13")
       for slug in ("weight-one-dim", "moonshine-character", "z2-split",
                    "lattice-ground-truth")),
     *(pytest.param("sigma-squared", slug, id=f"sigma-squared-{slug}")
@@ -288,6 +300,8 @@ def test_every_claim_is_falsifiable_or_listed_as_data_free():
 THETA_READERS = {
     "e8cubed-p3": ((1, 720, 179280, 16954560), 720),
     "e8cubed-p5": ((1, 720, 179280, 16954560), 720),
+    "niemeier-p3": ((1, 72, 194832, 16791264), 72),
+    "niemeier-p5": ((1, 120, 193680, 16803360), 120),
     "niemeier-p7": ((1, 168, 192528, 16815456), 168),
     "niemeier-p13": ((1, 312, 189072, 16851744), 312),
 }

@@ -22,8 +22,9 @@ from orbifoldry.fusion import (
     weight_one_dimension_H2,
 )
 from orbifoldry.isometry import Isometry, negation_isometry
-from orbifoldry.lattice import Lattice, theta_series
+from orbifoldry.lattice import Lattice, enumerate_vectors_by_norm
 from orbifoldry.modular import moonshine_j, unimodular_theta_rank24
+from orbifoldry.qseries import FracSeries
 from orbifoldry.sectors import (
     eigencomponent_character,
     sector_invariants,
@@ -226,7 +227,8 @@ def test_orbifold_weight_hypothesis(theta3):
     neg = negation_isometry(small)
     with pytest.raises(ValueError,
                        match=r"^sector 1 has conformal weight 1/8, "):
-        orbifold_character(neg, Fraction(2), theta_series(small, 2))
+        orbifold_character(neg, Fraction(2), FracSeries(
+            2, enumerate_vectors_by_norm(small, 4), 4))
 
 
 def test_sectors_of_one_cyclic_subgroup_compare_equal(leech, sigmas):
@@ -308,4 +310,5 @@ def test_weight_one_certificate_failure():
     with pytest.raises(ValueError,
                        match="sector 1 has conformal weight 5/36, "
                              "not a multiple of 1/6"):
-        weight_one_dimension_H2(g, theta_series(small, 1))
+        weight_one_dimension_H2(g, FracSeries(
+            2, enumerate_vectors_by_norm(small, 2), 2))

@@ -154,6 +154,46 @@ def test_the_check_sees_uncaught_exception_classes():
                                                    "Further"]
 
 
+# the data layer, which loads and certifies the Gram and sigma, and the
+# modules of the series layer above it
+DATA_LAYER = ("datafiles", "isometry", "lattice")
+SERIES_LAYER = {"fractions", "qseries"}
+
+
+def imported_modules(source):
+    """The modules each import statement names, at any depth (in a
+    function body or an `if TYPE_CHECKING:` block too), split at the
+    dots; `from . import x` and `from orbifoldry import x` name x."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names
+                         for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            if node.module in (None, "orbifoldry"):
+                names.update(alias.name for alias in node.names)
+    return names - {""}
+
+
+@pytest.mark.parametrize("module", DATA_LAYER)
+def test_the_data_layer_imports_no_series_module(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert imported_modules(source) & SERIES_LAYER == set()
+
+
+def test_the_check_sees_nested_imports():
+    source = ("from typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n"
+              "    from .qseries import FracSeries\n"
+              "def f():\n"
+              "    import os.path\n"
+              "    from . import sectors\n"
+              "    from orbifoldry import modular\n")
+    assert imported_modules(source) == {"typing", "qseries", "os", "path",
+                                        "sectors", "orbifoldry", "modular"}
+
+
 # standard modules that loading the data has no use for: argparse serves
 # only the command line, json only its output, fractions (which brings in
 # decimal) the series layer, and dataclasses brings in inspect (with ast,

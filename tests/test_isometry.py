@@ -102,10 +102,23 @@ def test_euler_phi():
     assert [euler_phi(d) for d in (1, 2, 6, 10, 26, 90)] == [1, 1, 2, 4, 12, 24]
 
 
-def test_cyclotomic_orders_sieve_matches_euler_phi():
-    for rank in range(1, 31):
-        assert isometry._cyclotomic_orders(rank) == tuple(
-            d for d in range(1, 2 * rank * rank + 1) if euler_phi(d) <= rank)
+def companion(poly):
+    """The companion matrix of a monic integer polynomial (low-first):
+    ones below the diagonal and minus the lower coefficients in the last
+    column, so det(xI - C) is the polynomial."""
+    n = len(poly) - 1
+    return [[int(r == c + 1) - (c == n - 1) * poly[r] for c in range(n)]
+            for r in range(n)]
+
+
+def test_lifted_profile_finds_each_cyclotomic_factor():
+    # every Phi_d a rank-24 charpoly can hold; Phi_2 alone (r = 1) sits on
+    # the walk's bound d <= 2 r^2, the one d with phi(d) = sqrt(d/2)
+    orders = [d for d in range(1, 91) if euler_phi(d) <= 24]
+    assert len(orders) == 53
+    for d in orders:
+        charpoly = _charpoly(companion(cyclotomic_polynomial(d)))
+        assert _lifted_profile(charpoly) == CycloProfile.of({d: 1}), d
 
 
 def test_non_cyclotomic_factor_detected():

@@ -32,9 +32,9 @@ from orbifoldry.lattice import (
     parse_matrix,
     quotient_invariants,
     smith_normal_form,
-    theta_series,
 )
 from orbifoldry.modular import unimodular_theta_rank24
+from orbifoldry.qseries import FracSeries
 
 
 # ----- oracles -----------------------------------------------------------
@@ -478,29 +478,22 @@ def test_enumerate_rejects_bad_norm():
         enumerate_vectors_by_norm(lat, 3)
 
 
-# ----- theta series ---------------------------------------------------------
+# ----- theta series from the counts -----------------------------------------
 
 
 def test_theta_one_dimensional():
-    series = theta_series(Lattice(gram=((2,),)), 4)
-    assert series.coefficient_at(0) == 1
-    assert series.coefficient_at(1) == 2
-    assert series.coefficient_at(2) == 0
-    assert series.coefficient_at(4) == 2
-
-
-def test_theta_keeps_a_fractional_cutoff():
-    series = theta_series(Lattice(gram=((2,),)), Fraction(5, 2))
-    assert series.weight_cutoff == Fraction(5, 2)
-    assert series.coefficient_at(Fraction(5, 2)) == 0
-    assert series.coefficient_at(Fraction(1, 2)) == 0
-    assert series.coefficient_at(1) == 2
+    # Z with norm 2: the vectors of norm 2n^2 are +-n, and at grain 2 the
+    # counts keyed by norm are the theta series in q^(norm/2)
+    counts = enumerate_vectors_by_norm(Lattice(gram=((2,),)), 8)
+    series = FracSeries(2, counts, 8)
+    assert [series.coefficient_at(w) for w in range(5)] == [1, 2, 0, 0, 2]
+    assert series.weight_cutoff == 4
 
 
 def test_theta_rank_zero_is_one():
-    series = theta_series(Lattice(gram=()), 5)
-    assert series.coefficient_at(0) == 1
-    assert all(series.coefficient_at(k) == 0 for k in range(1, 6))
+    counts = enumerate_vectors_by_norm(Lattice(gram=()), 10)
+    assert counts == {0: 1, 2: 0, 4: 0, 6: 0, 8: 0, 10: 0}
+    assert FracSeries(2, counts, 10) == FracSeries.one(5)
 
 
 # ----- shipped lattice ground truth ----------------------------------------

@@ -3,14 +3,14 @@ lattice enumeration cross-check."""
 
 
 from orbifoldry.datafiles import load_leech
-from orbifoldry.lattice import theta_series
+from orbifoldry.lattice import enumerate_vectors_by_norm
 from orbifoldry.modular import (
     discriminant_form,
     eisenstein_e4,
-    j_invariant,
     moonshine_j,
     unimodular_theta_rank24,
 )
+from orbifoldry.qseries import FracSeries
 
 # frozen classical expansions
 E4_COEFFS = [1, 240, 2160, 6720, 17520, 30240, 60480, 82560, 140400]
@@ -39,7 +39,7 @@ def test_discriminant_matches_tau():
 
 
 def test_j_function_expansion():
-    j = j_invariant(5)
+    j = moonshine_j(5) + 744
     assert j.coefficient_at(-1) == 1
     assert j.coefficient_at(0) == 744
     for w in range(1, 6):
@@ -58,13 +58,29 @@ def test_theta24_expansion():
         assert theta.coefficient_at(n) == c
 
 
+def test_theta24_moves_by_delta_with_the_roots():
+    # N_2 = 720 (E8^3) leaves E4^3; N_2 = 72 gives the theta of A2^12
+    e4 = eisenstein_e4(3)
+    assert unimodular_theta_rank24(3, roots=720) == e4 * e4 * e4
+    theta = unimodular_theta_rank24(3, roots=72)
+    assert [theta.coefficient_at(w) for w in range(4)] == [
+        1, 72, 194832, 16791264]
+
+
+def enumerated_theta(lattice, weight):
+    """The lattice's theta series through the given weight: at grain 2
+    the term q^(norm/2) sits at key norm."""
+    counts = enumerate_vectors_by_norm(lattice, 2 * weight)
+    return FracSeries(2, counts, 2 * weight)
+
+
 def test_theta24_agrees_with_enumeration_at_kissing_number():
     theta = unimodular_theta_rank24(2)
-    enumerated = theta_series(load_leech(), 2)
+    enumerated = enumerated_theta(load_leech(), 2)
     assert theta.truncated(2).agrees_with(enumerated.truncated(2))
 
 
 def test_theta24_agrees_with_enumeration_at_norm_six():
     theta = unimodular_theta_rank24(3)
-    enumerated = theta_series(load_leech(), 3)
+    enumerated = enumerated_theta(load_leech(), 3)
     assert theta.truncated(3).agrees_with(enumerated.truncated(3))

@@ -20,8 +20,13 @@ from orbifoldry.isometry import (
     multiplicative_order,
     negation_isometry,
 )
-from orbifoldry.lattice import Lattice, quotient_invariants, theta_series
+from orbifoldry.lattice import (
+    Lattice,
+    enumerate_vectors_by_norm,
+    quotient_invariants,
+)
 from orbifoldry.modular import unimodular_theta_rank24
+from orbifoldry.qseries import FracSeries
 from orbifoldry.sectors import (
     SectorInvariants,
     conformal_weight,
@@ -307,8 +312,9 @@ def test_untwisted_character(leech, theta4):
 def test_untwisted_character_dual_theta_routes(leech):
     """Enumerated theta and the modular-identity theta must agree."""
     neg = negation_isometry(leech)
-    enumerated = twined_untwisted_character(neg, 0, Fraction(2),
-                                            theta_series(leech, 2))
+    # at grain 2 the term q^(norm/2) sits at key norm
+    theta = FracSeries(2, enumerate_vectors_by_norm(leech, 4), 4)
+    enumerated = twined_untwisted_character(neg, 0, Fraction(2), theta)
     modular = twined_untwisted_character(neg, 0, Fraction(2),
                                          unimodular_theta_rank24(2))
     assert enumerated == modular
