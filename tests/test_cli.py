@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifoldry import cli, isometry, lattice, modular, sectors
+from orbifoldry import cli, enumeration, isometry, lattice, modular, sectors
 from orbifoldry.cli import CLAIM_REGISTRY, RunConfig, run_verification_suite
 from orbifoldry.commands import DEFAULT_SUITE_CUTOFF, _build_parser, main
 from orbifoldry.datafiles import load_leech, resolve_data_dir
@@ -209,7 +209,7 @@ def test_each_smith_form_is_computed_once(counted_p13_report):
     bordered = [m for m in calls["snf"] if len(m) < len(gram)]
     # one small form per level at most, over the rows with invariant > 1
     # plus the border
-    keys = lattice._scaled_form(gram).keys
+    keys = enumeration._scaled_form(gram).keys
     key_rows = max(len(rows) for rows in keys if rows is not None)
     assert 0 < len(bordered) < len(gram)
     assert all(len(m) <= key_rows + 1 for m in bordered)

@@ -10,7 +10,9 @@ as the built-in it would extend, and its message says what went wrong.
 Importing the package loads nothing else, and each module
 imports on its own; those checks run in fresh interpreters, since this
 process has already imported every module.  The same probe runs each
-command through the front end: only `verify` loads the suite in `cli`.
+command through the front end: only `verify` loads the suite in `cli`,
+and only the commands that count lattice vectors compile the search in
+`enumeration`.
 """
 
 import ast
@@ -288,3 +290,40 @@ def test_verify_loads_the_suite():
     modules, heavy = loaded_by_command(["verify", "--p", "3", "--cutoff", "2"])
     assert "orbifoldry.cli" in modules
     assert "dataclasses" in heavy
+
+
+# ----- what compiles the vector search ---------------------------------------
+
+ENUMERATION = "orbifoldry.enumeration"
+
+
+def test_loading_the_data_compiles_no_enumeration():
+    modules, _ = loaded_after(
+        "from orbifoldry.datafiles import load_leech, load_sigma\n"
+        "load_sigma(13, lattice=load_leech())")
+    assert "orbifoldry.lattice" in modules
+    assert ENUMERATION not in modules
+
+
+COUNT_NO_VECTORS = {
+    **{f"fusion-orbifold-{construction}":
+       ["fusion", "orbifold", "--p", "13", "--cutoff", "14",
+        "--construction", construction] for construction in ("zp", "z2")},
+    "sectors-character": PASSTHROUGHS["sectors-character"],
+}
+
+COUNT_VECTORS = {
+    "verify": ["verify", "--p", "3", "--cutoff", "2"],
+    "lattice-theta": PASSTHROUGHS["lattice-theta"],
+}
+
+
+@pytest.mark.parametrize("argv", COUNT_NO_VECTORS.values(),
+                         ids=COUNT_NO_VECTORS)
+def test_commands_that_count_no_vectors_compile_no_enumeration(argv):
+    assert ENUMERATION not in loaded_by_command(argv)[0]
+
+
+@pytest.mark.parametrize("argv", COUNT_VECTORS.values(), ids=COUNT_VECTORS)
+def test_commands_that_count_vectors_load_the_enumeration(argv):
+    assert ENUMERATION in loaded_by_command(argv)[0]

@@ -20,14 +20,13 @@ from reference_enumeration import (
     norm as reference_norm,
 )
 
-from orbifoldry import lattice as lattice_module
+from orbifoldry import enumeration, lattice as lattice_module
 from orbifoldry.datafiles import load_leech
+from orbifoldry.enumeration import MEMO_MINOR_LIMIT, _scaled_form, _state_width
 from orbifoldry.lattice import (
-    MEMO_MINOR_LIMIT,
     BudgetExceeded,
     Lattice,
     _bareiss,
-    _scaled_form,
     enumerate_vectors_by_norm,
     parse_matrix,
     quotient_invariants,
@@ -362,10 +361,43 @@ def test_pivot_order_takes_the_least_next_minor():
             assert minor(order[:k + 1]) == least, (gram, k)
 
 
+def sheared(lat, rng, size):
+    """The lattice in the basis b'_i = b_i + sum_{j<i} c_ij b_j, each c_ij
+    of about `size`: the pivot order stays the identity and the
+    Gram-Schmidt lengths those of lat's basis, while the short vectors
+    take coordinates of about size^(rank-1)."""
+    n = lat.rank
+    c = [[int(i == j) if j >= i else
+          rng.choice((-1, 1)) * rng.randint(size, 2 * size)
+          for j in range(n)] for i in range(n)]
+    return Lattice(gram=[[sum(c[i][a] * lat.gram[a][b] * c[j][b]
+                              for a in range(n) for b in range(n))
+                          for j in range(n)] for i in range(n)])
+
+
+def test_state_width_is_read_from_the_gram(monkeypatch):
+    # a basis change with entries about 10^12 puts the coordinates of the
+    # short vectors, and the centres the search state holds, far beyond
+    # 64 bits; the field width follows them
+    rng = random.Random(1012)
+    for rank in (4, 5, 6):
+        lat = random_dense_lattice(rng, rank)
+        far = sheared(lat, rng, 10**12)
+        assert pivot_order(far.gram) == list(range(rank))
+        assert _state_width(_scaled_form(far.gram), 6) > 64
+        want = reference_counts(far, 6)
+        assert enumerate_vectors_by_norm(far, 6) == want, far.gram
+        assert enumerate_vectors_by_norm(lat, 6) == want
+        # fields of a fixed 64 bits carry into each other here
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_state_width", lambda form, norm: 64)
+            assert enumerate_vectors_by_norm(far, 6) != want
+
+
 @pytest.mark.parametrize("limit", [0, 12])
 def test_enumerate_with_fewer_memoised_levels(monkeypatch, limit):
     # limit 0 memoises nothing; 12 memoises only the lowest levels
-    monkeypatch.setattr(lattice_module, "MEMO_MINOR_LIMIT", limit)
+    monkeypatch.setattr(enumeration, "MEMO_MINOR_LIMIT", limit)
     rng = random.Random(77 + limit)
     for trial in range(16):
         lat = random_dense_lattice(rng, 1 + trial % 8)
@@ -381,7 +413,9 @@ def test_coset_keys_match_the_dual_quotient():
     them, from the parent's coordinates x_{>k+1} plus one step in x_{k+1},
     and the negated key is the key of -x_{>k}.  G is the Gram matrix in the
     kernel's basis order, and the key moduli are the invariants > 1 of a
-    Smith form of each leading block computed from scratch."""
+    Smith form of each leading block computed from scratch.  Prefixes
+    that share an entry have the same scaled projected norm mod scale,
+    so the key needs no radius."""
     rng = random.Random(5311)
     same, opposite, differ = coset_key_tallies(rng, random_lattices(rng, 30))
     assert same >= 100 and opposite >= 50 and differ >= 100
@@ -391,7 +425,7 @@ def test_coset_keys_through_unmemoised_levels(monkeypatch, leech):
     # Leech's leading minors rise above 12 and fall below it again: the
     # Smith forms are bordered through levels whose invariants do not
     # divide their modulus
-    monkeypatch.setattr(lattice_module, "MEMO_MINOR_LIMIT", 12)
+    monkeypatch.setattr(enumeration, "MEMO_MINOR_LIMIT", 12)
     keys = _scaled_form(leech.gram).keys
     # minors 4, 12, 32, ..., 36, 12, 4, 1 in the pivot order
     assert [k for k, rows in enumerate(keys) if rows is not None] == \
@@ -419,7 +453,7 @@ def coset_key_tallies(rng, lattices):
         gram = [[lat.gram[i][j] for j in order] for i in order]
         minors = _bareiss(gram)[0]
         for k, key_map in enumerate(form.keys):
-            if k == n - 1 or minors[k] > lattice_module.MEMO_MINOR_LIMIT:
+            if k == n - 1 or minors[k] > enumeration.MEMO_MINOR_LIMIT:
                 assert key_map is None
                 continue
             block = [row[:k + 1] for row in gram[:k + 1]]
@@ -428,6 +462,9 @@ def coset_key_tallies(rng, lattices):
             inverse = frac_inverse(block)
 
             def key(prefix):
+                """The digits, the negated digits, y, and the scaled norm
+                of the prefix's vector projected away from L_k:
+                scale (|w|^2 - y^T G_k^-1 y), w = sum_{i>k} x_i b_i."""
                 x = [0] * (k + 1) + prefix
                 digits, negated = [], []
                 for t, step, m in key_map:
@@ -435,9 +472,15 @@ def coset_key_tallies(rng, lattices):
                     base = sum(a * c for a, c in zip(t, prefix[1:]))
                     digits.append((base + step * prefix[0]) % m)
                     negated.append(-(base + step * prefix[0]) % m)
-                return tuple(digits), tuple(negated), [
-                    sum(gram[i][j] * x[j] for j in range(k + 1, n))
-                    for i in range(k + 1)]
+                y = [sum(gram[i][j] * x[j] for j in range(k + 1, n))
+                     for i in range(k + 1)]
+                norm = sum(x[i] * gram[i][j] * x[j]
+                           for i in range(k + 1, n) for j in range(k + 1, n))
+                dual = sum(y[i] * inverse[i][j] * y[j]
+                           for i in range(k + 1) for j in range(k + 1))
+                projected = form.scale * (norm - dual)
+                assert projected.denominator == 1
+                return tuple(digits), tuple(negated), y, projected
 
             def integral(y_a, y_b, sign):
                 return all(sum(f * (a + sign * b) for f, a, b in
@@ -447,13 +490,18 @@ def coset_key_tallies(rng, lattices):
             prefixes = [[rng.randint(-2, 2) for _ in range(n - k - 1)]
                         for _ in range(10)]
             keyed = [key(prefix) for prefix in prefixes]
-            for prefix, (_, negated, _) in zip(prefixes, keyed):
+            for prefix, (_, negated, _, _) in zip(prefixes, keyed):
                 assert key([-x for x in prefix])[0] == negated
-            for (key_a, neg_a, y_a), (key_b, _, y_b) in combinations(keyed, 2):
+            for (key_a, neg_a, y_a, norm_a), (key_b, _, y_b, norm_b) in \
+                    combinations(keyed, 2):
                 coset = integral(y_a, y_b, -1)
                 assert (key_a == key_b) == coset, (gram, k)
                 shared = coset or integral(y_a, y_b, 1)
                 assert (key_b in (key_a, neg_a)) == shared, (gram, k)
+                # the kernel keys a table by the digits alone: prefixes
+                # that share an entry leave the same radius mod scale
+                if shared:
+                    assert (norm_a - norm_b) % form.scale == 0, (gram, k)
                 same += coset
                 opposite += shared and not coset
                 differ += not shared
