@@ -98,12 +98,30 @@ def _key_maps(gram, minors) -> list:
             left[r] = [x * w % modulus for x in left[r]]
             diag[r] = d
         if k in memoised:
-            keys[k] = []
+            rows = []
             for u, d in zip(left, diag):
                 if d > 1:
                     step, *t = [sum(map(mul, u, g)) % d for g in gram[k + 1:]]
-                    keys[k].append((t, step, d))
+                    rows.append([t, step, d])
+            keys[k] = _fewest_steps(rows)
     return keys
+
+
+def _fewest_steps(rows: list) -> list:
+    """Key rows [t, step, m] of one level, rewritten so that fewer steps
+    are nonzero: a row whose step is 0 gives a digit that no candidate of
+    a search moves.  Adding c times row i to a row j with m_j | m_i,
+    modulo m_j, is an automorphism of the coset group; c clears step_j
+    where gcd(step_i, m_j) divides it.  Pivots go by falling modulus."""
+    for pivot, step, m in sorted(rows, key=lambda row: -row[2]):
+        for row in rows:
+            g = gcd(step, row[2])
+            if row[0] is pivot or not row[1] or m % row[2] or row[1] % g:
+                continue
+            c = -(row[1] // g) * pow(step // g, -1, row[2] // g)
+            row[0] = [(x + c * y) % row[2] for x, y in zip(row[0], pivot)]
+            row[1] = (row[1] + c * step) % row[2]
+    return [tuple(row) for row in rows]
 
 
 def _scaled_form(gram: lattice.IntMatrix) -> _ScaledForm:
@@ -124,8 +142,6 @@ def _scaled_form(gram: lattice.IntMatrix) -> _ScaledForm:
     common = gcd(scale, *amp)
     return _ScaledForm(den, upper, [a // common for a in amp], scale // common,
                        _key_maps(gram, minors))
-
-
 
 
 def _field_rows(form: _ScaledForm) -> list:
@@ -191,12 +207,16 @@ def count_by_norm(gram: lattice.IntMatrix, max_norm: int,
     x_L in those fields.  Every field stays in range, so no carry crosses
     into the next.
 
-    Key.  A level's table is keyed by the coset code alone.  The radius
-    left below a prefix x_{>k} is total minus its projected scaled norm,
-    and that norm mod scale is fixed by the coset: with w = sum_{i>k} x_i
-    b_i and u its projection to the span of L_k, which lies in the dual
-    L_k^#, the projected norm is |w|^2 - |u|^2, |w|^2 is even, and |u|^2
-    mod 2 depends only on u mod L_k.  Opposite cosets have the same norms.
+    Key.  A level's table is keyed by the coset code alone, its digits
+    with step 0 (most of them, _fewest_steps) read once per search and
+    the rest once per candidate.  The radius
+    left below a prefix x_{>k} is congruent mod scale to minus its
+    projected scaled norm (a search starts in its caller's residue
+    class), and that norm mod scale is fixed by the coset: with w =
+    sum_{i>k} x_i b_i and u its projection to the span of L_k, which lies
+    in the dual L_k^#, the projected norm is |w|^2 - |u|^2, |w|^2 is even,
+    and |u|^2 mod 2 depends only on u mod L_k.  Opposite cosets have the
+    same norms.
     """
     counts = {m: int(m == 0) for m in range(0, max_norm + 1, 2)}
     n = len(gram)
@@ -256,22 +276,32 @@ def count_by_norm(gram: lattice.IntMatrix, max_norm: int,
             return hist
         below = level - 1
         key_map = keys[below]
-        rest, step_state = state >> own[level], column[level]
+        rest, col = state >> own[level], column[level]
         if key_map is not None:
             table = memo[below]
+            # the digits that x_level moves follow those it leaves fixed
+            fixed = fixed_negated = 0
             bases = []
             for _, step, mod in key_map:
                 state >>= bits
-                bases.append(((state & field) - bias, step, mod))
+                base = (state & field) - bias
+                if step:
+                    bases.append((base, step, mod))
+                else:
+                    fixed = fixed * mod + base % mod
+                    fixed_negated = fixed_negated * mod + -base % mod
+        # field f of a child's histogram, v = f * scale + sub_rem % scale,
+        # moves to field units - left + f: cost + v = (units - left + f) *
+        # scale + rem % scale, with left = sub_rem // scale
+        units = rem // scale
         for xi in range(lo, hi + 1):
             e = b * xi + centre
-            cost = a * e * e
-            sub_rem = rem - cost
-            residue = sub_rem % scale
+            sub_rem = rem - a * e * e
+            left = sub_rem // scale
             if key_map is None:
-                sub = expand(below, rest + xi * step_state, sub_rem)
+                sub = expand(below, rest + xi * col, sub_rem)
             else:
-                code = 0
+                code = fixed
                 for base, step, mod in bases:
                     code = code * mod + (base + step * xi) % mod
                 sub = table.get(code)
@@ -279,17 +309,18 @@ def count_by_norm(gram: lattice.IntMatrix, max_norm: int,
                     # the subtree depends only on the coset; the largest
                     # radius <= total in its residue class serves every
                     # caller, one with a smaller radius masking the rest
+                    residue = sub_rem - scale * left
                     radius = total - scale + residue if residue else total
-                    sub = expand(below, rest + xi * step_state, radius)
+                    sub = expand(below, rest + xi * col, radius)
                     sub = table[code] = interned.setdefault(sub, sub)
                     # x -> -x maps the subtree of this coset onto that of
                     # its negative with the same norms: one search for both
-                    negated = 0
+                    negated = fixed_negated
                     for base, step, mod in bases:
                         negated = negated * mod + -(base + step * xi) % mod
                     table[negated] = sub
-                sub &= masks[sub_rem // scale]
-            hist += sub << (cost + residue) // scale * width
+                sub &= masks[left]
+            hist += sub << (units - left) * width
         return hist
 
     hist = 0

@@ -31,8 +31,10 @@ def test_quick_bench_pairs_two_rows(tmp_path):
         assert set(row["verify"]) == {"cold", "warm"}
         for timings in row["verify"].values():
             assert list(timings) == ["p3-c4"]
-            assert len(timings["p3-c4"]["samples_s"]) == 1
-            assert timings["p3-c4"]["median_s"] > 0
+            case = timings["p3-c4"]
+            assert case["runs"] == len(case["samples_s"]) == 1
+            assert case["median_s"] > 0
+            assert case["quartiles_s"] == [case["median_s"]] * 2
         assert not {"perfbench_trace0", "perfbench_trace1", "tier1"} & set(row)
     assert parent["commit"] == change["commit"]
     pairs = record["change_vs_parent"]["verify"]

@@ -594,6 +594,13 @@ def test_enumeration_frees_its_memo_at_return(leech):
     assert after - before <= 64 * 1024
 
 
+def test_leech_keys_move_few_digits(leech):
+    # a search reads a digit with step 0 once, not once per candidate
+    keys = _scaled_form(leech.gram).keys
+    moving = [sum(1 for _, step, _ in rows if step) for rows in keys[:-1]]
+    assert max(moving) == 2 and sum(moving) == 27
+
+
 def test_leech_norm_six_budget_is_exact(leech):
     # every candidate counts and a memo hit visits none
     assert enumerate_vectors_by_norm(leech, 6, budget=26_312)[6] == 16773120

@@ -124,11 +124,18 @@ def time_verify(copies: dict, cases: list, repeats: int) -> dict:
                 for name in (names if repeat % 2 == 0 else names[::-1]):
                     samples[name][cache][f"p{p}-c{c}"].append(run_verify(
                         copies[name][cache], p, c, cached=cache == "warm"))
-    return {name: {cache: {case: {"median_s": statistics.median(walls),
-                                  "samples_s": walls}
+    return {name: {cache: {case: _summary(walls)
                            for case, walls in by_case.items()}
                    for cache, by_case in by_cache.items()}
             for name, by_cache in samples.items()}
+
+
+def _summary(walls: list) -> dict:
+    quartiles = (statistics.quantiles(walls, n=4) if len(walls) > 1
+                 else [walls[0]] * 3)
+    return {"median_s": statistics.median(walls),
+            "quartiles_s": [quartiles[0], quartiles[2]],
+            "runs": len(walls), "samples_s": walls}
 
 
 def run_perfbench(copy: Path, trace: int) -> dict:
