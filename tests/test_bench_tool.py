@@ -20,6 +20,7 @@ def test_quick_bench_pairs_two_rows(tmp_path):
     record = json.loads(out.read_text())
     assert record["tool"] == "tools/bench.py --quick"
     assert record["nproc"] >= 1 and record["python"]
+    assert record["verify_repeats"] == 1 and record["perfbench"] is None
     assert set(record["known_broken"]) == {
         "trace.overhead_s", "lattice.enum_vectors_per_s", "cli.claim_overlap",
         "peak_rss_mb"}

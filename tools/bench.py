@@ -231,6 +231,10 @@ def main(argv: list[str] | None = None) -> int:
                              "as in perfbench and its children",
                      "warm": "read from a __pycache__ written by one "
                              "untimed run"},
+        "verify_repeats": 1 if args.quick else REPEATS,
+        "perfbench": None if args.quick else {
+            "seed": 1, "seconds": PERFBENCH_SECONDS,
+            "trace0_rounds": PERFBENCH_ROUNDS},
         "known_broken": KNOWN_BROKEN,
         "rows": list(rows.values()),
     }
