@@ -33,8 +33,9 @@ class _ScaledForm(NamedTuple):
     coset of a fixed prefix x_{>k} in L_k^#/L_k, L_k being spanned by the
     first k+1 basis vectors: y mod G_k Z^{k+1}, with y = G[0..k][>k]
     x_{>k} and G_k the leading block.  For a Smith form U G_k V = D that
-    is (U y)_r mod D_r over the rows with D_r > 1; each key row (t, step,
-    m) has m = D_r and (U y)_r = step x_{k+1} + t . x_{>k+1}.
+    is (U y)_r mod D_r over the rows with D_r > 1, read in coordinates of
+    that group that _fewest_steps chooses; each key row (t, step, m) has
+    m = D_r and gives the digit step x_{k+1} + t . x_{>k+1} mod m.
     """
 
     den: list
