@@ -49,14 +49,13 @@ def c12_character(h: Fraction | int, cutoff: Fraction | int) -> FracSeries:
     if hw == Fraction(1, 16):
         acc = _fermion_product(Fraction(1), c - hw, 1, lcm(16, c.denominator))
         return acc.shift(hw)
-    half = Fraction(1, 2)
     grain = lcm(2, c.denominator)
-    plus = _fermion_product(half, c, 1, grain)
-    minus = _fermion_product(half, c, -1, grain)
-    return (plus + minus) * half if hw == 0 else (plus - minus) * half
+    plus = _fermion_product(Fraction(1, 2), c, 1, grain)
+    minus = _fermion_product(Fraction(1, 2), c, -1, grain)
+    return (plus + minus if hw == 0 else plus - minus).exact_div(2)
 
 
-def extension_weight_one_check() -> Fraction:
+def extension_weight_one_check() -> int:
     """Weight-one coefficient of ch_0^2 + ch_{1/2}^2: the two-module
     extension acquires a weight-one vector, so it cannot embed in a
     space with none."""

@@ -30,7 +30,7 @@ def eisenstein_e4(cutoff: int) -> FracSeries:
     terms = {0: 1}
     for n in range(1, cutoff + 1):
         terms[n] = 240 * _divisor_power_sum(n, 3)
-    return FracSeries.from_terms(terms, cutoff=cutoff, grain=1)
+    return FracSeries(1, terms, cutoff)
 
 
 def discriminant_form(cutoff: int) -> FracSeries:
@@ -40,7 +40,7 @@ def discriminant_form(cutoff: int) -> FracSeries:
     acc = FracSeries.one(cutoff, grain=1)
     for n in range(1, cutoff + 1):
         factor = {n * k: (-1) ** k * comb(24, k) for k in range(cutoff // n + 1)}
-        acc = acc * FracSeries.from_terms(factor, cutoff=cutoff, grain=1)
+        acc = acc * FracSeries(1, factor, cutoff)
     return acc.shift(1)
 
 

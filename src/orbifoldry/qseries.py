@@ -1,8 +1,9 @@
 """Exact formal power series in fractional powers of q.
 
 A series lives on the grid (1/D)*Z for a positive integer D called the grain.
-Coefficients are exact rationals, stored as ints where integral and as
-Fractions only otherwise; exponents are integers in grain units, and
+Coefficients are ints: every series the verifier builds is a graded
+dimension or a trace over one, and the one division, exact_div, raises
+rather than leave a remainder.  Exponents are integers in grain units, and
 every series carries an explicit truncation cutoff: the coefficient of q^(k/D)
 is exact for all k <= cutoff and undefined past it.  Reading past the cutoff
 raises LookupError rather than returning a silent zero.
@@ -21,33 +22,20 @@ from math import lcm
 from typing import Iterable, Mapping
 
 
-def _as_fraction(x: int | Fraction) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _exact(x: int | Fraction) -> int | Fraction:
-    """x as an int when integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = _as_fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 class FracSeries:
-    """Truncated series sum(c_k * q^(k/grain)) with exact rational coefficients.
+    """Truncated series sum(c_k * q^(k/grain)) with int coefficients.
 
-    coeffs maps k (grain units, possibly negative) to a nonzero coefficient,
-    an int when integral and a Fraction otherwise; all keys satisfy
-    k <= cutoff.  Instances are value objects, equal by weight cutoff and
+    coeffs maps k <= cutoff (grain units, possibly negative) to a nonzero
+    int.  Instances are value objects, equal by weight cutoff and
     coefficients whatever their grain; do not mutate one after construction.
     """
 
     __slots__ = ("grain", "coeffs", "cutoff")
 
-    def __init__(self, grain: int, coeffs: Mapping[int, int | Fraction], cutoff: int) -> None:
+    def __init__(self, grain: int, coeffs: Mapping[int, int], cutoff: int) -> None:
         if grain < 1:
             raise ValueError(f"grain must be >= 1, got {grain}")
-        cleaned = {int(k): _exact(v) for k, v in coeffs.items() if v}
+        cleaned = {int(k): v for k, v in coeffs.items() if v}
         for k in cleaned:
             if k > cutoff:
                 raise ValueError(f"term q^({k}/{grain}) lies past cutoff {cutoff}")
@@ -65,16 +53,6 @@ class FracSeries:
     def one(cutoff: Fraction | int, grain: int = 1) -> FracSeries:
         return FracSeries(grain, {0: 1}, _to_grain_units(cutoff, grain))
 
-    @staticmethod
-    def from_terms(terms: Mapping[Fraction | int, Fraction | int],
-                   cutoff: Fraction | int, grain: int | None = None) -> FracSeries:
-        exps = [_as_fraction(e) for e in terms]
-        g = grain if grain is not None else 1
-        for e in exps:
-            g = lcm(g, e.denominator)
-        coeffs = {int(_as_fraction(e) * g): c for e, c in terms.items()}
-        return FracSeries(g, coeffs, _to_grain_units(cutoff, g))
-
     # ----- inspection ---------------------------------------------------
 
     @property
@@ -91,15 +69,15 @@ class FracSeries:
         """
         return min(self.coeffs) if self.coeffs else self.cutoff
 
-    def leading_term(self) -> tuple[Fraction, int | Fraction]:
+    def leading_term(self) -> tuple[Fraction, int]:
         """(exponent, coefficient) of the lowest-order term."""
         if not self.coeffs:
             raise ArithmeticError("zero series has no leading term")
         k = min(self.coeffs)
         return Fraction(k, self.grain), self.coeffs[k]
 
-    def coefficient_at(self, exponent: Fraction | int) -> int | Fraction:
-        e = _as_fraction(exponent)
+    def coefficient_at(self, exponent: Fraction | int) -> int:
+        e = Fraction(exponent)
         if e > self.weight_cutoff:
             raise LookupError(f"coefficient at {e} requested, cutoff is {self.weight_cutoff}")
         scaled = e * self.grain
@@ -107,7 +85,7 @@ class FracSeries:
             return 0
         return self.coeffs.get(int(scaled), 0)
 
-    def terms(self) -> list[tuple[Fraction, int | Fraction]]:
+    def terms(self) -> list[tuple[Fraction, int]]:
         """Sorted (exponent, coefficient) pairs."""
         return [(Fraction(k, self.grain), v) for k, v in sorted(self.coeffs.items())]
 
@@ -141,8 +119,8 @@ class FracSeries:
     def __neg__(self) -> FracSeries:
         return FracSeries(self.grain, {k: -v for k, v in self.coeffs.items()}, self.cutoff)
 
-    def __add__(self, other: FracSeries | int | Fraction) -> FracSeries:
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: FracSeries | int) -> FracSeries:
+        if isinstance(other, int):
             other = FracSeries(self.grain, {0: other}, self.cutoff)
         a, b = _aligned(self, other)
         n = min(a.cutoff, b.cutoff)
@@ -151,18 +129,18 @@ class FracSeries:
             out[k] = out.get(k, 0) + v
         return FracSeries(a.grain, {k: v for k, v in out.items() if k <= n}, n)
 
-    def __sub__(self, other: FracSeries | int | Fraction) -> FracSeries:
+    def __sub__(self, other: FracSeries | int) -> FracSeries:
         return self + (-other)
 
-    def __mul__(self, other: FracSeries | int | Fraction) -> FracSeries:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: FracSeries | int) -> FracSeries:
+        if isinstance(other, int):
             return FracSeries(self.grain, {k: v * other for k, v in self.coeffs.items()},
                               self.cutoff)
         a, b = _aligned(self, other)
         # worst-case exactness: a term at e needs b exact at e - tail(a) and
         # vice versa, so the product is exact through min of the shifted cutoffs
         n = min(a.cutoff + b.tail_exponent(), b.cutoff + a.tail_exponent())
-        out: dict[int, int | Fraction] = {}
+        out: dict[int, int] = {}
         for ka, va in a.coeffs.items():
             for kb, vb in b.coeffs.items():
                 k = ka + kb
@@ -174,14 +152,26 @@ class FracSeries:
 
     def shift(self, delta: Fraction | int) -> FracSeries:
         """Multiply by q^delta (delta may be negative)."""
-        d = _as_fraction(delta)
+        d = Fraction(delta)
         g = lcm(self.grain, d.denominator)
         s = self.rescaled(g)
         off = int(d * g)
         return FracSeries(g, {k + off: v for k, v in s.coeffs.items()}, s.cutoff + off)
 
+    def exact_div(self, m: int) -> FracSeries:
+        """self / m, the integrality certificate: a coefficient that m does
+        not divide raises ArithmeticError naming it and its exponent."""
+        out = {}
+        for k, v in sorted(self.coeffs.items()):
+            out[k], rem = divmod(v, m)
+            if rem:
+                raise ArithmeticError(f"coefficient {v} at q^({Fraction(k, self.grain)}) "
+                                      f"is not divisible by {m}")
+        return FracSeries(self.grain, out, self.cutoff)
+
     def inverse(self) -> FracSeries:
-        """Multiplicative inverse; the series must have a nonzero leading term.
+        """Multiplicative inverse; the leading coefficient must be +-1, so
+        that the inverse has int coefficients, else ArithmeticError.
 
         If self is exact through cutoff N with tail t, the inverse is exact
         through N - 2t: the coefficient of the inverse at -t + s consumes
@@ -192,10 +182,12 @@ class FracSeries:
         t = min(self.coeffs)
         n_inv = self.cutoff - 2 * t
         lead = self.coeffs[t]
-        # 1/lead, an int when lead is +-1 so that unit series stay in ints
-        scale = lead if lead in (1, -1) else 1 / _as_fraction(lead)
-        # normalized unit u = q^(-t) * self / lead = 1 + sum_{j>=1} u_j q^j
-        steps = sorted((k - t, _exact(v * scale)) for k, v in self.coeffs.items() if k > t)
+        if lead not in (1, -1):
+            raise ArithmeticError(f"leading coefficient {lead} at q^({Fraction(t, self.grain)}) "
+                                  "is not +-1, so the inverse is not integral")
+        # lead is its own inverse; the normalized unit
+        # u = q^(-t) * self / lead = 1 + sum_{j>=1} u_j q^j
+        steps = sorted((k - t, v * lead) for k, v in self.coeffs.items() if k > t)
         # u^(-1) through q^(N - t), which puts the inverse's top at N - 2t
         inv = [1] + [0] * (self.cutoff - t)
         for k in range(1, len(inv)):
@@ -205,7 +197,7 @@ class FracSeries:
                     break
                 s -= uj * inv[k - j]
             inv[k] = s
-        return FracSeries(self.grain, {k - t: v * scale for k, v in enumerate(inv) if v},
+        return FracSeries(self.grain, {k - t: v * lead for k, v in enumerate(inv) if v},
                           n_inv)
 
     # ----- graded structure ----------------------------------------------
@@ -214,7 +206,7 @@ class FracSeries:
         """Terms whose exponent is congruent to residue mod 1: the k with
         k = residue * grain mod grain, none when residue is off the grid."""
         g = self.grain
-        r = _as_fraction(residue) * g
+        r = Fraction(residue) * g
         if r.denominator != 1:
             return FracSeries(g, {}, self.cutoff)
         r = r.numerator % g
@@ -223,8 +215,8 @@ class FracSeries:
     # ----- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        """{"grain", "terms": [[k, "num/den"], ...], "cutoff"}, JSON-able."""
-        terms = [[k, _frac_str(v)] for k, v in sorted(self.coeffs.items())]
+        """{"grain", "terms": [[k, "c"], ...], "cutoff"}, JSON-able."""
+        terms = [[k, str(v)] for k, v in sorted(self.coeffs.items())]
         return {"grain": self.grain, "terms": terms, "cutoff": self.cutoff}
 
     def __eq__(self, other: object) -> bool:
@@ -246,7 +238,7 @@ class FracSeries:
 # ----- helpers -----------------------------------------------------------
 
 def _to_grain_units(cutoff: Fraction | int, grain: int) -> int:
-    c = _as_fraction(cutoff) * grain
+    c = Fraction(cutoff) * grain
     if c.denominator != 1:
         raise ValueError(f"cutoff {cutoff} is not representable at grain {grain}")
     return int(c)
@@ -255,10 +247,6 @@ def _to_grain_units(cutoff: Fraction | int, grain: int) -> int:
 def _aligned(a: FracSeries, b: FracSeries) -> tuple[FracSeries, FracSeries]:
     g = lcm(a.grain, b.grain)
     return a.rescaled(g), b.rescaled(g)
-
-
-def _frac_str(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
 def euler_product(multiplicities: Mapping[int, int], n: int) -> list[int]:
@@ -295,7 +283,7 @@ def grading_product(modes: Iterable[tuple[Fraction | int, int]],
 
     Raises ValueError if some mode exponent e is <= 0.
     """
-    mode_list = [(_as_fraction(e), mult) for e, mult in modes]
+    mode_list = [(Fraction(e), mult) for e, mult in modes]
     g = grain if grain is not None else 1
     for e, mult in mode_list:
         if e <= 0:

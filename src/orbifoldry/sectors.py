@@ -160,8 +160,8 @@ def twined_untwisted_character(g: Isometry, j: int, cutoff: Fraction | int,
         series = acc.inverse()
     # a theta exact through less than top caps the series there
     if c != top and series.weight_cutoff == top:
-        series = FracSeries.from_terms(dict(series.terms()), cutoff=c,
-                                       grain=c.denominator)
+        d = c.denominator
+        series = FracSeries(d, {int(w * d): v for w, v in series.terms()}, c.numerator)
     return series
 
 
@@ -181,7 +181,7 @@ def eigencomponent_character(g: Isometry, j: int, cutoff: Fraction | int,
 
     The twined trace depends on j' only through gcd(j', m), so the sum
     collapses to one Ramanujan sum per divisor of m; the arithmetic stays
-    in integers and exact series.
+    in integers, and exact_div(m) certifies that the component is integral.
     """
     m = multiplicative_order(g)
     total: FracSeries | None = None
@@ -194,4 +194,4 @@ def eigencomponent_character(g: Isometry, j: int, cutoff: Fraction | int,
         piece = weight * twined_untwisted_character(g, e, cutoff, theta)
         total = piece if total is None else total + piece
     assert total is not None
-    return Fraction(1, m) * total
+    return total.exact_div(m)

@@ -212,8 +212,7 @@ def test_lattice_ground_truth(leech):
     assert all(leech.gram[i][i] % 2 == 0 for i in range(24))
     counts = enumerate_vectors_by_norm(leech, 4)
     assert counts == {0: 1, 2: 0, 4: KISSING_NUMBER}
-    theta_enum = FracSeries.from_terms(
-        {m // 2: c for m, c in counts.items()}, cutoff=2, grain=1)
+    theta_enum = FracSeries(1, {m // 2: c for m, c in counts.items()}, 2)
     untwisted = twined_untwisted_character(negation_isometry(leech), 0,
                                            Fraction(2), theta_enum)
     assert untwisted.coefficient_at(1) == 24
@@ -251,9 +250,8 @@ def test_ising_characters():
 
 
 def random_series(rng, cutoff=4):
-    return FracSeries.from_terms(
-        {k: rng.randint(-9, 9) for k in range(cutoff + 1)}, cutoff=cutoff,
-        grain=1)
+    return FracSeries(1, {k: rng.randint(-9, 9) for k in range(cutoff + 1)},
+                      cutoff)
 
 
 def leibniz_det(m):

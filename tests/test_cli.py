@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifoldry import cli, enumeration, isometry, lattice, modular, sectors
+from orbifoldry import cli, enumeration, ising, isometry, lattice, modular, sectors
 from orbifoldry.cli import CLAIM_REGISTRY, RunConfig, run_verification_suite
 from orbifoldry.commands import DEFAULT_SUITE_CUTOFF, _build_parser, main
 from orbifoldry.datafiles import load_leech, resolve_data_dir
@@ -110,6 +110,39 @@ def test_corrupted_isometry_becomes_failed_entries(corrupted_data):
     for slug in ("isotropic-subgroups", "integral-weight-labels", "z2-split",
                  "ising-characters", "lattice-ground-truth"):
         assert by_slug[slug].passed, slug
+
+
+def _errors_of_failed_claims(report):
+    return {e.claim: e.computed.get("error", "") for e in report.entries
+            if not e.passed}
+
+
+def test_a_non_integral_eigencomponent_fails_its_claims(monkeypatch):
+    # one more on the identity's Ramanujan weight adds the full untwisted
+    # character to every eigencomponent sum, so its constant term is m + 1
+    # or 1, which the order m does not divide
+    exact = sectors.ramanujan_sum
+    monkeypatch.setattr(sectors, "ramanujan_sum",
+                        lambda q, n: exact(q, n) + (1 if q == 1 else 0))
+    failed = _errors_of_failed_claims(
+        run_verification_suite(RunConfig(p=3, cutoff=Fraction(2))))
+    assert set(failed) == {"weight-one-dim", "moonshine-character", "z2-split"}
+    for error in failed.values():
+        assert error.startswith("ArithmeticError: coefficient "), error
+        assert "at q^(0) is not divisible by" in error
+
+
+def test_an_odd_fermion_sum_fails_the_ising_claim(monkeypatch):
+    # one more at q^0 in the odd-sign product makes plus + minus and
+    # plus - minus odd there, which exact_div(2) refuses
+    product = ising._fermion_product
+    monkeypatch.setattr(ising, "_fermion_product",
+                        lambda first, cutoff, sign, grain:
+                        product(first, cutoff, sign, grain) + (1 if sign < 0 else 0))
+    failed = _errors_of_failed_claims(
+        run_verification_suite(RunConfig(p=3, cutoff=Fraction(2))))
+    assert failed == {"ising-characters": "ArithmeticError: coefficient 3 at "
+                                          "q^(0) is not divisible by 2"}
 
 
 @pytest.mark.parametrize("budget", [5000, None])

@@ -4,9 +4,13 @@
     python3 tools/bench.py --quick --out bench.json
 
 Each checkout is a row: "change" is this one, "parent" the one given
-with --against.  A row records the commit, the Python version, nproc and
-the lines of each src/orbifoldry module, and times
+with --against.  A row records the commit, the lines of each
+src/orbifoldry module and the number of files under tests/golden, and
+times
 
+  - the interpreter floor, `python -c pass` and `python -S -c pass`, and
+    `python -c "import orbifoldry.cli"` with the bytecode cold and warm,
+    in fresh interpreters that alternate between the rows;
   - `python -m orbifoldry verify --p P --cutoff C` for P in 3, 5, 7, 13
     and C in 4, 10, in child processes that alternate between the rows,
     with the package's bytecode cold (compiled from source, as in the
@@ -15,10 +19,10 @@ the lines of each src/orbifoldry module, and times
   - perfbench/run.py, unchanged, at --trace 0 in alternating rounds and
     once at --trace 1, on a copy of the checkout with no bytecode cache.
 
---quick times verify --p 3 at cutoff 4 once per row and cache, and runs
-neither perfbench nor the tier-1 suite.  Metrics that perfbench reports
-but that do not measure what their names say are copied under
-"known_broken" with the reason.  Standard library only.
+--quick runs each start-up command and verify --p 3 at cutoff 4 once per
+row and cache, and runs neither perfbench nor the tier-1 suite.  Metrics
+that perfbench reports but that do not measure what their names say are
+copied under "known_broken" with the reason.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,6 +44,15 @@ ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (3, 5, 7, 13)
 CUTOFFS = (4, 10)
 REPEATS = 5
+STARTUP_REPEATS = 11
+# interpreter arguments of each start-up timing, and whether it reads the
+# package with the bytecode cold or warm (None: the package is not read)
+STARTUP = {
+    "python -c pass": (["-c", "pass"], None),
+    "python -S -c pass": (["-S", "-c", "pass"], None),
+    "import orbifoldry.cli cold": (["-c", "import orbifoldry.cli"], "cold"),
+    "import orbifoldry.cli warm": (["-c", "import orbifoldry.cli"], "warm"),
+}
 PERFBENCH_SECONDS = 5
 PERFBENCH_ROUNDS = 3
 
@@ -67,14 +80,17 @@ def _git(root: Path, *args: str) -> str | None:
 
 
 def describe(root: Path) -> dict:
-    """Commit and src/ lines per module of a checkout."""
+    """Commit, src/ lines per module and golden file count of a checkout."""
     commit = _git(root, "rev-parse", "HEAD") or "unknown: not a git checkout"
     if _git(root, "status", "--porcelain", "--", "src"):
         commit += " with uncommitted src/ changes"
     lines = {path.name: len(path.read_text().splitlines())
              for path in sorted((root / "src" / "orbifoldry").glob("*.py"))}
+    golden = root / "tests" / "golden"
     return {"commit": commit, "src_lines": lines,
-            "src_lines_total": sum(lines.values())}
+            "src_lines_total": sum(lines.values()),
+            "golden_files": sum(path.is_file() for path in golden.iterdir())
+            if golden.is_dir() else 0}
 
 
 def _copy(root: Path, into: Path) -> Path:
@@ -96,17 +112,37 @@ def _env(src: Path, cached: bool) -> dict:
     return env
 
 
-def run_verify(copy: Path, p: int, cutoff: int, cached: bool) -> float:
-    argv = [sys.executable, "-m", "orbifoldry", "verify", "--p", str(p),
-            "--cutoff", str(cutoff)]
+def _wall(copy: Path, args: list, cached: bool) -> float:
+    """Wall seconds of one interpreter run in copy; a failure raises."""
+    argv = [sys.executable, *args]
     start = time.perf_counter()
     done = subprocess.run(argv, cwd=copy, env=_env(copy / "src", cached),
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     wall = time.perf_counter() - start
     if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(argv[3:])} in {copy} exited "
+        raise RuntimeError(f"{' '.join(args)} in {copy} exited "
                            f"{done.returncode}: {done.stderr.decode()[-300:]}")
     return wall
+
+
+def run_verify(copy: Path, p: int, cutoff: int, cached: bool) -> float:
+    return _wall(copy, ["-m", "orbifoldry", "verify", "--p", str(p),
+                        "--cutoff", str(cutoff)], cached)
+
+
+def time_startup(copies: dict, repeats: int) -> dict:
+    """Wall seconds per row of each STARTUP command, the rows alternating
+    and each repeat reversing their order.  The copies' warm bytecode
+    caches are already written."""
+    names = list(copies)
+    samples = {name: {key: [] for key in STARTUP} for name in names}
+    for repeat in range(repeats):
+        for key, (args, cache) in STARTUP.items():
+            for name in (names if repeat % 2 == 0 else names[::-1]):
+                samples[name][key].append(_wall(
+                    copies[name][cache or "cold"], args, cache == "warm"))
+    return {name: {key: _summary(walls) for key, walls in by_key.items()}
+            for name, by_key in samples.items()}
 
 
 def time_verify(copies: dict, cases: list, repeats: int) -> dict:
@@ -172,20 +208,22 @@ def _pairs(parent: list, change: list) -> dict:
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """For each verify case and each end-to-end perfbench metric, the
-    pairs in which the change reads lower and the median change/parent
-    ratio; lower is better for all of them."""
+    """For each verify case, start-up command and end-to-end perfbench
+    metric, the pairs in which the change reads lower and the median
+    change/parent ratio; lower is better for all of them."""
     verify = {f"{cache} {case}": _pairs(timings["samples_s"],
                                         change["verify"][cache][case]["samples_s"])
               for cache, by_case in parent["verify"].items()
               for case, timings in by_case.items()}
+    startup = {key: _pairs(timings["samples_s"], change["startup"][key]["samples_s"])
+               for key, timings in parent["startup"].items()}
     rounds = {name: [r["metrics"] for r in row.get("perfbench_trace0", [])]
               for name, row in (("parent", parent), ("change", change))}
     metrics = {name for r in rounds["parent"][:1] for name in r}
     perfbench = {name: _pairs([r[name] for r in rounds["parent"]],
                               [r[name] for r in rounds["change"]])
                  for name in sorted(metrics)}
-    return {"verify": verify, "perfbench_trace0": perfbench}
+    return {"verify": verify, "startup": startup, "perfbench_trace0": perfbench}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -210,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         for name, timings in time_verify(
                 copies, cases, 1 if args.quick else REPEATS).items():
             rows[name]["verify"] = timings
+        for name, timings in time_startup(
+                copies, 1 if args.quick else STARTUP_REPEATS).items():
+            rows[name]["startup"] = timings
         if not args.quick:
             for name in roots:
                 rows[name]["perfbench_trace0"] = []
@@ -232,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
                      "warm": "read from a __pycache__ written by one "
                              "untimed run"},
         "verify_repeats": 1 if args.quick else REPEATS,
+        "startup_repeats": 1 if args.quick else STARTUP_REPEATS,
         "perfbench": None if args.quick else {
             "seed": 1, "seconds": PERFBENCH_SECONDS,
             "trace0_rounds": PERFBENCH_ROUNDS},
