@@ -53,14 +53,14 @@ def sigma_profile(p: int) -> CycloProfile:
     return CycloProfile.of({2 * p: 24 // (p - 1)})
 
 
-def load_sigma(p: int, data_dir: str | os.PathLike | None = None,
-               lattice: Lattice | None = None) -> Isometry:
-    """The shipped order-2p fixed-point-free isometry for p in {3,5,7,13},
-    verified on load: Gram preservation, unimodularity, spectral profile."""
+def load_sigma(p: int, data_dir: str | os.PathLike | None = None, *,
+               lattice: Lattice) -> Isometry:
+    """The shipped order-2p fixed-point-free isometry of `lattice` for p in
+    {3,5,7,13}, verified on load: Gram preservation, unimodularity,
+    spectral profile."""
     # an unsupported p is rejected here, before any file is read
     expected = sigma_profile(p)
-    lat = lattice if lattice is not None else load_leech(data_dir)
-    g = Isometry(lat, parse_matrix(_read(data_dir, f"sigma_p{p}.txt")))
+    g = Isometry(lattice, parse_matrix(_read(data_dir, f"sigma_p{p}.txt")))
     if cyclotomic_profile(g) != expected:
         raise ValueError(f"sigma data for p={p} has the wrong spectral profile")
     return g

@@ -125,14 +125,13 @@ def _fewest_steps(rows: list) -> list:
     return [tuple(row) for row in rows]
 
 
-def _scaled_form(gram: lattice.IntMatrix) -> _ScaledForm:
-    n = len(gram)
-    # the square completion Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
-    # from fraction-free elimination: d_i = minors[i] / minors[i-1] and
-    # u_ij = rows[i][j] / minors[i]; den[i] is the denominator of row i
-    order = list(range(n))
-    minors, rows = lattice._bareiss(gram, order=order)
-    gram = [[gram[i][j] for j in order] for i in order]
+def _scaled_form(lat: lattice.Lattice) -> _ScaledForm:
+    """The square completion Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
+    read from the lattice's elimination: d_i = minors[i] / minors[i-1],
+    u_ij = rows[i][j] / minors[i]; den[i] is the denominator of row i."""
+    order, minors, rows = lat._elimination
+    n = lat.rank
+    gram = [[lat.gram[i][j] for j in order] for i in order]
     below = [1] + minors[:-1]
     shrink = [gcd(minors[i], *rows[i][i + 1:]) for i in range(n)]
     den = [minors[i] // shrink[i] for i in range(n)]
@@ -182,15 +181,15 @@ def _state_width(form: _ScaledForm, max_norm: int) -> int:
     return bound.bit_length() + 1
 
 
-def count_by_norm(gram: lattice.IntMatrix, max_norm: int,
+def count_by_norm(lat: lattice.Lattice, max_norm: int,
                   budget: int) -> dict[int, int]:
-    """Exact count of the vectors at each even norm 0..max_norm of the
-    lattice with this Gram matrix, max_norm even and nonnegative.
+    """Exact count of the vectors of the lattice at each even norm
+    0..max_norm, max_norm even and nonnegative.
 
-    Depth-first search over the square completion of the form, basis in
-    pivot order, bounds in scaled integers.  An outer loop fixes the
-    highest nonzero coordinate x_k to a positive value (nonzero norms
-    count twice).  Below it the search runs over all of Z^k, so each
+    Depth-first search over the square completion that the lattice's
+    elimination gives (_scaled_form), basis in its pivot order, bounds in
+    scaled integers.  An outer loop fixes the highest nonzero coordinate
+    x_k to a positive value (nonzero norms count twice).  Below it the search runs over all of Z^k, so each
     subtree is counted once per coset of the fixed prefix modulo the span
     of the first basis vectors, on the levels MEMO_MINOR_LIMIT admits, and
     once per pair of opposite cosets: x -> -x maps the subtree of a prefix
@@ -220,11 +219,11 @@ def count_by_norm(gram: lattice.IntMatrix, max_norm: int,
     same norms.
     """
     counts = {m: int(m == 0) for m in range(0, max_norm + 1, 2)}
-    n = len(gram)
+    n = lat.rank
     if n == 0 or max_norm == 0:
         return counts
 
-    form = _scaled_form(gram)
+    form = _scaled_form(lat)
     den, _, amp, scale, keys = form
     total = scale * max_norm
     nodes = 0

@@ -39,27 +39,25 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _bareiss(matrix: Sequence[Sequence[int]], order=None) -> tuple:
-    """Fraction-free (Bareiss) elimination without row swaps: the
-    successive pivots and the eliminated rows.
-
-    The k-th pivot is the k-th leading principal minor of the input
-    (Sylvester's criterion).  Entry (k, j), j >= k, of the eliminated
-    rows is the minor on rows 0..k and columns 0..k-1, j.  Stops at the
-    first zero pivot.  Given `order`, the list of indices, each step
-    first swaps in the least remaining diagonal entry, the least next
-    leading minor, by rows and columns, and permutes `order` alike.
+def _bareiss(matrix: Sequence[Sequence[int]]) -> tuple:
+    """Fraction-free (Bareiss) elimination: the pivot order, the pivots
+    and the eliminated rows.  Each step first swaps in, by rows and
+    columns, the least remaining diagonal entry, the least next leading
+    minor.  In the pivot order, entries (order[i], order[j]) of the input,
+    the k-th pivot is the k-th leading principal minor, and entry (k, j),
+    j >= k, of the rows the minor on rows 0..k and columns 0..k-1, j.
+    Stops at the first zero pivot.
     """
     work = [list(row) for row in matrix]
     n = len(work)
+    order = list(range(n))
     pivots: list[int] = []
     prev = 1
     for k in range(n):
-        if order is not None:
-            i = min(range(k, n), key=lambda i: work[i][i])
-            # swap entries k and i of `order`, the rows and each row
-            for seq in (order, work, *work):
-                seq[k], seq[i] = seq[i], seq[k]
+        i = min(range(k, n), key=lambda i: work[i][i])
+        # swap entries k and i of `order`, the rows and each row
+        for seq in (order, work, *work):
+            seq[k], seq[i] = seq[i], seq[k]
         pivot = work[k][k]
         pivots.append(pivot)
         if pivot == 0:
@@ -68,20 +66,22 @@ def _bareiss(matrix: Sequence[Sequence[int]], order=None) -> tuple:
             for j in range(k + 1, n):
                 work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]) // prev
         prev = pivot
-    return pivots, work
+    return order, pivots, work
 
 
 class Lattice:
     """Even positive definite lattice described by its Gram matrix.
 
     Invariants are checked at construction: the matrix must be square,
-    symmetric, have even diagonal, and pass Sylvester's criterion.
-    Lattices are equal when their Gram matrices are.
+    symmetric, have even diagonal, and pass Sylvester's criterion in the
+    pivot order of _bareiss, whose result the determinant and the
+    enumeration's square completion read.  Lattices are equal when their
+    Gram matrices are.
     """
 
     # _coinvariants: divisors of L/(1 - g)L by the matrix of g, filled by
-    # Isometry.coinvariant_divisors
-    __slots__ = ("gram", "_coinvariants", "_determinant")
+    # Isometry.coinvariant_divisors; _elimination: _bareiss of the Gram
+    __slots__ = ("gram", "_coinvariants", "_elimination")
 
     def __init__(self, gram: Sequence[Sequence[int]]) -> None:
         self.gram = gram = _freeze(gram)
@@ -96,12 +96,12 @@ class Lattice:
         for i in range(n):
             if gram[i][i] % 2:
                 raise ValueError(f"diagonal entry {gram[i][i]} at index {i} is odd")
-        minors = _bareiss(gram)[0]
+        # a symmetric permutation keeps positive definiteness and the
+        # determinant: the pivots decide the one and end with the other
+        self._elimination = _bareiss(gram)
+        minors = self._elimination[1]
         if len(minors) < n or any(m <= 0 for m in minors):
             raise ValueError("a leading principal minor is not positive")
-        # a positive definite Gram needs no row swaps: its determinant is
-        # the last leading minor
-        self._determinant = minors[-1] if n else 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
@@ -119,7 +119,7 @@ class Lattice:
         return len(self.gram)
 
     def determinant(self) -> int:
-        return self._determinant
+        return self._elimination[1][-1] if self.rank else 1
 
 
 def parse_matrix(source: str) -> IntMatrix:
@@ -257,10 +257,11 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
                               budget: int = DEFAULT_NODE_BUDGET) -> dict[int, int]:
     """Exact count of lattice vectors at each even norm 0..max_norm.
 
-    Counted by the memoised search of enumeration.count_by_norm, which
-    visits each subtree once per pair of opposite cosets of its fixed
-    prefix.  Raises BudgetExceeded (discarding partial counts) once more
-    than `budget` candidates are visited; a memo hit visits none.
+    Counted by the memoised search of enumeration.count_by_norm over the
+    square completion that the lattice's elimination gives, visiting each
+    subtree once per pair of opposite cosets of its fixed prefix.  Raises
+    BudgetExceeded (discarding partial counts) once more than `budget`
+    candidates are visited; a memo hit visits none.
     """
     if max_norm < 0:
         raise ValueError("max_norm must be nonnegative")
@@ -268,4 +269,4 @@ def enumerate_vectors_by_norm(lattice: Lattice, max_norm: int,
         raise ValueError("max_norm must be even for an even lattice")
     # only the commands that count vectors compile the search
     from .enumeration import count_by_norm
-    return count_by_norm(lattice.gram, max_norm, budget)
+    return count_by_norm(lattice, max_norm, budget)

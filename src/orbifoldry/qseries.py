@@ -274,7 +274,7 @@ def euler_product(multiplicities: Mapping[int, int], n: int) -> list[int]:
 
 def grading_product(modes: Iterable[tuple[Fraction | int, int]],
                     cutoff: Fraction | int,
-                    grain: int | None = None) -> FracSeries:
+                    grain: int = 1) -> FracSeries:
     """prod over (e, mult) of prod_{k>=0} (1 - q^(e+k))^(-mult), truncated.
 
     Each mode contributes a free graded piece at exponents e, e+1, e+2, ...
@@ -284,16 +284,15 @@ def grading_product(modes: Iterable[tuple[Fraction | int, int]],
     Raises ValueError if some mode exponent e is <= 0.
     """
     mode_list = [(Fraction(e), mult) for e, mult in modes]
-    g = grain if grain is not None else 1
     for e, mult in mode_list:
         if e <= 0:
             raise ValueError(f"mode exponent {e} must be positive")
         if mult < 0:
             raise ValueError(f"multiplicity {mult} must be nonnegative")
-        g = lcm(g, e.denominator)
-    n = _to_grain_units(cutoff, g)
+        grain = lcm(grain, e.denominator)
+    n = _to_grain_units(cutoff, grain)
     multiplicities: Counter[int] = Counter()
     for e, mult in mode_list:
-        for s in range(int(e * g), n + 1, g):
+        for s in range(int(e * grain), n + 1, grain):
             multiplicities[s] += mult
-    return FracSeries(g, dict(enumerate(euler_product(multiplicities, n))), n)
+    return FracSeries(grain, dict(enumerate(euler_product(multiplicities, n))), n)

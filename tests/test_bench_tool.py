@@ -1,6 +1,7 @@
 """tools/bench.py in its quick mode: one run of each start-up command and
-of verify per row and bytecode state, no perfbench and no tier-1 suite,
-so it runs in seconds."""
+of verify per row and bytecode state, two work counts of one small
+command per row, no perfbench and no tier-1 suite, so it runs in
+seconds."""
 
 import json
 import subprocess
@@ -10,6 +11,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 STARTUP_KEYS = ["python -c pass", "python -S -c pass",
                 "import orbifoldry.cli cold", "import orbifoldry.cli warm"]
+WORK_COMMAND = "fusion orbifold --p 3 --cutoff 7/2"
+WORK_CALLS = ["lattice._bareiss", "lattice.smith_normal_form",
+              "isometry._charpoly", "isometry._mat_mul",
+              "qseries.euler_product", "qseries.FracSeries.__mul__",
+              "qseries.FracSeries.inverse"]
 
 
 def test_quick_bench_pairs_two_rows(tmp_path):
@@ -46,6 +52,19 @@ def test_quick_bench_pairs_two_rows(tmp_path):
             assert case["median_s"] > 0
             assert case["quartiles_s"] == [case["median_s"]] * 2
         assert not {"perfbench_trace0", "perfbench_trace1", "tier1"} & set(row)
+        assert list(row["work"]) == [WORK_COMMAND]
+        work = row["work"][WORK_COMMAND]
+        assert set(work) == {"total", "modules", "top_functions", "calls",
+                             "totals"}
+        # two counts in separate processes agree
+        assert work["totals"] == [work["total"]] * 2
+        assert work["total"] == sum(work["modules"].values()) > 0
+        assert {"lattice", "isometry", "qseries"} <= set(work["modules"])
+        top = list(work["top_functions"].values())
+        assert len(top) == 10 and top == sorted(top, reverse=True)
+        assert list(work["calls"]) == WORK_CALLS
+        # the one Lattice() of the load runs one elimination
+        assert work["calls"]["lattice._bareiss"] == 1
     assert parent["commit"] == change["commit"]
     pairs = record["change_vs_parent"]["verify"]
     assert set(pairs) == {"cold p3-c4", "warm p3-c4"}
@@ -53,3 +72,6 @@ def test_quick_bench_pairs_two_rows(tmp_path):
     startup = record["change_vs_parent"]["startup"]
     assert list(startup) == STARTUP_KEYS
     assert all(pair["pairs"] == 1 for pair in startup.values())
+    assert record["change_vs_parent"]["work"] == {WORK_COMMAND: 1.0}
+    assert record["work"]["repeats"] == 2
+    assert record["work"]["calls"] == WORK_CALLS

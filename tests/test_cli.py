@@ -227,9 +227,8 @@ def counted_p13_report():
 def test_each_smith_form_is_computed_once(counted_p13_report):
     report, calls = counted_p13_report
     assert report.all_passed
-    gram = load_leech().gram
-    order = list(range(len(gram)))
-    lattice._bareiss(gram, order=order)
+    leech = load_leech()
+    gram, order = leech.gram, leech._elimination[0]
     ordered = [[gram[i][j] for j in order] for i in order]
     leading = {tuple(tuple(row[:k]) for row in g[:k])
                for g in (gram, ordered) for k in range(1, 25)}
@@ -242,7 +241,7 @@ def test_each_smith_form_is_computed_once(counted_p13_report):
     bordered = [m for m in calls["snf"] if len(m) < len(gram)]
     # one small form per level at most, over the rows with invariant > 1
     # plus the border
-    keys = enumeration._scaled_form(gram).keys
+    keys = enumeration._scaled_form(leech).keys
     key_rows = max(len(rows) for rows in keys if rows is not None)
     assert 0 < len(bordered) < len(gram)
     assert all(len(m) <= key_rows + 1 for m in bordered)

@@ -181,7 +181,8 @@ def test_report_is_invariant_under_another_generator_of_sigmas_group(
     units = [k for k in range(2, 2 * p) if gcd(k, 2 * p) == 1]
     k = random.Random(2600 + p).choice(units)
     dest = shipped_copy(tmp_path_factory, f"sigma_power_p{p}")
-    write_matrix(dest / f"sigma_p{p}.txt", load_sigma(p).power(k).matrix)
+    sigma = load_sigma(p, lattice=load_leech())
+    write_matrix(dest / f"sigma_p{p}.txt", sigma.power(k).matrix)
     report = run_verification_suite(RunConfig(p=p, data_dir=dest))
     assert report.config["data_dir"] == str(dest)
     assert report_bytes(report) == shipped_reports[p], k
@@ -190,7 +191,8 @@ def test_report_is_invariant_under_another_generator_of_sigmas_group(
 @pytest.mark.parametrize("p", SUPPORTED_P)
 def test_report_is_invariant_under_a_change_of_basis(
         tmp_path_factory, basis_change, shipped_reports, p):
-    gram, sigma = load_leech().gram, load_sigma(p).matrix
+    leech = load_leech()
+    gram, sigma = leech.gram, load_sigma(p, lattice=leech).matrix
     u, u_inv = basis_change
     dest = shipped_copy(tmp_path_factory, f"basis_p{p}")
     write_matrix(dest / "leech_gram.txt",
@@ -207,7 +209,8 @@ def test_report_is_invariant_under_a_change_of_basis(
 def sigma_squared(tmp_path_factory):
     """Leech with sigma replaced by sigma^2, of order p."""
     dest = shipped_copy(tmp_path_factory, "sigma_squared")
-    write_matrix(dest / "sigma_p5.txt", load_sigma(5).power(2).matrix)
+    sigma = load_sigma(5, lattice=load_leech())
+    write_matrix(dest / "sigma_p5.txt", sigma.power(2).matrix)
     return dest
 
 

@@ -41,12 +41,13 @@ def test_environment_does_not_move_the_data_dir(tmp_path, monkeypatch, capsys):
 
 
 def test_unsupported_p_rejected(tmp_path):
+    leech = load_leech()
     with pytest.raises(ValueError):
-        load_sigma(11)
+        load_sigma(11, lattice=leech)
     # the p check comes before any file is read: an empty directory
     # would raise DataMissing, which is no ValueError
     with pytest.raises(ValueError, match="p must be one of"):
-        load_sigma(11, data_dir=tmp_path)
+        load_sigma(11, data_dir=tmp_path, lattice=leech)
     with pytest.raises(ValueError):
         sigma_profile(2)
 

@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from integer_det import det_int
@@ -176,8 +177,12 @@ def test_bareiss_determinant_and_leading_minors_match_oracle():
             cases.append(m)
     for m in cases:
         assert det_int(m) == det_oracle(m), m
-        minors, _ = _bareiss(m)
-        leading = [det_oracle([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+        order, minors, _ = _bareiss(m)
+        assert sorted(order) == list(range(len(m))), m
+        # the leading minors of the matrix in the pivot order
+        pivoted = [[m[i][j] for j in order] for i in order]
+        leading = [det_oracle([row[:k] for row in pivoted[:k]])
+                   for k in range(1, len(m) + 1)]
         stop = next((k for k, v in enumerate(leading) if v == 0), len(m) - 1)
         assert minors == leading[:stop + 1], m
 
@@ -188,12 +193,67 @@ def test_determinant_is_the_last_sylvester_minor(monkeypatch):
     for trial in range(40):
         build = random_dense_lattice if trial % 2 else random_sparse_lattice
         lattices.append(build(rng, 1 + trial % 8))
-    # no elimination runs after construction
+    want = [{0: 1, 2: 0, 4: 196560}] + [reference_counts(lat, 4)
+                                        for lat in lattices[1:]]
+    # no elimination runs after construction: the determinant and the
+    # enumeration's square completion read the one construction ran
     monkeypatch.setattr(lattice_module, "_bareiss", None)
     got = [lat.determinant() for lat in lattices]
+    counted = [enumerate_vectors_by_norm(lat, 4) for lat in lattices]
     monkeypatch.undo()
     assert got == [det_int(lat.gram) for lat in lattices]
     assert got[:2] == [1, 1]
+    assert counted == want
+
+
+def test_construction_accepts_exactly_the_positive_definite_grams():
+    """Sylvester's criterion runs in the pivot order of the elimination,
+    not in file order; it must accept a Gram exactly when every leading
+    minor in file order is positive."""
+    rng = random.Random(3301)
+    accepted = indefinite = singular = 0
+    for trial in range(360):
+        n = 1 + trial % 6
+        if trial % 3 == 0:
+            # even symmetric with small entries: mostly indefinite
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                g[i][i] = 2 * rng.randint(-1, 3)
+                for j in range(i):
+                    g[i][j] = g[j][i] = rng.randint(-2, 2)
+        else:
+            # 2 B B^T with the first n - 1 rows of B independent, then
+            # either a last row dependent on them (singular semidefinite)
+            # or the last diagonal entry lowered just past zero
+            # determinant (indefinite, every smaller file-order minor
+            # positive)
+            while True:
+                b = [[rng.randint(-1, 1) for _ in range(n)]
+                     for _ in range(n - 1)]
+                head = [[2 * sum(map(mul, x, y)) for y in b] for x in b]
+                if det_oracle(head) > 0:
+                    break
+            b.append([sum(rng.randint(-1, 1) * x[c] for x in b)
+                      for c in range(n)] if trial % 3 == 1 else
+                     [rng.randint(-1, 1) for _ in range(n)])
+            g = [[2 * sum(map(mul, x, y)) for y in b] for x in b]
+            if trial % 3 == 2:
+                # the determinant falls by 2 * det(head) per step of -2
+                step = 2 * det_oracle(head)
+                g[-1][-1] -= 2 * (det_oracle(g) // step + 1)
+        leading = [det_oracle([row[:k] for row in g[:k]])
+                   for k in range(1, n + 1)]
+        if all(m > 0 for m in leading):
+            accepted += 1
+            assert Lattice(gram=g).determinant() == leading[-1], g
+            continue
+        if all(m > 0 for m in leading[:-1]):
+            indefinite += leading[-1] < 0
+            singular += leading[-1] == 0
+        with pytest.raises(ValueError,
+                           match="a leading principal minor is not positive"):
+            Lattice(gram=g)
+    assert accepted >= 40 and indefinite >= 40 and singular >= 40
 
 
 def test_snf_examples():
@@ -312,17 +372,23 @@ def test_enumerate_matches_reference_kernel():
             reference_counts(lat, max_norm), lat.gram
         # the kernel memoises the levels below the top by their minors in
         # pivot order
-        order = pivot_order(lat.gram)
-        minors = _bareiss([[lat.gram[i][j] for j in order] for i in order])[0]
+        minors = pivoted_minors(lat)
         unmemoised += any(m > MEMO_MINOR_LIMIT for m in minors[:-1])
     assert unmemoised >= 10
 
 
-def pivot_order(gram):
-    """The basis order the kernel works in."""
-    order = list(range(len(gram)))
-    _bareiss(gram, order=order)
-    return order
+def pivot_order(lat):
+    """The basis order the kernel works in, chosen at construction."""
+    return lat._elimination[0]
+
+
+def pivoted_minors(lat):
+    """The leading minors of the Gram matrix in the kernel's order,
+    computed from scratch."""
+    order = pivot_order(lat)
+    gram = [[lat.gram[i][j] for j in order] for i in order]
+    return [det_int([row[:k] for row in gram[:k]])
+            for k in range(1, lat.rank + 1)]
 
 
 def permuted(lat, rng):
@@ -349,8 +415,8 @@ def test_pivot_order_takes_the_least_next_minor():
     rng = random.Random(8128)
     for trial in range(12):
         build = random_dense_lattice if trial % 3 else random_sparse_lattice
-        gram = build(rng, 1 + trial % 7).gram
-        order = pivot_order(gram)
+        lat = build(rng, 1 + trial % 7)
+        gram, order = lat.gram, pivot_order(lat)
         assert sorted(order) == list(range(len(gram)))
 
         def minor(indices):
@@ -359,6 +425,9 @@ def test_pivot_order_takes_the_least_next_minor():
         for k in range(len(gram)):
             least = min(minor(order[:k] + [j]) for j in order[k:])
             assert minor(order[:k + 1]) == least, (gram, k)
+        # the construction keeps these minors
+        assert lat._elimination[1] == [minor(order[:k + 1])
+                                       for k in range(len(gram))]
 
 
 def sheared(lat, rng, size):
@@ -383,8 +452,8 @@ def test_state_width_is_read_from_the_gram(monkeypatch):
     for rank in (4, 5, 6):
         lat = random_dense_lattice(rng, rank)
         far = sheared(lat, rng, 10**12)
-        assert pivot_order(far.gram) == list(range(rank))
-        assert _state_width(_scaled_form(far.gram), 6) > 64
+        assert pivot_order(far) == list(range(rank))
+        assert _state_width(_scaled_form(far), 6) > 64
         want = reference_counts(far, 6)
         assert enumerate_vectors_by_norm(far, 6) == want, far.gram
         assert enumerate_vectors_by_norm(lat, 6) == want
@@ -426,7 +495,7 @@ def test_coset_keys_through_unmemoised_levels(monkeypatch, leech):
     # Smith forms are bordered through levels whose invariants do not
     # divide their modulus
     monkeypatch.setattr(enumeration, "MEMO_MINOR_LIMIT", 12)
-    keys = _scaled_form(leech.gram).keys
+    keys = _scaled_form(leech).keys
     # minors 4, 12, 32, ..., 36, 12, 4, 1 in the pivot order
     assert [k for k, rows in enumerate(keys) if rows is not None] == \
         [0, 1, 21, 22]
@@ -448,10 +517,10 @@ def coset_key_tallies(rng, lattices):
     same = opposite = differ = 0
     for lat in lattices:
         n = lat.rank
-        form = _scaled_form(lat.gram)
-        order = pivot_order(lat.gram)
+        form = _scaled_form(lat)
+        order = pivot_order(lat)
         gram = [[lat.gram[i][j] for j in order] for i in order]
-        minors = _bareiss(gram)[0]
+        minors = pivoted_minors(lat)
         for k, key_map in enumerate(form.keys):
             if k == n - 1 or minors[k] > enumeration.MEMO_MINOR_LIMIT:
                 assert key_map is None
@@ -596,7 +665,7 @@ def test_enumeration_frees_its_memo_at_return(leech):
 
 def test_leech_keys_move_few_digits(leech):
     # a search reads a digit with step 0 once, not once per candidate
-    keys = _scaled_form(leech.gram).keys
+    keys = _scaled_form(leech).keys
     moving = [sum(1 for _, step, _ in rows if step) for rows in keys[:-1]]
     assert max(moving) == 2 and sum(moving) == 27
 

@@ -19,8 +19,17 @@ times
   - perfbench/run.py, unchanged, at --trace 0 in alternating rounds and
     once at --trace 1, on a copy of the checkout with no bytecode cache.
 
+Beside the times, a row records the work of each WORK_COMMANDS command:
+the bytecode instructions that package code executes in one run (the
+total, per module and the ten largest functions) and the calls of
+WORK_CALLS.  They are counted in a child with PYTHONHASHSEED=0 under
+sys.settrace, every package module imported first so that compiling is
+not counted, and each command is counted twice.  Counts show less work,
+not a faster run: only the times can show that.
+
 --quick runs each start-up command and verify --p 3 at cutoff 4 once per
-row and cache, and runs neither perfbench nor the tier-1 suite.  Metrics
+row and cache, counts the work of QUICK_WORK_COMMANDS only, and runs
+neither perfbench nor the tier-1 suite.  Metrics
 that perfbench reports but that do not measure what their names say are
 copied under "known_broken" with the reason.  Standard library only.
 """
@@ -54,7 +63,67 @@ STARTUP = {
     "import orbifoldry.cli warm": (["-c", "import orbifoldry.cli"], "warm"),
 }
 PERFBENCH_SECONDS = 5
-PERFBENCH_ROUNDS = 3
+PERFBENCH_ROUNDS = 10
+
+WORK_COMMANDS = ("verify --p 3", "verify --p 13 --cutoff 10",
+                 "fusion orbifold --p 13 --cutoff 14",
+                 "fusion orbifold --p 13 --cutoff 14 --construction z2")
+QUICK_WORK_COMMANDS = ("fusion orbifold --p 3 --cutoff 7/2",)
+WORK_REPEATS = 2
+# functions whose calls each work count records, as module.qualname
+WORK_CALLS = ("lattice._bareiss", "lattice.smith_normal_form",
+              "isometry._charpoly", "isometry._mat_mul",
+              "qseries.euler_product", "qseries.FracSeries.__mul__",
+              "qseries.FracSeries.inverse")
+# run as python -c WORK_CODE <command arguments>; prints one JSON object
+WORK_CODE = """
+import contextlib, importlib, io, json, pkgutil, sys
+from collections import Counter
+from pathlib import Path
+import orbifoldry
+for info in pkgutil.iter_modules(orbifoldry.__path__):
+    if info.name != "__main__":
+        importlib.import_module("orbifoldry." + info.name)
+from orbifoldry.commands import main
+
+package = orbifoldry.__path__[0]
+executed, calls = Counter(), Counter()
+
+def count(frame, event, arg):
+    if event == "opcode":
+        executed[frame.f_code] += 1
+    return count
+
+def enter(frame, event, arg):
+    if not frame.f_code.co_filename.startswith(package):
+        return None
+    calls[frame.f_code] += 1
+    frame.f_trace_lines = False
+    frame.f_trace_opcodes = True
+    return count
+
+def name(code):
+    return Path(code.co_filename).stem + "." + code.co_qualname
+
+with contextlib.redirect_stdout(io.StringIO()):
+    sys.settrace(enter)
+    try:
+        status = main(sys.argv[1:])
+    finally:
+        sys.settrace(None)
+if status:
+    raise SystemExit(f"exited {status}")
+functions, modules, called = Counter(), Counter(), Counter()
+for code, n in executed.items():
+    functions[name(code)] += n
+    modules[Path(code.co_filename).stem] += n
+for code, n in calls.items():
+    called[name(code)] += n
+print(json.dumps({"total": sum(executed.values()),
+                  "modules": dict(sorted(modules.items())),
+                  "top_functions": dict(functions.most_common(10)),
+                  "calls": {key: called[key] for key in %r}}))
+""" % (WORK_CALLS,)
 
 KNOWN_BROKEN = {
     "trace.overhead_s": "traced in-process wall minus untraced subprocess "
@@ -174,6 +243,28 @@ def _summary(walls: list) -> dict:
             "runs": len(walls), "samples_s": walls}
 
 
+def count_work(copy: Path, command: str) -> dict:
+    """The work counts of one run of an orbifoldry command in copy."""
+    env = dict(_env(copy / "src", False), PYTHONHASHSEED="0")
+    done = subprocess.run([sys.executable, "-c", WORK_CODE, *command.split()],
+                          cwd=copy, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"counting {command} in {copy}: {done.stderr[-300:]}")
+    return json.loads(done.stdout)
+
+
+def measure_work(copy: Path, commands: tuple) -> dict:
+    """Work counts per command, from the first of WORK_REPEATS counts;
+    `totals` lists the total of each, equal when the count is
+    deterministic."""
+    work = {}
+    for command in commands:
+        counts = [count_work(copy, command) for _ in range(WORK_REPEATS)]
+        work[command] = {**counts[0],
+                         "totals": [c["total"] for c in counts]}
+    return work
+
+
 def run_perfbench(copy: Path, trace: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", "all",
             "--seed", "1", "--seconds", str(PERFBENCH_SECONDS),
@@ -210,7 +301,8 @@ def _pairs(parent: list, change: list) -> dict:
 def compare(parent: dict, change: dict) -> dict:
     """For each verify case, start-up command and end-to-end perfbench
     metric, the pairs in which the change reads lower and the median
-    change/parent ratio; lower is better for all of them."""
+    change/parent ratio, and for each work count the change/parent ratio
+    of its total; lower is better for all of them."""
     verify = {f"{cache} {case}": _pairs(timings["samples_s"],
                                         change["verify"][cache][case]["samples_s"])
               for cache, by_case in parent["verify"].items()
@@ -223,7 +315,10 @@ def compare(parent: dict, change: dict) -> dict:
     perfbench = {name: _pairs([r[name] for r in rounds["parent"]],
                               [r[name] for r in rounds["change"]])
                  for name in sorted(metrics)}
-    return {"verify": verify, "startup": startup, "perfbench_trace0": perfbench}
+    work = {command: change["work"][command]["total"] / counts["total"]
+            for command, counts in parent["work"].items()}
+    return {"verify": verify, "startup": startup, "perfbench_trace0": perfbench,
+            "work": work}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -251,6 +346,10 @@ def main(argv: list[str] | None = None) -> int:
         for name, timings in time_startup(
                 copies, 1 if args.quick else STARTUP_REPEATS).items():
             rows[name]["startup"] = timings
+        for name in roots:
+            rows[name]["work"] = measure_work(
+                copies[name]["cold"],
+                QUICK_WORK_COMMANDS if args.quick else WORK_COMMANDS)
         if not args.quick:
             for name in roots:
                 rows[name]["perfbench_trace0"] = []
@@ -274,6 +373,10 @@ def main(argv: list[str] | None = None) -> int:
                              "untimed run"},
         "verify_repeats": 1 if args.quick else REPEATS,
         "startup_repeats": 1 if args.quick else STARTUP_REPEATS,
+        "work": {"counted": "bytecode instructions executed by package "
+                            "code, by sys.settrace opcode events, "
+                            "PYTHONHASHSEED=0, every module imported first",
+                 "repeats": WORK_REPEATS, "calls": list(WORK_CALLS)},
         "perfbench": None if args.quick else {
             "seed": 1, "seconds": PERFBENCH_SECONDS,
             "trace0_rounds": PERFBENCH_ROUNDS},
