@@ -189,13 +189,13 @@ def count_by_norm(lat: lattice.Lattice, max_norm: int,
     Depth-first search over the square completion that the lattice's
     elimination gives (_scaled_form), basis in its pivot order, bounds in
     scaled integers.  An outer loop fixes the highest nonzero coordinate
-    x_k to a positive value (nonzero norms count twice).  Below it the search runs over all of Z^k, so each
-    subtree is counted once per coset of the fixed prefix modulo the span
-    of the first basis vectors, on the levels MEMO_MINOR_LIMIT admits, and
-    once per pair of opposite cosets: x -> -x maps the subtree of a prefix
-    onto that of its negative.  Raises BudgetExceeded (discarding partial
-    counts) once more than `budget` candidates are visited; a memo hit
-    visits none.
+    x_k to a positive value (nonzero norms count twice).  Below it the
+    search runs over all of Z^k, so each subtree is counted once per
+    coset of the fixed prefix modulo the span of the first basis vectors,
+    on the levels MEMO_MINOR_LIMIT admits, and once per pair of opposite
+    cosets: x -> -x maps the subtree of a prefix onto that of its
+    negative.  Raises BudgetExceeded (discarding partial counts) once
+    more than `budget` candidates are visited; a memo hit visits none.
 
     State.  A search at level L is passed one integer, not its prefix
     x_{>L}: the values over x_{>L} of the forms of _field_rows for every

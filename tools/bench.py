@@ -29,9 +29,9 @@ not a faster run: only the times can show that.
 
 --quick runs each start-up command and verify --p 3 at cutoff 4 once per
 row and cache, counts the work of QUICK_WORK_COMMANDS only, and runs
-neither perfbench nor the tier-1 suite.  Metrics
-that perfbench reports but that do not measure what their names say are
-copied under "known_broken" with the reason.  Standard library only.
+neither perfbench nor the tier-1 suite.  Metrics that perfbench reports
+but that do not measure what their names say are copied under
+"known_broken" with the reason.  Standard library only.
 """
 
 from __future__ import annotations
