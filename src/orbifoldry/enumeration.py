@@ -53,7 +53,8 @@ def _key_maps(gram, minors) -> list:
     minors.  The transforms of G_{k-1}, extended by one, turn G_k into
     [[D, U b], [b^T V, c]].  Each border entry is reduced modulo its D_r,
     which changes only the corner and clears it where D_r = 1; a Smith
-    form of the other rows plus the border finishes the step.
+    form of the other rows plus the border finishes the step, carrying
+    the rows of U and the columns of V that it changes.
     """
     memoised = [k for k in range(len(gram) - 1)
                 if minors[k] <= MEMO_MINOR_LIMIT]
@@ -79,16 +80,15 @@ def _key_maps(gram, minors) -> list:
         rest = [r for r, d in enumerate(diag) if d > 1]
         diag.append(corner % modulus)
         if rest:
-            form = lattice.smith_normal_form(
-                [[diag[r] * (r == s) for s in rest] + [beta[r]] for r in rest]
-                + [[alpha[s] for s in rest] + [diag[k]]])
+            block = ([[diag[r] * (r == s) for s in rest] + [beta[r]]
+                      for r in rest] + [[alpha[s] for s in rest] + [diag[k]]])
             rest.append(k)
-            rows = list(zip(*[left[r] for r in rest]))
-            cols = list(zip(*[right[r] for r in rest]))
-            for r, f, g, d in zip(rest, form.left, zip(*form.right),
-                                  form.invariants):
-                left[r] = [sum(map(mul, f, x)) % modulus for x in rows]
-                right[r] = [sum(map(mul, g, x)) % modulus for x in cols]
+            # the form carries the rows of U and the columns of V it changes
+            rows, cols = [left[r] for r in rest], [right[r] for r in rest]
+            invariants = lattice.smith_normal_form(block, rows, cols)
+            for r, u, v, d in zip(rest, rows, cols, invariants):
+                left[r] = [x % modulus for x in u]
+                right[r] = [x % modulus for x in v]
                 diag[r] = d
         for r in rest or [k]:  # the rows whose D_r changed
             # scale U_r by a unit w modulo N with w D_r = gcd(D_r, N)

@@ -1,14 +1,14 @@
 """Even positive definite integral lattices.
 
-Gram-matrix validation, Smith normal form with transformation matrices,
-quotient-group invariants and exact norm-bounded vector counts, whose
-search is the module `enumeration`.  All arithmetic is exact, in
-integers.
+Gram-matrix validation, Smith normal form carrying the caller's vectors
+through its row and column operations, quotient-group invariants and
+exact norm-bounded vector counts, whose search is the module
+`enumeration`.  All arithmetic is exact, in integers.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -33,10 +33,6 @@ def _freeze(matrix: Sequence[Sequence[int]]) -> IntMatrix:
     # from an iterator is resized, and on release CPython parks it on a
     # free list that the next build from an iterator does not draw from
     return tuple([tuple([int(x) for x in row]) for row in matrix])
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _bareiss(matrix: Sequence[Sequence[int]]) -> tuple:
@@ -158,16 +154,6 @@ def parse_matrix(source: str) -> IntMatrix:
 # ----- Smith normal form ----------------------------------------------
 
 
-class SmithForm(NamedTuple):
-    """Diagonalization left @ A @ right = diag(invariants) with unimodular
-    transforms and the divisibility chain d1 | d2 | ... | dr.
-    """
-
-    invariants: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
-
-
 def _smallest_entry(a, t):
     best = None
     for i in range(t, len(a)):
@@ -181,41 +167,49 @@ def _smallest_entry(a, t):
     return best and best[1:]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
-    """Smith normal form of a square integer matrix.
+def smith_normal_form(matrix: Sequence[Sequence[int]], rows: list,
+                      cols: list) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... | dr of a square integer matrix A,
+    the diagonal of its Smith normal form U A V.
 
-    Pivots are chosen by smallest absolute value to keep intermediate
-    entries small, the first unit found being taken at once; the
-    divisibility chain is enforced by folding any non-divisible entry
-    into the pivot row before moving on, which a unit pivot never needs.
+    Each row operation on A is applied to `rows`, one vector per row of
+    A, and each column operation to `cols`, one vector per column, in
+    place: carried vectors R and C come back as U R and V^T C, so the
+    rows of the identity come back as the rows of U and the columns of V,
+    and empty vectors carry nothing.  Pivots are chosen by smallest
+    absolute value to keep intermediate entries small, the first unit
+    found being taken at once; the divisibility chain is enforced by
+    folding any non-divisible entry into the pivot row before moving on,
+    which a unit pivot never needs.
     """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    left = _identity(n)
-    right = _identity(n)
+    if any(len(row) != n for row in a) or len(rows) != n or len(cols) != n:
+        raise ValueError("matrix must be square, with one carried vector "
+                         "per row and per column")
     for t in range(n):
         while (pivot := _smallest_entry(a, t)) is not None:
             i, j = pivot
             a[t], a[i] = a[i], a[t]
-            left[t], left[i] = left[i], left[t]
+            rows[t], rows[i] = rows[i], rows[t]
             if j != t:
-                for row in a + right:
+                for row in a:
                     row[t], row[j] = row[j], row[t]
+                cols[t], cols[j] = cols[j], cols[t]
             p = a[t][t]
             dirty = False
             for r in range(t + 1, n):
                 if a[r][t]:
                     k = a[r][t] // p
                     a[r] = [x - k * y for x, y in zip(a[r], a[t])]
-                    left[r] = [x - k * y for x, y in zip(left[r], left[t])]
+                    rows[r] = [x - k * y for x, y in zip(rows[r], rows[t])]
                     dirty = dirty or a[r][t]
             for c in range(t + 1, n):
                 if a[t][c]:
                     k = a[t][c] // p
-                    for row in a + right:
+                    for row in a:
                         row[c] -= k * row[t]
+                    cols[c] = [x - k * y for x, y in zip(cols[c], cols[t])]
                     dirty = dirty or a[t][c]
             if dirty:
                 continue
@@ -227,13 +221,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
             if offender is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            left[t] = [x + y for x, y in zip(left[t], left[offender])]
+            rows[t] = [x + y for x, y in zip(rows[t], rows[offender])]
     for t in range(n):
         if a[t][t] < 0:
             a[t][t] = -a[t][t]
-            left[t] = [-x for x in left[t]]
-    return SmithForm(tuple(a[t][t] for t in range(n)), _freeze(left),
-                     _freeze(right))
+            rows[t] = [-x for x in rows[t]]
+    return tuple(a[t][t] for t in range(n))
 
 
 def quotient_invariants(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -244,10 +237,11 @@ def quotient_invariants(lattice: Lattice, matrix: Sequence[Sequence[int]]) -> li
     """
     if len(matrix) != lattice.rank or any(len(r) != lattice.rank for r in matrix):
         raise ValueError("matrix shape does not match lattice rank")
-    form = smith_normal_form(matrix)
-    if 0 in form.invariants:
+    invariants = smith_normal_form(matrix, [()] * lattice.rank,
+                                   [()] * lattice.rank)
+    if 0 in invariants:
         raise ArithmeticError("matrix has determinant zero")
-    return [d for d in form.invariants if d > 1]
+    return [d for d in invariants if d > 1]
 
 
 # ----- vector enumeration ---------------------------------------------

@@ -13,6 +13,8 @@ STARTUP_KEYS = ["python -c pass", "python -S -c pass",
                 "import orbifoldry.cli cold", "import orbifoldry.cli warm"]
 WORK_COMMAND = "fusion orbifold --p 3 --cutoff 7/2"
 WORK_CALLS = ["lattice._bareiss", "lattice.smith_normal_form",
+              "lattice.quotient_invariants",
+              "enumeration.count_by_norm.<locals>.expand",
               "isometry._charpoly", "isometry._mat_mul",
               "qseries.euler_product", "qseries.FracSeries.__mul__",
               "qseries.FracSeries.inverse"]
@@ -63,8 +65,13 @@ def test_quick_bench_pairs_two_rows(tmp_path):
         top = list(work["top_functions"].values())
         assert len(top) == 10 and top == sorted(top, reverse=True)
         assert list(work["calls"]) == WORK_CALLS
-        # the one Lattice() of the load runs one elimination
-        assert work["calls"]["lattice._bareiss"] == 1
+        # the one Lattice() of the load runs one elimination; the command
+        # counts no vectors, so its one Smith form is a full one
+        calls = work["calls"]
+        assert calls["lattice._bareiss"] == 1
+        assert calls["lattice.smith_normal_form"] == 1
+        assert calls["lattice.quotient_invariants"] == 1
+        assert calls["enumeration.count_by_norm.<locals>.expand"] == 0
     assert parent["commit"] == change["commit"]
     pairs = record["change_vs_parent"]["verify"]
     assert set(pairs) == {"cold p3-c4", "warm p3-c4"}

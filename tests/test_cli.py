@@ -192,16 +192,19 @@ def _count_isometry_checks(patch, calls):
 
 @pytest.fixture(scope="module")
 def counted_p13_report():
-    """A p=13 suite run that records each Smith form's matrix and counts
-    isometry checks, charpoly reductions, matrix products, modular forms
-    and twisted characters built."""
-    calls = {"snf": [], "verify": 0, "charpoly": 0, "mat_mul": 0,
-             "discriminant": 0, "theta24": 0}
+    """A p=13 suite run that records each Smith form's matrix and the
+    lengths of the vectors it carries, and counts isometry checks,
+    charpoly reductions, matrix products, modular forms and twisted
+    characters built."""
+    calls = {"snf": [], "carried": [], "verify": 0, "charpoly": 0,
+             "mat_mul": 0, "discriminant": 0, "theta24": 0}
     kernel = lattice.smith_normal_form
 
-    def counted_snf(matrix):
+    def counted_snf(matrix, rows, cols):
         calls["snf"].append(tuple(tuple(row) for row in matrix))
-        return kernel(matrix)
+        calls["carried"].append(
+            ({len(v) for v in rows}, {len(v) for v in cols}))
+        return kernel(matrix, rows, cols)
 
     delta = _counted(calls, "discriminant", modular.discriminant_form)
     theta24 = _counted(calls, "theta24", modular.unimodular_theta_rank24)
@@ -249,6 +252,15 @@ def test_each_smith_form_is_computed_once(counted_p13_report):
     # tau = sigma^2 and sigma^13 = -1, whose 1 - (-1) = 2 the negation shares
     assert len(full) <= sum(1 for d in range(1, 26) if 26 % d == 0)
     assert len(set(full)) == len(full)
+    # the full forms read the invariants alone, so they carry empty
+    # vectors; the form bordering level k carries the rows of U and the
+    # columns of V it changes, k + 1 entries each.  Every leading minor
+    # of Leech below the top exceeds 1, so each level from 1 on borders
+    forms = list(zip(calls["snf"], calls["carried"]))
+    assert [carried for m, carried in forms if len(m) == len(gram)] == [
+        ({0}, {0})] * len(full)
+    assert [carried for m, carried in forms if len(m) < len(gram)] == [
+        ({k + 1}, {k + 1}) for k in range(1, len(bordered) + 1)]
 
 
 def test_suite_reduces_only_the_loaded_matrices(counted_p13_report):

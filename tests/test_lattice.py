@@ -256,10 +256,25 @@ def test_construction_accepts_exactly_the_positive_definite_grams():
     assert accepted >= 40 and indefinite >= 40 and singular >= 40
 
 
+def invariants(a):
+    """The Smith invariants of a, carrying empty vectors."""
+    return smith_normal_form(a, [()] * len(a), [()] * len(a))
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
 def test_snf_examples():
-    assert smith_normal_form([[2, 0], [0, 4]]).invariants == (2, 4)
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).invariants == (1, 1, 1)
-    assert smith_normal_form([[2, 1], [0, 3]]).invariants == (1, 6)
+    assert invariants([[2, 0], [0, 4]]) == (2, 4)
+    assert invariants([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
+    assert invariants([[2, 1], [0, 3]]) == (1, 6)
+    assert invariants([]) == ()
+    assert all(type(d) is int for d in invariants([[2, 1], [0, 3]]))
 
 
 def test_snf_transforms_are_unimodular_and_diagonalize():
@@ -267,19 +282,48 @@ def test_snf_transforms_are_unimodular_and_diagonalize():
     for _ in range(40):
         n = rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        form = smith_normal_form(a)
-        assert abs(det_oracle(form.left)) == 1
-        assert abs(det_oracle(form.right)) == 1
-        la = [[sum(form.left[i][k] * a[k][j] for k in range(n))
-               for j in range(n)] for i in range(n)]
-        lar = [[sum(la[i][k] * form.right[k][j] for k in range(n))
-                for j in range(n)] for i in range(n)]
+        # carrying the identity gives the rows of U and the columns of V
+        left, cols = identity(n), identity(n)
+        diag = smith_normal_form(a, left, cols)
+        right = [list(row) for row in zip(*cols)]
+        assert abs(det_oracle(left)) == 1
+        assert abs(det_oracle(right)) == 1
+        lar = mat_mul(mat_mul(left, a), right)
         for i in range(n):
             for j in range(n):
-                assert lar[i][j] == (form.invariants[i] if i == j else 0)
+                assert lar[i][j] == (diag[i] if i == j else 0)
         for i in range(n - 1):
-            d, e = form.invariants[i], form.invariants[i + 1]
+            d, e = diag[i], diag[i + 1]
             assert (d == 0 and e == 0) or e % d == 0
+
+
+def test_snf_carries_rows_by_u_and_columns_by_v_transpose():
+    rng = random.Random(903)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        m, m_cols = rng.randint(0, 4), rng.randint(0, 4)
+        rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+        cols = [[rng.randint(-5, 5) for _ in range(m_cols)] for _ in range(n)]
+        before = [row[:] for row in a]
+        left, right_t = identity(n), identity(n)
+        diag = smith_normal_form(a, left, right_t)
+        carried_rows, carried_cols = [*rows], [*cols]
+        assert smith_normal_form(a, carried_rows, carried_cols) == diag
+        # U R and V^T C; with m = 0 both sides are n empty rows
+        assert [list(r) for r in carried_rows] == mat_mul(left, rows)
+        assert [list(c) for c in carried_cols] == mat_mul(right_t, cols)
+        assert invariants(a) == diag
+        assert a == before
+
+
+def test_snf_rejects_a_carried_vector_count_off_the_shape():
+    with pytest.raises(ValueError, match="matrix must be square"):
+        smith_normal_form([[1, 2]], [()], [()])
+    with pytest.raises(ValueError, match="one carried vector"):
+        smith_normal_form([[2, 0], [0, 2]], [()], [(), ()])
+    with pytest.raises(ValueError, match="one carried vector"):
+        smith_normal_form([[2, 0], [0, 2]], [(), ()], [(), (), ()])
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -287,7 +331,7 @@ def test_snf_matches_minor_gcd_oracle():
     for _ in range(40):
         n = rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert list(smith_normal_form(a).invariants) == minor_gcd_invariants(a)
+        assert list(invariants(a)) == minor_gcd_invariants(a)
 
 
 def test_quotient_invariants_examples():
@@ -527,7 +571,7 @@ def coset_key_tallies(rng, lattices):
                 continue
             block = [row[:k + 1] for row in gram[:k + 1]]
             assert [m for _, _, m in key_map] == [
-                d for d in smith_normal_form(block).invariants if d > 1]
+                d for d in invariants(block) if d > 1]
             inverse = frac_inverse(block)
 
             def key(prefix):

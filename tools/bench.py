@@ -52,7 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ORDERS = (3, 5, 7, 13)
 CUTOFFS = (4, 10)
-REPEATS = 5
+REPEATS = 10
 STARTUP_REPEATS = 11
 # interpreter arguments of each start-up timing, and whether it reads the
 # package with the bytecode cold or warm (None: the package is not read)
@@ -70,8 +70,12 @@ WORK_COMMANDS = ("verify --p 3", "verify --p 13 --cutoff 10",
                  "fusion orbifold --p 13 --cutoff 14 --construction z2")
 QUICK_WORK_COMMANDS = ("fusion orbifold --p 3 --cutoff 7/2",)
 WORK_REPEATS = 2
-# functions whose calls each work count records, as module.qualname
+# functions whose calls each work count records, as module.qualname:
+# quotient_invariants makes the full Smith forms (the coset keys make the
+# bordered rest), and expand runs once per subtree searched
 WORK_CALLS = ("lattice._bareiss", "lattice.smith_normal_form",
+              "lattice.quotient_invariants",
+              "enumeration.count_by_norm.<locals>.expand",
               "isometry._charpoly", "isometry._mat_mul",
               "qseries.euler_product", "qseries.FracSeries.__mul__",
               "qseries.FracSeries.inverse")
