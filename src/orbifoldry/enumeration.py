@@ -49,8 +49,8 @@ def _key_maps(gram, minors) -> list:
     """The coset key rows of each level of a positive definite Gram
     matrix (see _ScaledForm), None above MEMO_MINOR_LIMIT.
 
-    Smith forms U G_k V = D are kept modulo N, the lcm of the memoised
-    minors.  The transforms of G_{k-1}, extended by one, turn G_k into
+    Smith forms U G_k V = D are kept exactly, in integers.  The
+    transforms of G_{k-1}, extended by one, turn G_k into
     [[D, U b], [b^T V, c]].  Each border entry is reduced modulo its D_r,
     which changes only the corner and clears it where D_r = 1; a Smith
     form of the other rows plus the border finishes the step, carrying
@@ -58,7 +58,6 @@ def _key_maps(gram, minors) -> list:
     """
     memoised = [k for k in range(len(gram) - 1)
                 if minors[k] <= MEMO_MINOR_LIMIT]
-    modulus = lcm(*(minors[k] for k in memoised))
     keys = [None] * len(gram)
     left, right, diag = [], [], []  # the rows of U, the columns of V, D
     for k in range(max(memoised, default=-1) + 1):
@@ -74,30 +73,20 @@ def _key_maps(gram, minors) -> list:
         corner -= sum(map(mul, down, alpha)) + sum(map(mul, up, beta))
         alpha = [x % d for x, d in zip(alpha, diag)]
         left = [u + [0] for u in left] + [
-            [-sum(map(mul, up, x)) % modulus for x in zip(*left)] + [1]]
+            [-sum(map(mul, up, x)) for x in zip(*left)] + [1]]
         right = [v + [0] for v in right] + [
-            [-sum(map(mul, down, x)) % modulus for x in zip(*right)] + [1]]
+            [-sum(map(mul, down, x)) for x in zip(*right)] + [1]]
         rest = [r for r, d in enumerate(diag) if d > 1]
-        diag.append(corner % modulus)
+        diag.append(corner)
         if rest:
             block = ([[diag[r] * (r == s) for s in rest] + [beta[r]]
-                      for r in rest] + [[alpha[s] for s in rest] + [diag[k]]])
+                      for r in rest] + [[alpha[s] for s in rest] + [corner]])
             rest.append(k)
             # the form carries the rows of U and the columns of V it changes
             rows, cols = [left[r] for r in rest], [right[r] for r in rest]
             invariants = lattice.smith_normal_form(block, rows, cols)
             for r, u, v, d in zip(rest, rows, cols, invariants):
-                left[r] = [x % modulus for x in u]
-                right[r] = [x % modulus for x in v]
-                diag[r] = d
-        for r in rest or [k]:  # the rows whose D_r changed
-            # scale U_r by a unit w modulo N with w D_r = gcd(D_r, N)
-            d = gcd(diag[r], modulus)
-            w = pow(diag[r] // d, -1, modulus // d)
-            while gcd(w, modulus) > 1:
-                w += modulus // d
-            left[r] = [x * w % modulus for x in left[r]]
-            diag[r] = d
+                left[r], right[r], diag[r] = u, v, d
         if k in memoised:
             rows = []
             for u, d in zip(left, diag):

@@ -28,7 +28,7 @@ preserves every Gram matrix and is built with its profile Phi_2^n preset.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -133,7 +133,10 @@ class Isometry:
             n = self.lattice.rank
             one_minus = [[int(r == c) - self.matrix[r][c] for c in range(n)]
                          for r in range(n)]
-            known[self.matrix] = tuple(quotient_invariants(self.lattice, one_minus))
+            # |det(1 - g)| = prod_d Phi_d(1)^e_d, and 1 needs no Smith form
+            size = prod(sum(cyclotomic_polynomial(d)) ** e for d, e in self._profile.factors)
+            known[self.matrix] = tuple(
+                quotient_invariants(self.lattice, one_minus) if size != 1 else ())
         return known[self.matrix]
 
 

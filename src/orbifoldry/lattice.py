@@ -176,9 +176,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: list,
     A, and each column operation to `cols`, one vector per column, in
     place: carried vectors R and C come back as U R and V^T C, so the
     rows of the identity come back as the rows of U and the columns of V,
-    and empty vectors carry nothing.  Pivots are chosen by smallest
-    absolute value to keep intermediate entries small, the first unit
-    found being taken at once; the divisibility chain is enforced by
+    and empty vectors carry nothing.  A diagonal A of positive entries,
+    each dividing the next, is its own form, returned at once.  Otherwise
+    pivots are chosen by smallest absolute value to keep entries small,
+    the first unit found being taken at once; the chain is enforced by
     folding any non-divisible entry into the pivot row before moving on,
     which a unit pivot never needs.
     """
@@ -187,6 +188,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: list,
     if any(len(row) != n for row in a) or len(rows) != n or len(cols) != n:
         raise ValueError("matrix must be square, with one carried vector "
                          "per row and per column")
+    if all(0 < row[t] == sum(map(abs, row)) and not sum(below) % row[t]
+           for t, (row, below) in enumerate(zip(a, a[1:] + a[-1:]))):
+        return tuple(row[t] for t, row in enumerate(a))  # a diagonal chain
     for t in range(n):
         while (pivot := _smallest_entry(a, t)) is not None:
             i, j = pivot

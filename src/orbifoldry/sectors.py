@@ -45,11 +45,11 @@ def conformal_weight(eig_dims: Sequence[int]) -> Fraction:
 def defect_dimension(g: Isometry, i: int) -> int:
     """sqrt of |L/(1-g^i)L|, L the lattice of g: an integer here.
 
-    The quotient depends only on the cyclic subgroup <g^i>, so the Smith
-    form is taken of its generator h = g^gcd(i, N), N the order of g.
-    Then g^i = h^j with j prime to the order M of h, and (1 - h^j)L =
-    (1 - h)L, since 1 - h^j = (1 - h)(1 + h + ... + h^(j-1)) and 1 - h =
-    (1 - h^j)(1 + h^j + ... + h^(j(k-1))) with jk = 1 mod M."""
+    It depends only on <g^i>, so it is read from the generator h =
+    g^gcd(i, N), N the order of g: a Smith form of 1 - h, none if h's
+    profile makes 1 - h unimodular.  g^i = h^j, j prime to the order M
+    of h, and (1 - h^j)L = (1 - h)L: 1 - h^j = (1 - h)(1 + ... + h^(j-1))
+    and 1 - h = (1 - h^j)(1 + h^j + ... + h^(j(k-1))), jk = 1 mod M."""
     divisors = g.power(gcd(i, multiplicative_order(g))).coinvariant_divisors
     order = 1
     for d in divisors:

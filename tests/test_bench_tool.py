@@ -1,7 +1,7 @@
 """tools/bench.py in its quick mode: one run of each start-up command and
-of verify per row and bytecode state, two work counts of one small
-command per row, no perfbench and no tier-1 suite, so it runs in
-seconds."""
+of verify per row and bytecode state, the search structure and two work
+counts of one small command per row, no perfbench and no tier-1 suite,
+so it runs in seconds."""
 
 import json
 import subprocess
@@ -12,6 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 STARTUP_KEYS = ["python -c pass", "python -S -c pass",
                 "import orbifoldry.cli cold", "import orbifoldry.cli warm"]
 WORK_COMMAND = "fusion orbifold --p 3 --cutoff 7/2"
+SEARCH_KEYS = ["memo_minor_sum", "key_rows", "key_rows_with_step",
+               "norm6_candidates"]
 WORK_CALLS = ["lattice._bareiss", "lattice.smith_normal_form",
               "lattice.quotient_invariants",
               "enumeration.count_by_norm.<locals>.expand",
@@ -54,6 +56,13 @@ def test_quick_bench_pairs_two_rows(tmp_path):
             assert case["median_s"] > 0
             assert case["quartiles_s"] == [case["median_s"]] * 2
         assert not {"perfbench_trace0", "perfbench_trace1", "tier1"} & set(row)
+        # the shipped Gram's memo fills 11,017 entries, and a norm-6 count
+        # visits 26,312 candidates (test_leech_norm_six_budget_is_exact)
+        search = row["search"]
+        assert list(search) == SEARCH_KEYS
+        assert search["memo_minor_sum"] == 11_017
+        assert search["norm6_candidates"] == 26_312
+        assert 0 < search["key_rows_with_step"] <= search["key_rows"]
         assert list(row["work"]) == [WORK_COMMAND]
         work = row["work"][WORK_COMMAND]
         assert set(work) == {"total", "modules", "top_functions", "calls",
@@ -80,5 +89,6 @@ def test_quick_bench_pairs_two_rows(tmp_path):
     assert list(startup) == STARTUP_KEYS
     assert all(pair["pairs"] == 1 for pair in startup.values())
     assert record["change_vs_parent"]["work"] == {WORK_COMMAND: 1.0}
+    assert record["change_vs_parent"]["search"] == dict.fromkeys(SEARCH_KEYS, 1.0)
     assert record["work"]["repeats"] == 2
     assert record["work"]["calls"] == WORK_CALLS

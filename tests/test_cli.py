@@ -15,7 +15,7 @@ import pytest
 from orbifoldry import cli, enumeration, ising, isometry, lattice, modular, sectors
 from orbifoldry.cli import CLAIM_REGISTRY, RunConfig, run_verification_suite
 from orbifoldry.commands import DEFAULT_SUITE_CUTOFF, _build_parser, main
-from orbifoldry.datafiles import load_leech, resolve_data_dir
+from orbifoldry.datafiles import load_leech, load_sigma, resolve_data_dir
 from orbifoldry.isometry import Isometry
 from orbifoldry.report import emit_report
 from orbifoldry.sectors import twisted_character
@@ -248,10 +248,15 @@ def test_each_smith_form_is_computed_once(counted_p13_report):
     key_rows = max(len(rows) for rows in keys if rows is not None)
     assert 0 < len(bordered) < len(gram)
     assert all(len(m) <= key_rows + 1 for m in bordered)
-    # one 1 - h per cyclic subgroup <h> = <sigma^i>, i = 1..25: h = sigma,
-    # tau = sigma^2 and sigma^13 = -1, whose 1 - (-1) = 2 the negation shares
-    assert len(full) <= sum(1 for d in range(1, 26) if 26 % d == 0)
-    assert len(set(full)) == len(full)
+    # one 1 - h per cyclic subgroup <h> = <sigma^i>, i = 1..25, whose
+    # quotient is not trivial: h = tau = sigma^2, and h = sigma^13 = -1,
+    # whose 1 - (-1) = 2I the negation shares; 1 - sigma is unimodular,
+    # Phi_26(1) = 1, and takes no Smith form
+    tau = load_sigma(13, lattice=leech).power(2).matrix
+    n = len(gram)
+    assert sorted(full) == sorted(
+        tuple(tuple(int(i == j) - m[i][j] for j in range(n)) for i in range(n))
+        for m in (tau, [[-int(i == j) for j in range(n)] for i in range(n)]))
     # the full forms read the invariants alone, so they carry empty
     # vectors; the form bordering level k carries the rows of U and the
     # columns of V it changes, k + 1 entries each.  Every leading minor

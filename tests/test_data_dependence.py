@@ -14,6 +14,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
+from basis_change import seeded_unimodular
 
 from orbifoldry.cli import CLAIM_REGISTRY, RunConfig, run_verification_suite
 from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma, resolve_data_dir
@@ -136,20 +137,6 @@ def niemeier(tmp_path_factory, p, glue):
     # column k of sigma's matrix holds the image of basis vector k
     write_matrix(dest / f"sigma_p{p}.txt", [list(col) for col in zip(*images)])
     return dest
-
-
-def seeded_unimodular(rng, n, factors):
-    """U and U^-1 for U a product of elementary matrices I +- E_ab."""
-    u, u_inv = identity(n), identity(n)
-    for _ in range(factors):
-        a, b = rng.sample(range(n), 2)
-        s = rng.choice((1, -1))
-        # U <- U (I + s E_ab): column b += s column a; the inverse factor
-        # I - s E_ab multiplies U^-1 from the left: row a -= s row b
-        for row in u:
-            row[b] += s * row[a]
-        u_inv[a] = [x - s * y for x, y in zip(u_inv[a], u_inv[b])]
-    return u, u_inv
 
 
 def report_bytes(report):

@@ -10,8 +10,8 @@ import pytest
 
 from faddeev_leverrier import charpoly as reference_charpoly
 from integer_det import det_int
-from orbifoldry import isometry
-from orbifoldry.datafiles import load_leech, load_sigma, sigma_profile
+from orbifoldry import isometry, lattice as lattice_module
+from orbifoldry.datafiles import SUPPORTED_P, load_leech, load_sigma, sigma_profile
 from orbifoldry.fusion import orbifold_character
 from orbifoldry.isometry import (
     CHARPOLY_PRIME,
@@ -236,6 +236,24 @@ def test_power_coinvariants_match_direct_smith_forms(sigmas):
             power = sigma.power(i)
             direct = quotient_invariants(sigma.lattice, one_minus(power.matrix))
             assert power.coinvariant_divisors == tuple(direct), (p, i)
+
+
+def test_unimodular_one_minus_sigma_takes_no_smith_form(monkeypatch):
+    # sigma's profile is Phi_2p^(24/(p-1)), and Phi_2p(1) = 1 since 2p is
+    # not a prime power: |det(1 - sigma)| = 1 and the quotient is trivial
+    def no_smith_form(*args):
+        raise AssertionError("Smith form taken")
+
+    monkeypatch.setattr(isometry, "quotient_invariants", no_smith_form)
+    monkeypatch.setattr(lattice_module, "quotient_invariants", no_smith_form)
+    monkeypatch.setattr(lattice_module, "smith_normal_form", no_smith_form)
+    for p in SUPPORTED_P:
+        sigma = load_sigma(p, lattice=load_leech())
+        assert not sigma.lattice._coinvariants
+        assert sigma.coinvariant_divisors == ()
+        assert det_int(one_minus(sigma.matrix)) in (1, -1)
+        with pytest.raises(AssertionError, match="Smith form taken"):
+            sigma.power(2).coinvariant_divisors
 
 
 def random_signed_permutation(rng, n):

@@ -10,11 +10,12 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, isqrt
 from operator import mul
 
 import pytest
+from basis_change import seeded_unimodular
 from integer_det import det_int
 from reference_enumeration import (
     enumerate_vectors_by_norm as reference_counts,
@@ -87,6 +88,24 @@ def frac_inverse(m):
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return [row[n:] for row in aug]
+
+
+def adjugate(m):
+    """det m and its adjugate det m * m^-1, for m with nonzero leading
+    minors: fraction-free Gauss-Jordan elimination of [m | I], which
+    ends at [det m * I | adj m]."""
+    n = len(m)
+    aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for c in range(n):
+        pivot = aug[c][c]
+        for i in range(n):
+            if i != c:
+                f = aug[i][c]
+                aug[i] = [(pivot * x - f * y) // prev
+                          for x, y in zip(aug[i], aug[c])]
+        prev = pivot
+    return prev, [row[n:] for row in aug]
 
 
 def naive_box_counts(gram, max_norm) -> dict[int, int]:
@@ -317,6 +336,42 @@ def test_snf_carries_rows_by_u_and_columns_by_v_transpose():
         assert a == before
 
 
+def test_snf_returns_a_diagonal_chain_at_once(monkeypatch):
+    # 2I is its own Smith form: no pivot search, and the carried identity
+    # comes back as U = V = I
+    def no_pivot_search(a, t):
+        raise RuntimeError("pivot search")
+
+    off_chain = {((2, 0), (0, 3)): (1, 6), ((-2, 0), (0, 4)): (2, 4),
+                 ((4, 0), (0, -2)): (2, 4)}
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice_module, "_smallest_entry", no_pivot_search)
+        left, right_t = identity(24), identity(24)
+        doubling = [[2 * x for x in row] for row in identity(24)]
+        assert smith_normal_form(doubling, left, right_t) == (2,) * 24
+        assert left == right_t == identity(24)
+        assert invariants([[1, 0], [0, 6]]) == (1, 6)
+        # a diagonal off the chain, or with a sign, needs the kernel
+        for a in off_chain:
+            with pytest.raises(RuntimeError, match="pivot search"):
+                invariants(a)
+    # where it gives positive invariants in a chain, with valid transforms
+    rng = random.Random(904)
+    cases = [*off_chain] + [
+        tuple(tuple(rng.randint(-6, 6) * (i == j) for j in range(n))
+              for i in range(n)) for n in (1, 2, 3, 4) for _ in range(25)]
+    for a in cases:
+        n = len(a)
+        left, right_t = identity(n), identity(n)
+        diag = smith_normal_form(a, left, right_t)
+        assert list(diag) == minor_gcd_invariants(a), a
+        assert diag == off_chain.get(a, diag)
+        assert abs(det_oracle(left)) == abs(det_oracle(right_t)) == 1
+        lar = mat_mul(mat_mul(left, a), [list(c) for c in zip(*right_t)])
+        assert lar == [[diag[i] * (i == j) for j in range(n)]
+                       for i in range(n)]
+
+
 def test_snf_rejects_a_carried_vector_count_off_the_shape():
     with pytest.raises(ValueError, match="matrix must be square"):
         smith_normal_form([[1, 2]], [()], [()])
@@ -517,7 +572,7 @@ def test_enumerate_with_fewer_memoised_levels(monkeypatch, limit):
         assert enumerate_vectors_by_norm(lat, 10) == reference_counts(lat, 10)
 
 
-def test_coset_keys_match_the_dual_quotient():
+def test_coset_keys_match_the_dual_quotient(leech):
     """Two prefixes x_{>k} get one key at level k exactly when
     G_k^{-1} (y - y') is integral, y = G[0..k][>k] x_{>k}: the same coset
     of L_k in its dual.  They share a memo entry, which a miss stores
@@ -528,16 +583,20 @@ def test_coset_keys_match_the_dual_quotient():
     kernel's basis order, and the key moduli are the invariants > 1 of a
     Smith form of each leading block computed from scratch.  Prefixes
     that share an entry have the same scaled projected norm mod scale,
-    so the key needs no radius."""
+    so the key needs no radius.  Last comes Leech under a seeded change
+    of basis, whose exact transforms reach 73 bits."""
     rng = random.Random(5311)
-    same, opposite, differ = coset_key_tallies(rng, random_lattices(rng, 30))
+    u, _ = seeded_unimodular(random.Random(11), 24, 10)
+    changed = Lattice(gram=mat_mul(mat_mul([*zip(*u)], leech.gram), u))
+    same, opposite, differ = coset_key_tallies(
+        rng, chain(random_lattices(rng, 30), [changed]))
     assert same >= 100 and opposite >= 50 and differ >= 100
 
 
 def test_coset_keys_through_unmemoised_levels(monkeypatch, leech):
     # Leech's leading minors rise above 12 and fall below it again: the
-    # Smith forms are bordered through levels whose invariants do not
-    # divide their modulus
+    # Smith forms are bordered through levels that key no coset, whose
+    # invariants exceed every memoised minor
     monkeypatch.setattr(enumeration, "MEMO_MINOR_LIMIT", 12)
     keys = _scaled_form(leech).keys
     # minors 4, 12, 32, ..., 36, 12, 4, 1 in the pivot order
@@ -572,11 +631,12 @@ def coset_key_tallies(rng, lattices):
             block = [row[:k + 1] for row in gram[:k + 1]]
             assert [m for _, _, m in key_map] == [
                 d for d in invariants(block) if d > 1]
-            inverse = frac_inverse(block)
+            det, adj = adjugate(block)
+            assert det == minors[k]
 
             def key(prefix):
-                """The digits, the negated digits, y, and the scaled norm
-                of the prefix's vector projected away from L_k:
+                """The digits, the negated digits, adj(G_k) y, and the
+                scaled norm of the prefix's vector projected away from L_k:
                 scale (|w|^2 - y^T G_k^-1 y), w = sum_{i>k} x_i b_i."""
                 x = [0] * (k + 1) + prefix
                 digits, negated = [], []
@@ -589,27 +649,26 @@ def coset_key_tallies(rng, lattices):
                      for i in range(k + 1)]
                 norm = sum(x[i] * gram[i][j] * x[j]
                            for i in range(k + 1, n) for j in range(k + 1, n))
-                dual = sum(y[i] * inverse[i][j] * y[j]
-                           for i in range(k + 1) for j in range(k + 1))
-                projected = form.scale * (norm - dual)
-                assert projected.denominator == 1
-                return tuple(digits), tuple(negated), y, projected
+                solved = [sum(map(mul, row, y)) for row in adj]
+                projected = form.scale * (det * norm - sum(map(mul, y, solved)))
+                assert projected % det == 0
+                return tuple(digits), tuple(negated), solved, projected // det
 
-            def integral(y_a, y_b, sign):
-                return all(sum(f * (a + sign * b) for f, a, b in
-                               zip(row, y_a, y_b)).denominator == 1
-                           for row in inverse)
+            def integral(solved_a, solved_b, sign):
+                # G_k^-1 (y_a + sign y_b) = adj(G_k) (y_a + sign y_b) / det
+                return all((a + sign * b) % det == 0
+                           for a, b in zip(solved_a, solved_b))
 
             prefixes = [[rng.randint(-2, 2) for _ in range(n - k - 1)]
                         for _ in range(10)]
             keyed = [key(prefix) for prefix in prefixes]
             for prefix, (_, negated, _, _) in zip(prefixes, keyed):
                 assert key([-x for x in prefix])[0] == negated
-            for (key_a, neg_a, y_a, norm_a), (key_b, _, y_b, norm_b) in \
-                    combinations(keyed, 2):
-                coset = integral(y_a, y_b, -1)
+            for (key_a, neg_a, solved_a, norm_a), (key_b, _, solved_b, norm_b) \
+                    in combinations(keyed, 2):
+                coset = integral(solved_a, solved_b, -1)
                 assert (key_a == key_b) == coset, (gram, k)
-                shared = coset or integral(y_a, y_b, 1)
+                shared = coset or integral(solved_a, solved_b, 1)
                 assert (key_b in (key_a, neg_a)) == shared, (gram, k)
                 # the kernel keys a table by the digits alone: prefixes
                 # that share an entry leave the same radius mod scale
@@ -711,7 +770,7 @@ def test_leech_keys_move_few_digits(leech):
     # a search reads a digit with step 0 once, not once per candidate
     keys = _scaled_form(leech).keys
     moving = [sum(1 for _, step, _ in rows if step) for rows in keys[:-1]]
-    assert max(moving) == 2 and sum(moving) == 27
+    assert max(moving) == 2 and sum(moving) == 26
 
 
 def test_leech_norm_six_budget_is_exact(leech):

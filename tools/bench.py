@@ -19,6 +19,13 @@ times
   - perfbench/run.py, unchanged, at --trace 0 in alternating rounds and
     once at --trace 1, on a copy of the checkout with no bytecode cache.
 
+A row also records the structure of the search on the shipped Gram:
+the sum of the leading minors that the enumeration memoises (the memo
+entries a full search can fill), the coset key rows and those of them
+that keep a step (each moves a digit per candidate), and the candidates
+that a norm-6 count visits, the least budget under which
+enumerate_vectors_by_norm succeeds, found by bisection.
+
 Beside the times, a row records the work of each WORK_COMMANDS command:
 the bytecode instructions that package code executes in one run (the
 total, per module and the ten largest functions) and the calls of
@@ -28,7 +35,8 @@ not counted, and each command is counted twice.  Counts show less work,
 not a faster run: only the times can show that.
 
 --quick runs each start-up command and verify --p 3 at cutoff 4 once per
-row and cache, counts the work of QUICK_WORK_COMMANDS only, and runs
+row and cache, counts the search structure and the work of
+QUICK_WORK_COMMANDS only, and runs
 neither perfbench nor the tier-1 suite.  Metrics that perfbench reports
 but that do not measure what their names say are copied under
 "known_broken" with the reason.  Standard library only.
@@ -128,6 +136,40 @@ print(json.dumps({"total": sum(executed.values()),
                   "top_functions": dict(functions.most_common(10)),
                   "calls": {key: called[key] for key in %r}}))
 """ % (WORK_CALLS,)
+
+# run as python -c SEARCH_CODE; prints one JSON object
+SEARCH_CODE = """
+import json
+from orbifoldry import enumeration
+from orbifoldry.datafiles import load_leech
+from orbifoldry.lattice import BudgetExceeded, enumerate_vectors_by_norm
+
+leech = load_leech()
+minors = leech._elimination[1]
+keys = [rows for rows in enumeration._scaled_form(leech).keys if rows]
+
+def fits(budget):
+    try:
+        enumerate_vectors_by_norm(leech, 6, budget)
+    except BudgetExceeded:
+        return False
+    return True
+
+# the least budget that fits lies in (low, high]
+low, high = 0, 1
+while not fits(high):
+    low, high = high, 2 * high
+while high - low > 1:
+    mid = (low + high) // 2
+    low, high = (low, mid) if fits(mid) else (mid, high)
+print(json.dumps({
+    "memo_minor_sum": sum(m for m in minors[:-1]
+                          if m <= enumeration.MEMO_MINOR_LIMIT),
+    "key_rows": sum(map(len, keys)),
+    "key_rows_with_step": sum(1 for rows in keys for _, step, _ in rows
+                              if step),
+    "norm6_candidates": high}))
+"""
 
 KNOWN_BROKEN = {
     "trace.overhead_s": "traced in-process wall minus untraced subprocess "
@@ -257,6 +299,16 @@ def count_work(copy: Path, command: str) -> dict:
     return json.loads(done.stdout)
 
 
+def measure_search(copy: Path) -> dict:
+    """The search structure of copy's enumeration on the shipped Gram."""
+    done = subprocess.run([sys.executable, "-c", SEARCH_CODE], cwd=copy,
+                          env=_env(copy / "src", False), capture_output=True,
+                          text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"search structure in {copy}: {done.stderr[-300:]}")
+    return json.loads(done.stdout)
+
+
 def measure_work(copy: Path, commands: tuple) -> dict:
     """Work counts per command, from the first of WORK_REPEATS counts;
     `totals` lists the total of each, equal when the count is
@@ -306,7 +358,8 @@ def compare(parent: dict, change: dict) -> dict:
     """For each verify case, start-up command and end-to-end perfbench
     metric, the pairs in which the change reads lower and the median
     change/parent ratio, and for each work count the change/parent ratio
-    of its total; lower is better for all of them."""
+    of its total, and of each search structure count; lower is better
+    for all of them."""
     verify = {f"{cache} {case}": _pairs(timings["samples_s"],
                                         change["verify"][cache][case]["samples_s"])
               for cache, by_case in parent["verify"].items()
@@ -321,8 +374,10 @@ def compare(parent: dict, change: dict) -> dict:
                  for name in sorted(metrics)}
     work = {command: change["work"][command]["total"] / counts["total"]
             for command, counts in parent["work"].items()}
+    search = {key: change["search"][key] / count
+              for key, count in parent["search"].items()}
     return {"verify": verify, "startup": startup, "perfbench_trace0": perfbench,
-            "work": work}
+            "work": work, "search": search}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -351,6 +406,7 @@ def main(argv: list[str] | None = None) -> int:
                 copies, 1 if args.quick else STARTUP_REPEATS).items():
             rows[name]["startup"] = timings
         for name in roots:
+            rows[name]["search"] = measure_search(copies[name]["cold"])
             rows[name]["work"] = measure_work(
                 copies[name]["cold"],
                 QUICK_WORK_COMMANDS if args.quick else WORK_COMMANDS)
