@@ -289,24 +289,25 @@ def _summary(walls: list) -> dict:
             "runs": len(walls), "samples_s": walls}
 
 
+def _child_json(copy: Path, what: str, code: str, *args: str) -> dict:
+    """The JSON object that `python -c code args` prints in copy, with
+    the bytecode cold and PYTHONHASHSEED=0; a failure raises."""
+    env = dict(_env(copy / "src", False), PYTHONHASHSEED="0")
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=copy,
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{what} in {copy}: {done.stderr[-300:]}")
+    return json.loads(done.stdout)
+
+
 def count_work(copy: Path, command: str) -> dict:
     """The work counts of one run of an orbifoldry command in copy."""
-    env = dict(_env(copy / "src", False), PYTHONHASHSEED="0")
-    done = subprocess.run([sys.executable, "-c", WORK_CODE, *command.split()],
-                          cwd=copy, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"counting {command} in {copy}: {done.stderr[-300:]}")
-    return json.loads(done.stdout)
+    return _child_json(copy, f"counting {command}", WORK_CODE, *command.split())
 
 
 def measure_search(copy: Path) -> dict:
     """The search structure of copy's enumeration on the shipped Gram."""
-    done = subprocess.run([sys.executable, "-c", SEARCH_CODE], cwd=copy,
-                          env=_env(copy / "src", False), capture_output=True,
-                          text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"search structure in {copy}: {done.stderr[-300:]}")
-    return json.loads(done.stdout)
+    return _child_json(copy, "search structure", SEARCH_CODE)
 
 
 def measure_work(copy: Path, commands: tuple) -> dict:
