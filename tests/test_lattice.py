@@ -355,7 +355,8 @@ def test_snf_returns_a_diagonal_chain_at_once(monkeypatch):
         for a in off_chain:
             with pytest.raises(RuntimeError, match="pivot search"):
                 invariants(a)
-    # where it gives positive invariants in a chain, with valid transforms
+    # the kernel and the shortcut give the oracle's invariants, positive
+    # and in a chain, with transforms that diagonalise
     rng = random.Random(904)
     cases = [*off_chain] + [
         tuple(tuple(rng.randint(-6, 6) * (i == j) for j in range(n))
@@ -595,8 +596,8 @@ def test_coset_keys_match_the_dual_quotient(leech):
 
 def test_coset_keys_through_unmemoised_levels(monkeypatch, leech):
     # Leech's leading minors rise above 12 and fall below it again: the
-    # Smith forms are bordered through levels that key no coset, whose
-    # invariants exceed every memoised minor
+    # Smith forms are bordered through the levels that key no coset, on
+    # to the memoised levels above them
     monkeypatch.setattr(enumeration, "MEMO_MINOR_LIMIT", 12)
     keys = _scaled_form(leech).keys
     # minors 4, 12, 32, ..., 36, 12, 4, 1 in the pivot order
